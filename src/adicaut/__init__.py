@@ -53,8 +53,10 @@ from .treeaction import (
     RelationReport,
     WordError,
     conjugacy_search_bounded,
+    decide_identity,
     equal,
     parse_word,
+    reduced_words,
     translation_word,
     verify_relation,
 )
@@ -63,7 +65,6 @@ from .constructions import (
     RelatorCheckReport,
     block_extend,
     presentation_for,
-    reduced_words,
     relator_check,
     sanov_pair,
     word_matrix,

@@ -257,6 +257,20 @@ def well_definedness_check(aut: Automaton, max_failures: int = 100) -> WellDefin
     return WellDefinednessReport(not failures, checked, failures)
 
 
+def _component_ranges(states, count: int):
+    """Half-open state-id range of each of `count` matrix indices, for states
+    already grouped by ascending matrix index."""
+    ranges = []
+    start = 0
+    for mi in range(count):
+        end = start
+        while end < len(states) and states[end].matrix_index == mi:
+            end += 1
+        ranges.append((start, end))
+        start = end
+    return tuple(ranges)
+
+
 def to_json(aut: Automaton, indent=None) -> str:
     """Serialize to the documented schema:
     {"n":int, "d":int, "matrices":[[[int]]], "states":[{"m","v","out","next"}]}
@@ -330,19 +344,10 @@ def from_json(text: str) -> Automaton:
             for x, t in enumerate(table):
                 if not isinstance(t, int) or not 0 <= t < limit:
                     raise FormatError(f"{where}.{name}[{x}] = {t!r} out of range [0, {limit})")
+        if len(set(out)) != alphabet:
+            raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")
         states.append(AutomatonState(m, tuple(v), tuple(out), tuple(nxt)))
-
-    components = []
-    start = 0
-    for mi in range(len(mats)):
-        end = start
-        while end < total and states[end].matrix_index == mi:
-            end += 1
-        components.append((start, end))
-        start = end
-    if start != total:
-        raise FormatError("states are not grouped by matrix index")
-    return Automaton(n, d, mats, tuple(states), tuple(components))
+    return Automaton(n, d, mats, tuple(states), _component_ranges(states, len(mats)))
 
 
 def export(aut: Automaton, format: str = "json") -> str:
@@ -406,13 +411,5 @@ def dedup(aut: Automaton) -> Automaton:
         st = states[sid]
         nxt = tuple(new_id[cls[t]] for t in st.nxt)
         new_states.append(AutomatonState(st.matrix_index, st.offset, st.out, nxt))
-
-    components = []
-    start = 0
-    for mi in range(len(aut.matrices)):
-        end = start
-        while end < len(new_states) and new_states[end].matrix_index == mi:
-            end += 1
-        components.append((start, end))
-        start = end
-    return Automaton(aut.n, aut.d, aut.matrices, tuple(new_states), tuple(components))
+    return Automaton(aut.n, aut.d, aut.matrices, tuple(new_states),
+                     _component_ranges(new_states, len(aut.matrices)))

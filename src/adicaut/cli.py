@@ -28,15 +28,19 @@ from .nadic import AffineMap, DigitWord, affine_apply_prefix
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("ADICAUT_BUDGET")
-    if env:
+    "The node budget from --budget, else ADICAUT_BUDGET, else the default; must be >= 1."
+    if args.budget is not None:
+        budget, source = args.budget, f"--budget {args.budget}"
+    elif env := os.environ.get("ADICAUT_BUDGET"):
         try:
-            return int(env)
+            budget, source = int(env), f"ADICAUT_BUDGET={env!r}"
         except ValueError:
             raise ValueError(f"ADICAUT_BUDGET={env!r} is not an integer") from None
-    return ta.DEFAULT_NODE_BUDGET
+    else:
+        return ta.DEFAULT_NODE_BUDGET
+    if budget < 1:
+        raise ValueError(f"{source}: the node budget must be at least 1")
+    return budget
 
 
 def _emit(args, text: str, obj: dict):
@@ -90,11 +94,11 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_wp(args) -> int:
+    budget = _budget(args)
     aut = _load_automaton(args.automaton)
     w = ta.parse_word(aut, args.word)
-    budget = _budget(args)
     try:
-        answer, visited = ta._closure_is_identity(w, budget)
+        answer, visited = ta.decide_identity(w, budget)
     except ta.BudgetExceededError as e:
         _emit(args, f"BUDGET-EXCEEDED visited={e.visited}",
               {"result": "BUDGET-EXCEEDED", "visited": e.visited})
@@ -105,9 +109,9 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    budget = _budget(args)
     mats = _load_matrices(args.matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    budget = _budget(args)
     all_ok = True
     for mi in range(len(aut.matrices)):
         for axis in range(1, aut.d + 1):

@@ -19,8 +19,8 @@ from .linalg import Matrix, block_diag, is_unimodular, mat_mul, matrix, identity
 from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
-    _closure_is_identity,
-    _word,
+    GroupWord,
+    decide_identity,
     translation_word,
 )
 
@@ -52,18 +52,6 @@ def sanov_pair():
     desk scale by the word-distinctness enumeration in the tests, not proven
     here."""
     return ((1, 2), (0, 1)), ((1, 0), (2, 1))
-
-
-def reduced_words(rank: int, max_length: int):
-    """All freely reduced words up to max_length over `rank` generators and
-    their inverses, as tuples of (generator index, +1|-1), shortest first."""
-    gens = [(i, e) for i in range(rank) for e in (1, -1)]
-    level = [()]
-    yield ()
-    for _ in range(max_length):
-        level = [w + (g,) for w in level for g in gens
-                 if not (w and w[-1][0] == g[0] and w[-1][1] == -g[1])]
-        yield from level
 
 
 def word_matrix(word, mats) -> Matrix:
@@ -190,19 +178,19 @@ def relator_check(aut: Automaton, pres: Presentation,
     for j, name in enumerate(pres.abelian_generators, start=1):
         words[name] = translation_word(aut, 0, j)
     for k, name in enumerate(pres.stable_generators):
-        words[name] = _word(aut, ((aut.state_id(k, (0,) * d), 1),))
+        words[name] = GroupWord.from_state(aut, aut.state_id(k, (0,) * d))
 
     results = []
     ok = True
     for relator in pres.relators:
-        w = _word(aut, ())
+        w = GroupWord(aut)
         for name, e in relator:
             if name not in words:
                 raise ValueError(f"relator uses unknown generator {name!r}")
             w = w * words[name] ** e
         text = Presentation.format_relator(relator)
         try:
-            answer, visited = _closure_is_identity(w, budget)
+            answer, visited = decide_identity(w, budget)
         except BudgetExceededError as e:
             results.append(RelatorResult(text, "budget-exceeded", e.visited))
             ok = False

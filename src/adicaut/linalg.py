@@ -52,10 +52,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_neg(v: Vector) -> Vector:
-    return tuple(-a for a in v)
-
-
 def mat_vec(M: Matrix, v: Vector) -> Vector:
     return tuple(sum(a * b for a, b in zip(row, v, strict=True)) for row in M)
 

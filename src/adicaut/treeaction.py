@@ -112,10 +112,7 @@ class GroupWord:
 
     def __pow__(self, k: int) -> "GroupWord":
         base = self if k >= 0 else ~self
-        w = _word(self.aut, ())
-        for _ in range(abs(k)):
-            w = w * base
-        return w
+        return _word(self.aut, _reduce(base.factors * abs(k)))
 
     def __repr__(self):
         return f"GroupWord({self.format() or '<identity>'})"
@@ -192,12 +189,15 @@ class GroupWord:
         exhausting the closure of the word under sections.  Raises
         BudgetExceededError when the closure exceeds `budget` visited words;
         exhaustion is an explicit outcome, never reported as False."""
-        ok, _ = _closure_is_identity(self, budget)
+        ok, _ = decide_identity(self, budget)
         return ok
 
 
-def _closure_is_identity(w: GroupWord, budget: int):
-    "Returns (answer, visited-count); see GroupWord.is_identity."
+def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
+    """Decide whether `w` acts trivially, returning (answer, visited): the
+    verdict and how many distinct words the closure under sections visited.
+    Raises BudgetExceededError once more than `budget` words would be
+    visited."""
     aut = w.aut
     if not w.factors:
         return True, 1
@@ -272,7 +272,7 @@ def verify_relation(aut: Automaton, matrix_index: int, axis: int,
     d = aut.d
     if not 1 <= axis <= d:
         raise WordError(f"axis {axis} out of range 1..{d}")
-    m0 = _word(aut, ((aut.state_id(matrix_index, (0,) * d), 1),))
+    m0 = GroupWord.from_state(aut, aut.state_id(matrix_index, (0,) * d))
     tau = translation_word(aut, matrix_index, axis)
     if inverse:
         col_matrix = inverse_unimodular(M)
@@ -280,12 +280,12 @@ def verify_relation(aut: Automaton, matrix_index: int, axis: int,
     else:
         col_matrix = M
         lhs = m0 * tau * ~m0
-    rhs = _word(aut, ())
+    rhs = GroupWord(aut)
     for i in range(1, d + 1):
         e = col_matrix[i - 1][axis - 1]
         if e:
             rhs = rhs * translation_word(aut, matrix_index, i) ** e
-    ok, visited = _closure_is_identity(lhs * ~rhs, budget)
+    ok, visited = decide_identity(lhs * ~rhs, budget)
     return RelationReport(matrix_index, axis, ok, visited, lhs, rhs)
 
 
@@ -302,19 +302,26 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
     if w1.aut is not w2.aut:
         raise WordError("cannot search for conjugators across different automata")
     aut = w1.aut
-    gens = [(sid, e) for sid in range(len(aut.states)) for e in (1, -1)]
-    level = [()]
-    for _ in range(max_length + 1):
-        for fac in level:
-            c = _word(aut, fac)
-            try:
-                if equal(c * w1 * ~c, w2, budget):
-                    return c
-            except BudgetExceededError:
-                continue
-        level = [fac + (g,) for fac in level for g in gens
-                 if not (fac and fac[-1][0] == g[0] and fac[-1][1] == -g[1])]
+    for fac in reduced_words(len(aut.states), max_length):
+        c = _word(aut, fac)
+        try:
+            if equal(c * w1 * ~c, w2, budget):
+                return c
+        except BudgetExceededError:
+            continue
     return None
+
+
+def reduced_words(rank: int, max_length: int):
+    """All freely reduced words up to max_length over `rank` generators and
+    their inverses, as tuples of (generator index, +1|-1), shortest first."""
+    gens = [(i, e) for i in range(rank) for e in (1, -1)]
+    level = [()]
+    yield ()
+    for _ in range(max_length):
+        level = [w + (g,) for w in level for g in gens
+                 if not (w and w[-1][0] == g[0] and w[-1][1] == -g[1])]
+        yield from level
 
 
 _STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$")
@@ -326,7 +333,7 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
     v in component i, `t[j]` the axis-j translation (component 0 unless a
     `@i` suffix picks another), either with an optional `^k` power; factors
     separated by whitespace or `*`.  Empty text is the identity."""
-    w = _word(aut, ())
+    factors = []
     for tok in text.replace("*", " ").split():
         m = _STATE_TOKEN.match(tok)
         if m:
@@ -352,5 +359,5 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
             if comp >= len(aut.matrices):
                 raise WordError(f"no component {comp} in this automaton")
             base = translation_word(aut, comp, axis)
-        w = w * base ** k
-    return w
+        factors += (base ** k).factors
+    return _word(aut, _reduce(factors))

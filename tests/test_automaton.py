@@ -193,6 +193,10 @@ def test_json_schema_errors(doubling3):
     with pytest.raises(FormatError, match=r"states\[1\].next"):
         from_json(json.dumps(obj))
     obj = json.loads(to_json(doubling3))
+    obj["states"][2]["out"] = [0, 0, 0]
+    with pytest.raises(FormatError, match=r"states\[2\].out is not a permutation"):
+        from_json(json.dumps(obj))
+    obj = json.loads(to_json(doubling3))
     obj["n"] = 1
     with pytest.raises(FormatError, match="n must be"):
         from_json(json.dumps(obj))

@@ -89,6 +89,18 @@ def test_act_empty_word_echoes(tmp_path, capsys):
     assert captured.out.strip() == "2 1 0"
 
 
+def test_act_rejects_non_permutation_output_exit_2(tmp_path, capsys):
+    obj = json.loads(to_json(build_single([[2]], 3)))
+    obj["states"][2]["out"] = [0, 0, 0]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code = main(["act", "--automaton", str(p), "--word", "m[0]:(0)", "--input", "2 1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "states[2].out is not a permutation" in captured.err
+
+
 def test_act_parse_error_exit_2(tmp_path, capsys):
     aut = write_automaton(tmp_path, build_single([[2]], 3))
     assert main(["act", "--automaton", aut, "--word", "xyz", "--input", "0"]) == 2
@@ -127,6 +139,25 @@ def test_wp_env_budget(tmp_path, capsys, monkeypatch):
     code = main(["wp", "--automaton", aut, "--word", "t[1] t[2] t[1]^-1 t[2]^-1"])
     capsys.readouterr()
     assert code == 4
+
+
+def test_wp_budget_flag_below_one_exit_2(tmp_path, capsys):
+    aut = write_automaton(tmp_path, build_single([[1]], 2))
+    for budget in ("0", "-5"):
+        code = main(["wp", "--automaton", aut, "--word", "t[1]", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--budget {budget}" in captured.err
+
+
+def test_wp_env_budget_below_one_exit_2(tmp_path, capsys, monkeypatch):
+    aut = write_automaton(tmp_path, build_single([[1]], 2))
+    monkeypatch.setenv("ADICAUT_BUDGET", "0")
+    code = main(["wp", "--automaton", aut, "--word", "t[1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ADICAUT_BUDGET='0'" in captured.err
 
 
 def test_relations_doubling(tmp_path, capsys):
