@@ -39,7 +39,6 @@ from .automaton import (
     build_single,
     build_union,
     dedup,
-    export,
     from_json,
     state_count_bound,
     to_dot,

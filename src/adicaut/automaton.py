@@ -7,6 +7,11 @@ digit part of v + M*x and hands the carry part to the next state.  For a
 family of matrices the automata are glued as a disjoint union, never merged,
 so the state count is exactly sum_i (2*||M_i||)**d.
 
+Each coordinate of v + M*x splits into digit and carry on its own, so
+build_union sums one digit row and one carry row per coordinate into each
+state's tables; well_definedness_check never divides, but recomposes
+digit_i(out[x]) + n*offset_i(nxt[x]) and compares it row by row with v_i + (M*x)_i.
+
 Letters are stored as dense indices (base-n expansion of the index, first
 coordinate least significant); digit tuples appear only at I/O boundaries.
 """
@@ -15,7 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import pairwise
+from operator import add, attrgetter, mul
 
 from .linalg import (
     Vector,
@@ -26,9 +34,8 @@ from .linalg import (
     matrix,
     matrix_from_lists,
     matrix_to_lists,
-    mod_div,
-    offset_box,
     row_sum_norm,
+    vec_add,
 )
 
 DEFAULT_ALPHABET_CAP = 4096
@@ -61,19 +68,24 @@ class AutomatonState:
 class Automaton:
     """An immutable transducer over the alphabet {0..n-1}^d.
 
-    `components[i]` is the half-open range of state ids built from
-    `matrices[i]`.  Equality is structural.
+    `states` must be grouped by ascending matrix index; `components[i]` is
+    the half-open range of state ids whose matrix index is i, derived from
+    the states.  Equality is structural.
     """
 
     __slots__ = ("n", "d", "matrices", "states", "components",
                  "_weights", "_state_ids", "_inv_out", "_letters")
 
-    def __init__(self, n, d, matrices, states, components):
+    def __init__(self, n, d, matrices, states):
         self.n = n
         self.d = d
         self.matrices = tuple(matrices)
         self.states = tuple(states)
-        self.components = tuple(components)
+        if any(a.matrix_index > b.matrix_index for a, b in pairwise(self.states)):
+            raise ValueError("states must be grouped by ascending matrix index")
+        key = attrgetter("matrix_index")  # a temporary list of all keys fragments the heap over rebuilds
+        self.components = tuple((bisect_left(self.states, mi, key=key), bisect_left(self.states, mi + 1, key=key))
+                                for mi in range(len(self.matrices)))
         self._weights = tuple(n ** i for i in range(d))
         self._letters = all_letters(n, d)
         self._state_ids = {(st.matrix_index, st.offset): sid for sid, st in enumerate(self.states)}
@@ -115,8 +127,7 @@ class Automaton:
             return NotImplemented
         return (self.n == other.n and self.d == other.d
                 and self.matrices == other.matrices
-                and self.states == other.states
-                and self.components == other.components)
+                and self.states == other.states)
 
     def __repr__(self):
         return (f"Automaton(n={self.n}, d={self.d}, "
@@ -127,6 +138,15 @@ def state_count_bound(Ms) -> int:
     "The guaranteed ceiling 2**d * sum_i ||M_i||**d on the union's state count."
     d = len(Ms[0])
     return 2 ** d * sum(row_sum_norm(matrix(M)) ** d for M in Ms)
+
+
+def _box_rows(side, rows, v, out, nxt):
+    """(offset, out row, next row) for each offset ending in v, in offset_box order, one at a
+    time; rows[i][k] is coordinate i's share of the letter index and next state id at side[k]."""
+    if not rows:
+        return [(v, out, nxt)]
+    return (t for x, (dr, cr) in zip(side, rows[-1])
+            for t in _box_rows(side, rows[:-1], (x,) + v, list(map(add, out, dr)), list(map(add, nxt, cr))))
 
 
 def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automaton:
@@ -159,39 +179,23 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
             raise BuildError(f"determinant {D} of matrix {i} is not coprime to base {n} (gcd={g})")
 
     letters = all_letters(n, d)
-    weights = tuple(n ** i for i in range(d))
-    sizes = [(2 * row_sum_norm(M)) ** d for M in mats]
-    ids = list(range(sum(sizes)))  # shared int objects keep the big tables lean
+    ids = list(range(sum((2 * row_sum_norm(M)) ** d for M in mats)))  # shared int objects keep the big tables lean
 
     states = []
-    components = []
     base = 0
     for mi, M in enumerate(mats):
         norm = row_sum_norm(M)
-        offsets = offset_box(M)
-        index_of = {v: k for k, v in enumerate(offsets)}
-        mxs = [mat_vec(M, x) for x in letters]
-        lo = -norm * n
-        dm = [divmod(s, n) for s in range(lo, norm * n)]
-        for v in offsets:
-            out_row = []
-            nxt_row = []
-            for mx in mxs:
-                idx = 0
-                q = []
-                for a, b, w in zip(v, mx, weights):
-                    qq, r = dm[a + b - lo]
-                    idx += r * w
-                    q.append(qq)
-                out_row.append(idx)
-                t = index_of.get(tuple(q))
-                if t is None:
-                    raise BuildError("internal error: transition left the offset box")
-                nxt_row.append(ids[base + t])
-            states.append(AutomatonState(mi, v, tuple(out_row), tuple(nxt_row)))
-        components.append((base, base + len(offsets)))
-        base += len(offsets)
-    return Automaton(n, d, tuple(mats), tuple(states), tuple(components))
+        side = range(-norm, norm)
+        # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = side[k]
+        splits = [[[divmod(v + sum(map(mul, Mi, x)), n) for x in letters] for v in side] for Mi in M]
+        if not all(-norm <= q < norm for per_v in splits for row in per_v for q, _ in row):
+            raise BuildError("internal error: a carry left the offset box")
+        rows = [[([r * n ** i for _, r in row], [(q + norm) * (2 * norm) ** i for q, _ in row])
+                 for row in per_v] for i, per_v in enumerate(splits)]
+        for v, o, c in _box_rows(side, rows, (), [0] * len(letters), [base] * len(letters)):
+            states.append(AutomatonState(mi, v, tuple(o), tuple([ids[t] for t in c])))
+        base += len(side) ** d
+    return Automaton(n, d, tuple(mats), tuple(states))
 
 
 def build_single(M, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automaton:
@@ -202,7 +206,7 @@ def build_single(M, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
 @dataclass(frozen=True)
 class CheckFailure:
     state: int
-    letter: int
+    letter: int | None  # None when the state's label itself is bad
     reason: str
 
 
@@ -215,63 +219,57 @@ class WellDefinednessReport:
     def __str__(self):
         if self.ok:
             return f"well-defined: {self.checked} transitions checked"
-        head = "; ".join(f"state {f.state} letter {f.letter}: {f.reason}" for f in self.failures[:3])
+        head = "; ".join(f"state {f.state}{'' if f.letter is None else f' letter {f.letter}'}: {f.reason}"
+                         for f in self.failures[:3])
         return f"NOT well-defined ({len(self.failures)} failures shown of {self.checked} checked): {head}"
 
 
-def well_definedness_check(aut: Automaton, max_failures: int = 100) -> WellDefinednessReport:
-    """Recompute every transition from scratch and compare with the stored
-    tables: for each state offset v and letter x, v + M*x must have all
-    coordinates in [-||M||*n, ||M||*n - 1], its carry part must lie in the
-    offset box again, and the tables must record exactly its digit and carry
-    parts.  Applies to automata in as-built layout (not deduplicated ones,
-    whose state labels no longer cover the full box)."""
-    n = aut.n
+MAX_FAILURES = 100
+
+
+def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
+    """Recompose every transition from the stored tables, without dividing and
+    independently of build_union: for a state with offset v in the component
+    of M, digit_i(out[x]) + n*offset_i(nxt[x]) must equal v_i + (M*x)_i for
+    every coordinate i and letter x, compared a whole row at a time.  Offsets
+    must lie in the offset box and label their own state, next states in
+    their own component.  Only failing rows are walked letter by letter; at
+    most MAX_FAILURES failures are kept.  Not for deduplicated automata."""
+    n, d, A = aut.n, aut.d, aut.alphabet_size
+    states = aut.states
+    letters = [aut.letter_digits(y) for y in range(A)]
+    digit = [[y[i] for y in letters] for i in range(d)]
+    n_offset = [[n * st.offset[i] for st in states] for i in range(d)]
     failures = []
     checked = 0
-    letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
     for mi, M in enumerate(aut.matrices):
         norm = row_sum_norm(M)
-        lo, hi = -norm * n, norm * n - 1
-        mxs = [mat_vec(M, x) for x in letters]
         start, end = aut.component_range(mi)
+        mxs = [mat_vec(M, x) for x in letters]
+        expected = [{c: [c + mx[i] for mx in mxs] for c in range(-norm, norm)} for i in range(d)]
         for sid in range(start, end):
-            st = aut.states[sid]
-            v = st.offset
-            for li, mx in enumerate(mxs):
-                if len(failures) >= max_failures:
-                    return WellDefinednessReport(False, checked, failures)
-                checked += 1
-                w = tuple(a + b for a, b in zip(v, mx))
-                if not all(lo <= c <= hi for c in w):
-                    failures.append(CheckFailure(sid, li, f"v+Mx = {w} outside [{lo}, {hi}]^d"))
+            st = states[sid]
+            v, out, nxt = st.offset, st.out, st.nxt
+            checked += A
+            if not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
+                failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
+            if (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
+                    and all(list(map(add, map(digit[i].__getitem__, out), map(n_offset[i].__getitem__, nxt)))
+                            == expected[i].get(v[i]) for i in range(d))):
+                continue
+            for x, (y, t) in enumerate(zip(out, nxt)):
+                if not (0 <= y < A and start <= t < end):
+                    failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
                     continue
-                r, q = mod_div(w, n)
-                if not all(-norm <= c <= norm - 1 for c in q):
-                    failures.append(CheckFailure(sid, li, f"carry {q} left the offset box"))
-                    continue
-                if st.out[li] != aut.letter_index(r):
-                    failures.append(CheckFailure(sid, li, f"output table says {st.out[li]}, digit part is {aut.letter_index(r)}"))
-                elif st.nxt[li] != aut._state_ids.get((mi, q), -1):
-                    failures.append(CheckFailure(sid, li, f"next table says {st.nxt[li]}, carry part is state {(mi, q)}"))
+                got = tuple(a + n * b for a, b in zip(letters[y], states[t].offset))
+                if got != vec_add(v, mxs[x]):
+                    failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {vec_add(v, mxs[x])}"))
+            if len(failures) >= MAX_FAILURES:
+                return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
     return WellDefinednessReport(not failures, checked, failures)
 
 
-def _component_ranges(states, count: int):
-    """Half-open state-id range of each of `count` matrix indices, for states
-    already grouped by ascending matrix index."""
-    ranges = []
-    start = 0
-    for mi in range(count):
-        end = start
-        while end < len(states) and states[end].matrix_index == mi:
-            end += 1
-        ranges.append((start, end))
-        start = end
-    return tuple(ranges)
-
-
-def to_json(aut: Automaton, indent=None) -> str:
+def to_json(aut: Automaton) -> str:
     """Serialize to the documented schema:
     {"n":int, "d":int, "matrices":[[[int]]], "states":[{"m","v","out","next"}]}
     with out/next indexed by dense letter index.  Component boundaries are the
@@ -285,7 +283,7 @@ def to_json(aut: Automaton, indent=None) -> str:
             for st in aut.states
         ],
     }
-    return json.dumps(obj, sort_keys=True, indent=indent)
+    return json.dumps(obj, sort_keys=True)
 
 
 def from_json(text: str) -> Automaton:
@@ -347,16 +345,7 @@ def from_json(text: str) -> Automaton:
         if len(set(out)) != alphabet:
             raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")
         states.append(AutomatonState(m, tuple(v), tuple(out), tuple(nxt)))
-    return Automaton(n, d, mats, tuple(states), _component_ranges(states, len(mats)))
-
-
-def export(aut: Automaton, format: str = "json") -> str:
-    "Dispatch to to_json / to_dot."
-    if format == "json":
-        return to_json(aut)
-    if format == "dot":
-        return to_dot(aut)
-    raise ValueError(f"unknown export format {format!r} (expected 'json' or 'dot')")
+    return Automaton(n, d, mats, tuple(states))
 
 
 def to_dot(aut: Automaton) -> str:
@@ -411,5 +400,4 @@ def dedup(aut: Automaton) -> Automaton:
         st = states[sid]
         nxt = tuple(new_id[cls[t]] for t in st.nxt)
         new_states.append(AutomatonState(st.matrix_index, st.offset, st.out, nxt))
-    return Automaton(aut.n, aut.d, aut.matrices, tuple(new_states),
-                     _component_ranges(new_states, len(aut.matrices)))
+    return Automaton(aut.n, aut.d, aut.matrices, tuple(new_states))

@@ -112,7 +112,7 @@ def _cmd_relations(args) -> int:
     budget = _budget(args)
     mats = _load_matrices(args.matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    all_ok = True
+    exhausted = failed = False
     for mi in range(len(aut.matrices)):
         for axis in range(1, aut.d + 1):
             try:
@@ -120,12 +120,13 @@ def _cmd_relations(args) -> int:
             except ta.BudgetExceededError as e:
                 _emit(args, f"M[{mi}] j={axis} BUDGET-EXCEEDED visited={e.visited}",
                       {"matrix": mi, "axis": axis, "result": "BUDGET-EXCEEDED", "visited": e.visited})
-                return 4
+                exhausted = True
+                continue
             _emit(args, str(rep),
                   {"matrix": mi, "axis": axis, "result": "PASS" if rep.ok else "FAIL",
                    "visited": rep.visited})
-            all_ok = all_ok and rep.ok
-    return 0 if all_ok else 5
+            failed = failed or not rep.ok
+    return 4 if exhausted else 5 if failed else 0
 
 
 def _cmd_verify(args) -> int:

@@ -197,7 +197,9 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     """Decide whether `w` acts trivially, returning (answer, visited): the
     verdict and how many distinct words the closure under sections visited.
     Raises BudgetExceededError once more than `budget` words would be
-    visited."""
+    visited, and ValueError for a budget below 1."""
+    if budget < 1:
+        raise ValueError(f"the node budget must be at least 1, got {budget}")
     aut = w.aut
     if not w.factors:
         return True, 1

@@ -193,7 +193,7 @@ def test_criterion_6_negative_controls():
         states = list(aut.states)
         states[2] = dataclasses.replace(states[2], nxt=(0, 0, 0))
         from adicaut import Automaton
-        corrupt = Automaton(aut.n, aut.d, aut.matrices, tuple(states), aut.components)
+        corrupt = Automaton(aut.n, aut.d, aut.matrices, tuple(states))
         assert not well_definedness_check(corrupt).ok
 
 

@@ -14,6 +14,8 @@ from adicaut import (
     dedup,
     from_json,
     identity,
+    matrix,
+    offset_box,
     state_count_bound,
     to_dot,
     to_json,
@@ -69,6 +71,8 @@ def test_union_disjoint_copies():
         assert all(t < 2 for t in aut.states[sid].nxt)
     for sid in range(2, 4):
         assert all(t >= 2 for t in aut.states[sid].nxt)
+    with pytest.raises(ValueError, match="grouped by ascending matrix index"):
+        Automaton(aut.n, aut.d, aut.matrices, aut.states[::-1])
 
 
 def test_union_counts_d2():
@@ -76,6 +80,10 @@ def test_union_counts_d2():
     aut = build_union(Ms, 3)
     sizes = [e - s for s, e in aut.components]
     assert sizes == [36, 36]
+    # each component lists its offset box in offset_box order
+    for mi, M in enumerate(Ms):
+        s, e = aut.component_range(mi)
+        assert [st.offset for st in aut.states[s:e]] == offset_box(matrix(M))
     assert len(aut.states) == 72 <= state_count_bound(Ms) == 72
 
 
@@ -137,7 +145,7 @@ def test_well_definedness_catches_corrupt_next(doubling3):
     st = states[2]
     bad = dataclasses.replace(st, nxt=(st.nxt[0], st.nxt[1], 0))
     states[2] = bad
-    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states), doubling3.components)
+    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states))
     rep = well_definedness_check(corrupt)
     assert not rep.ok
     assert any(f.state == 2 and f.letter == 2 for f in rep.failures)
@@ -148,7 +156,7 @@ def test_well_definedness_catches_corrupt_output(doubling3):
     st = states[1]
     bad = dataclasses.replace(st, out=(st.out[1], st.out[0], st.out[2]))
     states[1] = bad
-    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states), doubling3.components)
+    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states))
     rep = well_definedness_check(corrupt)
     assert not rep.ok
     assert {f.state for f in rep.failures} == {1}
@@ -157,10 +165,58 @@ def test_well_definedness_catches_corrupt_output(doubling3):
 def test_well_definedness_catches_offset_outside_box(doubling3):
     states = list(doubling3.states)
     states[3] = dataclasses.replace(states[3], offset=(100,))
-    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states), doubling3.components)
+    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states))
     rep = well_definedness_check(corrupt)
     assert not rep.ok
     assert any("outside" in f.reason for f in rep.failures)
+
+
+def test_well_definedness_rejects_every_single_corruption(doubling3, shear2):
+    union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
+    rng = random.Random(20261018)
+    for aut in (doubling3, shear2, union):
+        count, A = len(aut.states), aut.alphabet_size
+        for kind in ("out", "nxt", "offset") * 20:
+            sid, x = rng.randrange(count), rng.randrange(A)
+            st = aut.states[sid]
+            if kind == "out":
+                out = list(st.out)
+                out[x] = rng.choice([y for y in range(A) if y != out[x]])
+                bad = dataclasses.replace(st, out=tuple(out))
+            elif kind == "nxt":
+                nxt = list(st.nxt)
+                nxt[x] = rng.choice([t for t in range(count) if t != nxt[x]])
+                bad = dataclasses.replace(st, nxt=tuple(nxt))
+            else:
+                v = list(st.offset)
+                v[rng.randrange(aut.d)] += rng.choice([-1, 1]) * rng.randint(1, 5)
+                bad = dataclasses.replace(st, offset=tuple(v))
+            states = list(aut.states)
+            states[sid] = bad
+            rep = well_definedness_check(Automaton(aut.n, aut.d, aut.matrices, tuple(states)))
+            assert not rep.ok, (kind, sid, x)
+            if kind == "offset":
+                # the box is full, so the new label is outside it or taken
+                assert any(f.letter is None for f in rep.failures), str(rep)
+            else:
+                assert {(f.state, f.letter) for f in rep.failures} == {(sid, x)}, (kind, str(rep))
+    # a next state in the other copy of the same matrix recomposes exactly
+    twins = build_union([[[2]], [[2]]], 3)
+    states = list(twins.states)
+    states[1] = dataclasses.replace(states[1], nxt=(states[1].nxt[0] + 4,) + states[1].nxt[1:])
+    rep = well_definedness_check(Automaton(twins.n, twins.d, twins.matrices, tuple(states)))
+    assert [(f.state, f.letter) for f in rep.failures] == [(1, 0)]
+
+
+def test_to_json_digests_pinned():
+    import hashlib
+    from adicaut import block_extend, sanov_pair
+    sanov_d3 = build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)
+    union_d2 = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
+    assert hashlib.sha256(to_json(sanov_d3).encode()).hexdigest() == \
+        "e91155338d927cf7bc61eeae03c5b5a2044db5d5669c9ab92e927202f520b2d8"
+    assert hashlib.sha256(to_json(union_d2).encode()).hexdigest() == \
+        "3870f4588e8fb736b5c7a3b447ff33c67e5e0ecc296f4ef211a6788c98770357"
 
 
 def test_json_round_trip(doubling3, shear2):
@@ -195,6 +251,10 @@ def test_json_schema_errors(doubling3):
     obj = json.loads(to_json(doubling3))
     obj["states"][2]["out"] = [0, 0, 0]
     with pytest.raises(FormatError, match=r"states\[2\].out is not a permutation"):
+        from_json(json.dumps(obj))
+    obj = json.loads(to_json(build_union([[[2]], [[2]]], 3)))
+    obj["states"].reverse()
+    with pytest.raises(FormatError, match=r"states\[4\].m = 0 breaks the component grouping"):
         from_json(json.dumps(obj))
     obj = json.loads(to_json(doubling3))
     obj["n"] = 1
@@ -232,11 +292,3 @@ def test_letter_codec(doubling3):
     aut = build_single(identity(2), 3)
     for i in range(aut.alphabet_size):
         assert aut.letter_index(aut.letter_digits(i)) == i
-
-
-def test_export_dispatch(doubling3):
-    from adicaut import export
-    assert export(doubling3) == to_json(doubling3)
-    assert export(doubling3, "dot") == to_dot(doubling3)
-    with pytest.raises(ValueError):
-        export(doubling3, "xml")

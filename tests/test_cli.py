@@ -225,3 +225,21 @@ def test_commands_are_byte_stable(tmp_path, capsys):
     main(["verify", "--automaton", str(out), "--depth", "5", "--samples", "10", "--seed", "7"])
     v2 = capsys.readouterr().out
     assert v1 == v2
+
+
+def test_relations_prints_every_row_after_budget_exhaustion(tmp_path, capsys):
+    mats = write_matrices(tmp_path, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+    code = main(["relations", "--matrices", mats, "--n", "3", "--budget", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert lines == [f"M[{mi}] j={j} BUDGET-EXCEEDED visited=2" for mi in (0, 1) for j in (1, 2)]
+    code = main(["relations", "--matrices", mats, "--n", "3", "--budget", "2", "--json"])
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert code == 4
+    assert [(r["matrix"], r["axis"], r["result"]) for r in rows] == [
+        (mi, j, "BUDGET-EXCEEDED") for mi in (0, 1) for j in (1, 2)]
+    # rows that pass after an exhausted one are still printed; exit 4 wins
+    code = main(["relations", "--matrices", mats, "--n", "3", "--budget", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert [l.split()[2] for l in lines] == ["PASS", "BUDGET-EXCEEDED", "BUDGET-EXCEEDED", "PASS"]

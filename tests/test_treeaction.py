@@ -343,6 +343,21 @@ def test_closure_visited_counts(shear2):
     assert ok and visited >= 1
 
 
+def test_budget_below_one_rejected(shear2):
+    from adicaut import presentation_for, relator_check
+    t1 = translation_word(shear2, 0, 1)
+    for budget in (0, -5):
+        for call in (lambda: decide_identity(t1, budget),
+                     lambda: decide_identity(GroupWord(shear2), budget),
+                     lambda: t1.is_identity(budget),
+                     lambda: equal(t1, t1, budget),
+                     lambda: verify_relation(shear2, 0, 1, budget=budget),
+                     lambda: relator_check(shear2, presentation_for(shear2.matrices), budget)):
+            with pytest.raises(ValueError, match="at least 1"):
+                call()
+    assert decide_identity(t1, 1) == (False, 1)
+
+
 def iterated_power(w, k):
     "Reference power: |k| copies of w (or w^-1) multiplied in one at a time."
     base = w if k >= 0 else ~w
