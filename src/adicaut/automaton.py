@@ -298,9 +298,9 @@ def from_json(text: str) -> Automaton:
         if key not in obj:
             raise FormatError(f"missing key {key!r}")
     n, d = obj["n"], obj["d"]
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:  # JSON true/false are bools, not 1/0
         raise FormatError(f"n must be an integer >= 2, got {obj['n']!r}")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise FormatError(f"d must be an integer >= 1, got {obj['d']!r}")
     try:
         mats = tuple(matrix_from_lists(m) for m in obj["matrices"])
@@ -323,13 +323,13 @@ def from_json(text: str) -> Automaton:
             if key not in entry:
                 raise FormatError(f"{where} missing key {key!r}")
         m = entry["m"]
-        if not isinstance(m, int) or not 0 <= m < len(mats):
+        if type(m) is not int or not 0 <= m < len(mats):
             raise FormatError(f"{where}.m = {m!r} is not a matrix index")
         if m < last_m:
             raise FormatError(f"{where}.m = {m} breaks the component grouping (states must be grouped by matrix)")
         last_m = m
         v = entry["v"]
-        if not isinstance(v, list) or len(v) != d or not all(isinstance(c, int) for c in v):
+        if not isinstance(v, list) or len(v) != d or not all(type(c) is int for c in v):
             raise FormatError(f"{where}.v must be a list of {d} integers")
         label = (m, tuple(v))
         if label in seen_labels:
@@ -340,7 +340,7 @@ def from_json(text: str) -> Automaton:
             if not isinstance(table, list) or len(table) != alphabet:
                 raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
             for x, t in enumerate(table):
-                if not isinstance(t, int) or not 0 <= t < limit:
+                if type(t) is not int or not 0 <= t < limit:
                     raise FormatError(f"{where}.{name}[{x}] = {t!r} out of range [0, {limit})")
         if len(set(out)) != alphabet:
             raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")

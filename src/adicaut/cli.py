@@ -17,6 +17,7 @@ ADICAUT_BUDGET or --budget (the flag wins).  All randomness is seeded
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -149,6 +150,7 @@ def _cmd_verify(args) -> int:
     return 5 if mismatches else 0
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="adicaut",

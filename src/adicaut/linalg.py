@@ -21,7 +21,7 @@ def vector(coords) -> Vector:
     if not v:
         raise ValueError("vectors must have dimension >= 1")
     for c in v:
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError(f"vector coordinate {c!r} is not an int")
     return v
 

@@ -15,6 +15,12 @@ taking sections has the identity root permutation.  Sections never have more
 factors than their parent and draw states from a finite set, so the closure
 is finite and the search terminates (a node budget still guards against
 pathological blowup and is reported, never treated as an answer).
+
+The kernel codes a factor (sid, e) as the signed int e*(sid+1); each code has
+a letter map (`out`, or `inv_out` when negative) and a row of signed section
+codes.  It walks a word's factors right to left, moving all letters at once
+by one `itemgetter` gather per factor and table, and transposes the section
+columns with `zip`.  Sections are reduced only when neighbours cancel.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
+from operator import add, itemgetter
 
 from .automaton import Automaton
 from .linalg import format_letter, inverse_unimodular
@@ -43,13 +52,11 @@ class BudgetExceededError(RuntimeError):
 
 
 def _reduce(factors):
-    out = []
-    for sid, e in factors:
-        if out and out[-1][0] == sid and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((sid, e))
-    return tuple(out)
+    "Free reduction of (sid, e) pairs through their codes; reduced pairs are kept as they are."
+    factors = tuple(factors)
+    codes = _encode(factors)
+    reduced = _cancel(codes)
+    return factors if reduced is codes else _decode(reduced)
 
 
 def _word(aut, reduced_factors) -> "GroupWord":
@@ -121,20 +128,10 @@ class GroupWord:
         """Word in the `m[i]:(v)` token grammar, runs collapsed to powers,
         factors joined with ` * `.  The identity formats as the empty string."""
         parts = []
-        i = 0
-        fs = self.factors
-        while i < len(fs):
-            sid, e = fs[i]
-            j = i
-            while j < len(fs) and fs[j] == (sid, e):
-                j += 1
+        for (sid, e), run in groupby(self.factors):
             st = self.aut.states[sid]
-            tok = f"m[{st.matrix_index}]:({format_letter(st.offset)})"
-            exp = e * (j - i)
-            if exp != 1:
-                tok += f"^{exp}"
-            parts.append(tok)
-            i = j
+            exp = e * len(list(run))
+            parts.append(f"m[{st.matrix_index}]:({format_letter(st.offset)})" + (f"^{exp}" if exp != 1 else ""))
         return " * ".join(parts)
 
     def act(self, u: DigitWord) -> DigitWord:
@@ -165,32 +162,65 @@ class GroupWord:
         word acting below each letter (dense-indexed).  Every section has at
         most as many factors as this word."""
         aut = self.aut
-        states = aut.states
-        perm = []
-        sections = []
-        for x in range(aut.alphabet_size):
-            xi = x
-            sec = []
-            for sid, e in reversed(self.factors):
-                st = states[sid]
-                if e == 1:
-                    sec.append((st.nxt[xi], 1))
-                    xi = st.out[xi]
-                else:
-                    x0 = aut.inv_out(sid)[xi]
-                    sec.append((st.nxt[x0], -1))
-                    xi = x0
-            perm.append(xi)
-            sections.append(_word(aut, _reduce(reversed(sec))))
-        return tuple(perm), sections
+        if not self.factors:
+            return tuple(range(aut.alphabet_size)), [self] * aut.alphabet_size
+        perm, sections = _root_and_sections(_code_tables(aut), _encode(self.factors))
+        return perm, [_word(aut, _decode(_cancel(s))) for s in sections]
 
     def is_identity(self, budget: int = DEFAULT_NODE_BUDGET) -> bool:
         """Decide whether this word acts trivially on every digit word, by
         exhausting the closure of the word under sections.  Raises
         BudgetExceededError when the closure exceeds `budget` visited words;
         exhaustion is an explicit outcome, never reported as False."""
-        ok, _ = decide_identity(self, budget)
-        return ok
+        return decide_identity(self, budget)[0]
+
+
+def _encode(factors):
+    "Signed codes of (sid, e) factors: sid+1 for e = +1, -(sid+1) for e = -1."
+    return tuple(sid + 1 if e == 1 else -sid - 1 for sid, e in factors)
+
+
+def _decode(codes):
+    return tuple((c - 1, 1) if c > 0 else (-c - 1, -1) for c in codes)
+
+
+def _cancel(codes):
+    "Free reduction of a tuple of signed codes; a reduced tuple comes back as is."
+    if 0 not in map(add, codes, codes[1:]):
+        return codes
+    out = []
+    for c in codes:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _code_tables(aut):
+    """Per-call cache from a code to its letter map and signed section row:
+    (out, nxt[x]+1) for a positive code, (inv_out, -(nxt[inv_out[y]]+1)) for a negative one."""
+    def tables(c):
+        st = aut.states[abs(c) - 1]
+        if c > 0:
+            return st.out, tuple(t + 1 for t in st.nxt)
+        inv = aut.inv_out(-c - 1)
+        return inv, tuple(-st.nxt[x] - 1 for x in inv)
+    return cache(tables)
+
+
+def _root_and_sections(tables, node):
+    """Root permutation of a nonempty code tuple and its unreduced sections, one per
+    letter: one gather of the current letters per factor and table moves them all."""
+    xs, column = tables(node[-1])
+    columns = [column]
+    for c in node[-2::-1]:
+        letter_map, row = tables(c)
+        gather = itemgetter(*xs)  # a tuple, as the alphabet has at least 2 letters
+        columns.append(gather(row))
+        xs = gather(letter_map)
+    columns.reverse()
+    return xs, zip(*columns)
 
 
 def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
@@ -200,24 +230,23 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     visited, and ValueError for a budget below 1."""
     if budget < 1:
         raise ValueError(f"the node budget must be at least 1, got {budget}")
-    aut = w.aut
     if not w.factors:
         return True, 1
-    idperm = tuple(range(aut.alphabet_size))
-    visited = {w.factors}
-    queue = deque([w.factors])
+    idperm = tuple(range(w.aut.alphabet_size))
+    tables = _code_tables(w.aut)
+    queue = deque([_encode(w.factors)])
+    visited = set(queue)
     while queue:
-        fac = queue.popleft()
-        perm, sections = _word(aut, fac).root_and_sections()
+        perm, sections = _root_and_sections(tables, queue.popleft())
         if perm != idperm:
             return False, len(visited)
-        for s in sections:
-            f = s.factors
-            if f and f not in visited:
+        for s in dict.fromkeys(sections):
+            s = _cancel(s)
+            if s and s not in visited:
                 if len(visited) >= budget:
                     raise BudgetExceededError(len(visited))
-                visited.add(f)
-                queue.append(f)
+                visited.add(s)
+                queue.append(s)
     return True, len(visited)
 
 
@@ -271,22 +300,13 @@ def verify_relation(aut: Automaton, matrix_index: int, axis: int,
     decision runs through the word-problem closure, whose budget exhaustion
     propagates."""
     M = aut.matrices[matrix_index]
-    d = aut.d
-    if not 1 <= axis <= d:
-        raise WordError(f"axis {axis} out of range 1..{d}")
-    m0 = GroupWord.from_state(aut, aut.state_id(matrix_index, (0,) * d))
-    tau = translation_word(aut, matrix_index, axis)
-    if inverse:
-        col_matrix = inverse_unimodular(M)
-        lhs = ~m0 * tau * m0
-    else:
-        col_matrix = M
-        lhs = m0 * tau * ~m0
+    tau = translation_word(aut, matrix_index, axis)  # rejects an axis outside 1..d
+    m0 = GroupWord.from_state(aut, aut.state_id(matrix_index, (0,) * aut.d))
+    col_matrix, lhs = (inverse_unimodular(M), ~m0 * tau * m0) if inverse else (M, m0 * tau * ~m0)
     rhs = GroupWord(aut)
-    for i in range(1, d + 1):
-        e = col_matrix[i - 1][axis - 1]
-        if e:
-            rhs = rhs * translation_word(aut, matrix_index, i) ** e
+    for i, row in enumerate(col_matrix, start=1):
+        if row[axis - 1]:
+            rhs = rhs * translation_word(aut, matrix_index, i) ** row[axis - 1]
     ok, visited = decide_identity(lhs * ~rhs, budget)
     return RelationReport(matrix_index, axis, ok, visited, lhs, rhs)
 
@@ -341,7 +361,6 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
         if m:
             mi = int(m.group(1))
             coords = tuple(int(p) for p in m.group(2).split(","))
-            k = int(m.group(3)) if m.group(3) else 1
             if mi >= len(aut.matrices):
                 raise WordError(f"no component {mi} in this automaton")
             if len(coords) != aut.d:
@@ -357,9 +376,8 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
                 raise WordError(f"cannot parse word token {tok!r}")
             axis = int(m.group(1))
             comp = int(m.group(2)) if m.group(2) else 0
-            k = int(m.group(3)) if m.group(3) else 1
             if comp >= len(aut.matrices):
                 raise WordError(f"no component {comp} in this automaton")
             base = translation_word(aut, comp, axis)
-        factors += (base ** k).factors
+        factors += (base ** (int(m.group(3)) if m.group(3) else 1)).factors
     return _word(aut, _reduce(factors))

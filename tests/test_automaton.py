@@ -262,6 +262,35 @@ def test_json_schema_errors(doubling3):
         from_json(json.dumps(obj))
 
 
+def test_json_rejects_booleans(doubling3):
+    # true/false must not pass as 1/0: to_json would write them back as booleans
+    import json
+    union = json.loads(to_json(build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3)))
+    first = next(i for i, st in enumerate(union["states"]) if st["m"] == 1 and st["v"] == [1, 0])
+    st = union["states"][first]
+    cases = [
+        (json.loads(to_json(doubling3)), ("d",), "d must be an integer >= 1, got True"),
+        (union, ("states", first, "m"), rf"states\[{first}\].m = True is not a matrix index"),
+        (union, ("states", first, "v", 0), rf"states\[{first}\].v must be a list of 2 integers"),
+        (union, ("states", first, "out", st["out"].index(1)),
+         rf"states\[{first}\].out\[{st['out'].index(1)}\] = True out of range"),
+        (json.loads(to_json(doubling3)), ("states", 0, "next", 0), r"states\[0\].next\[0\] = True out of range"),
+        (union, ("matrices", 0, 0, 0), "matrices: vector coordinate True is not an int"),
+    ]
+    for obj, path, message in cases:
+        assert from_json(json.dumps(obj)) is not None
+        *head, last = path
+        parent = obj
+        for key in head:
+            parent = parent[key]
+        original = parent[last]
+        assert original in (0, 1)
+        parent[last] = bool(original)
+        with pytest.raises(FormatError, match=message):
+            from_json(json.dumps(obj))
+        parent[last] = original
+
+
 def test_dot_export(odometer2):
     dot = to_dot(odometer2)
     assert dot.count("label=\"m[") == 2

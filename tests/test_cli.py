@@ -101,6 +101,18 @@ def test_act_rejects_non_permutation_output_exit_2(tmp_path, capsys):
     assert "states[2].out is not a permutation" in captured.err
 
 
+def test_act_rejects_boolean_output_exit_2(tmp_path, capsys):
+    obj = json.loads(to_json(build_single([[2]], 3)))
+    obj["states"][2]["out"][2] = True  # the entry is 1
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code = main(["act", "--automaton", str(p), "--word", "m[0]:(0)", "--input", "2 1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "states[2].out[2] = True out of range" in captured.err
+
+
 def test_act_parse_error_exit_2(tmp_path, capsys):
     aut = write_automaton(tmp_path, build_single([[2]], 3))
     assert main(["act", "--automaton", aut, "--word", "xyz", "--input", "0"]) == 2

@@ -391,3 +391,102 @@ def test_parse_word_matches_iterated_product(shear2):
         for tok, k in parts:
             reference = reference * iterated_power(parse_word(shear2, tok), k)
         assert parse_word(shear2, text).factors == reference.factors
+
+
+# --- agreement with the per-letter closure ------------------------------------
+
+def reference_reduce(factors):
+    out = []
+    for sid, e in factors:
+        if out and out[-1] == (sid, -e):
+            out.pop()
+        else:
+            out.append((sid, e))
+    return tuple(out)
+
+
+def reference_root_and_sections(aut, factors):
+    "Wreath recursion one letter at a time: the letter walks the factors right to left."
+    perm, sections = [], []
+    for x in range(aut.alphabet_size):
+        sec = []
+        for sid, e in reversed(factors):
+            st = aut.states[sid]
+            if e == -1:
+                x = aut.inv_out(sid)[x]
+            sec.append((st.nxt[x], e))
+            if e == 1:
+                x = st.out[x]
+        perm.append(x)
+        sections.append(reference_reduce(reversed(sec)))
+    return tuple(perm), sections
+
+
+def reference_decide(aut, factors, budget, expand):
+    """Breadth-first closure under sections, `expand(factors)` giving the root
+    permutation and reduced sections; ('budget', visited) when the budget runs out."""
+    if not factors:
+        return True, 1
+    identity_perm = tuple(range(aut.alphabet_size))
+    visited = {factors}
+    queue = [factors]
+    for fac in queue:
+        perm, sections = expand(fac)
+        if perm != identity_perm:
+            return False, len(visited)
+        for f in sections:
+            if f and f not in visited:
+                if len(visited) >= budget:
+                    return "budget", len(visited)
+                visited.add(f)
+                queue.append(f)
+    return True, len(visited)
+
+
+def agreement_words(rng, aut):
+    """Mixed-sign words over a few states, and conjugates r w r^-1 of
+    identities (a translation commutator, the relation m t_1 m^-1 = column
+    word) and of translation powers t^(2^k), whose sections cancel deep down."""
+    nstates = len(aut.states)
+    pool = rng.sample(range(nstates), min(nstates, 3))
+
+    def word(k):
+        return GroupWord(aut, [(rng.choice(pool), rng.choice((1, -1))) for _ in range(k)])
+    t = [translation_word(aut, 0, j) for j in range(1, aut.d + 1)]
+    relation = verify_relation(aut, 0, 1)
+    words = [word(rng.randint(1, 8)) for _ in range(3)]
+    for _ in range(4):
+        r = word(rng.randint(1, 3))
+        a, b = rng.sample(t, 2) if aut.d > 1 else (t[0], relation.lhs * ~relation.rhs)
+        ka, kb = rng.randint(1, 3), rng.randint(1, 2)
+        words.append(r * a ** ka * b ** kb * ~a ** ka * ~b ** kb * ~r)
+        words.append(r * relation.lhs * ~relation.rhs * ~r)
+        words.append(r * rng.choice(t) ** (2 ** rng.randint(1, 4)) * ~r)
+    return words
+
+
+def test_closure_agrees_with_per_letter_reference(doubling3, shear2):
+    from functools import cache
+
+    from adicaut import block_extend, identity, sanov_pair
+    auts = [doubling3, shear2, build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3),
+            build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)]
+    rng = random.Random(41)
+    outcomes = []
+    for aut in auts:
+        expand = cache(lambda factors: reference_root_and_sections(aut, factors))  # budget runs revisit words
+        for w in agreement_words(rng, aut):
+            perm, sections = w.root_and_sections()
+            assert (perm, [s.factors for s in sections]) == reference_root_and_sections(aut, w.factors)
+            answer, visited = reference_decide(aut, w.factors, 10 ** 6, expand)
+            assert decide_identity(w) == (answer, visited)
+            outcomes.append((answer, visited > 1))
+            for budget in range(1, visited + 1):
+                expected = reference_decide(aut, w.factors, budget, expand)
+                if expected[0] == "budget":
+                    with pytest.raises(BudgetExceededError) as exc:
+                        decide_identity(w, budget)
+                    assert exc.value.visited == expected[1]
+                else:
+                    assert decide_identity(w, budget) == expected
+    assert {(True, True), (False, True), (False, False)} <= set(outcomes)
