@@ -70,11 +70,15 @@ class Automaton:
 
     `states` must be grouped by ascending matrix index; `components[i]` is
     the half-open range of state ids whose matrix index is i, derived from
-    the states.  Equality is structural.
+    the states.  A state or its inverse is coded as the int `sid` or `~sid`,
+    and `rows[c]` is the code's (letter map, row of next codes): `rows[sid]`
+    is the state's own (out, nxt), `rows[~sid]` maps y to the x with
+    out[x] = y and goes on to ~nxt[x].  An entry is None until `row` builds
+    it.  Equality is structural.
     """
 
-    __slots__ = ("n", "d", "matrices", "states", "components",
-                 "_weights", "_state_ids", "_inv_out", "_letters")
+    __slots__ = ("n", "d", "matrices", "states", "components", "rows",
+                 "_weights", "_state_ids", "_letters")
 
     def __init__(self, n, d, matrices, states):
         self.n = n
@@ -89,7 +93,7 @@ class Automaton:
         self._weights = tuple(n ** i for i in range(d))
         self._letters = all_letters(n, d)
         self._state_ids = {(st.matrix_index, st.offset): sid for sid, st in enumerate(self.states)}
-        self._inv_out = {}
+        self.rows = [None] * (2 * len(self.states))
 
     @property
     def alphabet_size(self) -> int:
@@ -109,18 +113,22 @@ class Automaton:
     def component_range(self, matrix_index: int):
         return self.components[matrix_index]
 
-    def inv_out(self, sid: int) -> tuple:
-        "Inverse of a state's output permutation, cached."
-        cached = self._inv_out.get(sid)
-        if cached is None:
-            out = self.states[sid].out
-            inv = [-1] * len(out)
-            for x, y in enumerate(out):
-                inv[y] = x
-            if -1 in inv:
-                raise ValueError(f"output table of state {sid} is not a permutation")
-            cached = self._inv_out[sid] = tuple(inv)
-        return cached
+    def row(self, c: int) -> tuple:
+        "rows[c], built on first use; ValueError for an inverse code whose state's out is not a permutation."
+        row = self.rows[c]
+        if row is None:
+            st = self.states[c if c >= 0 else ~c]
+            if c >= 0:
+                row = st.out, st.nxt
+            else:
+                inv = [-1] * len(st.out)
+                for x, y in enumerate(st.out):
+                    inv[y] = x
+                if -1 in inv:
+                    raise ValueError(f"output table of state {~c} is not a permutation")
+                row = tuple(inv), tuple([~st.nxt[x] for x in inv])
+            self.rows[c] = row
+        return row
 
     def __eq__(self, other):
         if not isinstance(other, Automaton):
@@ -372,26 +380,17 @@ def dedup(aut: Automaton) -> Automaton:
     label per class, so label lookups and the structural well-definedness
     check no longer apply to them."""
     states = aut.states
-    cls = {}
-    keys = {}
-    for sid, st in enumerate(states):
-        k = keys.setdefault(st.out, len(keys))
-        cls[sid] = k
-    while True:
+    sigs = {}
+    cls = [sigs.setdefault(st.out, len(sigs)) for st in states]
+    count = 0
+    while len(sigs) > count:  # a pass that splits no class has reached the fixed point
+        count = len(sigs)
         sigs = {}
-        new_cls = {}
-        for sid, st in enumerate(states):
-            sig = (cls[sid], tuple(cls[t] for t in st.nxt))
-            k = sigs.setdefault(sig, len(sigs))
-            new_cls[sid] = k
-        if len(sigs) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
+        cls = [sigs.setdefault((c, *map(cls.__getitem__, st.nxt)), len(sigs)) for c, st in zip(cls, states)]
 
     reps = {}
-    for sid in range(len(states)):
-        reps.setdefault(cls[sid], sid)
+    for sid, k in enumerate(cls):
+        reps.setdefault(k, sid)
     ordered = sorted(reps.values(), key=lambda sid: (states[sid].matrix_index, sid))
     new_id = {cls[sid]: i for i, sid in enumerate(ordered)}
 

@@ -131,6 +131,9 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     aut = _load_automaton(args.automaton)
     rng = random.Random(args.seed)
     letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]

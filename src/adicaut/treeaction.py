@@ -16,11 +16,14 @@ factors than their parent and draw states from a finite set, so the closure
 is finite and the search terminates (a node budget still guards against
 pathological blowup and is reported, never treated as an answer).
 
-The kernel codes a factor (sid, e) as the signed int e*(sid+1); each code has
-a letter map (`out`, or `inv_out` when negative) and a row of signed section
-codes.  It walks a word's factors right to left, moving all letters at once
-by one `itemgetter` gather per factor and table, and transposes the section
-columns with `zip`.  Sections are reduced only when neighbours cancel.
+A word is stored as a tuple of signed codes: the factor (sid, +1) is `sid`
+and (sid, -1) is `~sid`, so two neighbours cancel when they sum to -1.
+`act`, the sections and the closure all read the automaton's one signed
+table, `rows[c]` = (letter map, row of next codes), and have `row` build an
+entry they find missing.  The closure walks a word's codes right to left,
+moving all letters at once by one `itemgetter` gather per code and table,
+and transposes the section columns with `zip`.  Sections are reduced only
+when neighbours cancel.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 from itertools import groupby
 from operator import add, itemgetter
 
@@ -51,75 +53,73 @@ class BudgetExceededError(RuntimeError):
         self.visited = visited
 
 
-def _reduce(factors):
-    "Free reduction of (sid, e) pairs through their codes; reduced pairs are kept as they are."
-    factors = tuple(factors)
-    codes = _encode(factors)
-    reduced = _cancel(codes)
-    return factors if reduced is codes else _decode(reduced)
-
-
-def _word(aut, reduced_factors) -> "GroupWord":
+def _word(aut, reduced_codes) -> "GroupWord":
     w = object.__new__(GroupWord)
     w.aut = aut
-    w.factors = reduced_factors
+    w.codes = reduced_codes
     return w
 
 
 class GroupWord:
     """A freely reduced word over the states of one automaton.
 
-    Factors are (state id, +1|-1) pairs; adjacent inverse pairs are cancelled
-    on construction, so the empty word is the identity.  Words are tied to
-    their automaton instance; mixing instances is rejected.  `==` is
-    structural (same factors); use `equal` for equality as group elements.
+    Factors are (state id, +1|-1) pairs of ints, stored as the codes `sid`
+    and `~sid`; adjacent inverse pairs are cancelled on construction, so the
+    empty word is the identity.  Words are tied to their automaton instance;
+    mixing instances is rejected.  `==` is structural (same factors); use
+    `equal` for equality as group elements.
     """
 
-    __slots__ = ("aut", "factors")
+    __slots__ = ("aut", "codes")
 
     def __init__(self, aut: Automaton, factors=()):
         nstates = len(aut.states)
-        checked = []
+        codes = []
         for sid, e in factors:
-            if e not in (1, -1):
-                raise WordError(f"factor exponent must be +1 or -1, got {e}")
-            if not 0 <= sid < nstates:
-                raise WordError(f"state id {sid} out of range (automaton has {nstates} states)")
-            checked.append((sid, e))
+            if type(e) is not int or e not in (1, -1):
+                raise WordError(f"factor exponent must be the int +1 or -1, got {e!r}")
+            if type(sid) is not int or not 0 <= sid < nstates:
+                raise WordError(f"state id {sid!r} is not an int in range (automaton has {nstates} states)")
+            codes.append(sid if e == 1 else ~sid)
         self.aut = aut
-        self.factors = _reduce(checked)
+        self.codes = _cancel(tuple(codes))
 
     @classmethod
     def from_state(cls, aut: Automaton, sid: int, exponent: int = 1) -> "GroupWord":
         return cls(aut, ((sid, exponent),))
 
+    @property
+    def factors(self) -> tuple:
+        "The word as (state id, +1|-1) pairs."
+        return tuple((c, 1) if c >= 0 else (~c, -1) for c in self.codes)
+
     def __len__(self):
-        return len(self.factors)
+        return len(self.codes)
 
     def __eq__(self, other):
         if not isinstance(other, GroupWord):
             return NotImplemented
-        return self.aut is other.aut and self.factors == other.factors
+        return self.aut is other.aut and self.codes == other.codes
 
     def __hash__(self):
-        return hash((id(self.aut), self.factors))
+        return hash((id(self.aut), self.codes))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if not isinstance(other, GroupWord):
             return NotImplemented
         if self.aut is not other.aut:
             raise WordError("cannot multiply words over different automata")
-        return _word(self.aut, _reduce(self.factors + other.factors))
+        return _word(self.aut, _cancel(self.codes + other.codes))
 
     def __invert__(self) -> "GroupWord":
-        return _word(self.aut, tuple((sid, -e) for sid, e in reversed(self.factors)))
+        return _word(self.aut, tuple([~c for c in reversed(self.codes)]))
 
     def inverse(self) -> "GroupWord":
         return ~self
 
     def __pow__(self, k: int) -> "GroupWord":
         base = self if k >= 0 else ~self
-        return _word(self.aut, _reduce(base.factors * abs(k)))
+        return _word(self.aut, _cancel(base.codes * abs(k)))
 
     def __repr__(self):
         return f"GroupWord({self.format() or '<identity>'})"
@@ -136,25 +136,17 @@ class GroupWord:
 
     def act(self, u: DigitWord) -> DigitWord:
         """Image of a digit word, same length, factors applied rightmost
-        first.  Positive factors walk the transition tables; negative factors
-        walk them backwards through the inverted output permutation."""
+        first, each walking the signed table letter by letter."""
         aut = self.aut
         if u.base != aut.n or u.dim != aut.d:
             raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {u.base} dim {u.dim}")
-        states = aut.states
+        rows, build = aut.rows, aut.row
         seq = [aut.letter_index(x) for x in u.letters]
-        for sid, e in reversed(self.factors):
-            cur = sid
-            if e == 1:
-                for i, x in enumerate(seq):
-                    st = states[cur]
-                    seq[i] = st.out[x]
-                    cur = st.nxt[x]
-            else:
-                for i, y in enumerate(seq):
-                    x = aut.inv_out(cur)[y]
-                    seq[i] = x
-                    cur = states[cur].nxt[x]
+        for c in reversed(self.codes):
+            for i, x in enumerate(seq):
+                letter_map, row = rows[c] or build(c)
+                seq[i] = letter_map[x]
+                c = row[x]
         return DigitWord(tuple(aut.letter_digits(i) for i in seq), u.base, u.dim)
 
     def root_and_sections(self):
@@ -162,10 +154,10 @@ class GroupWord:
         word acting below each letter (dense-indexed).  Every section has at
         most as many factors as this word."""
         aut = self.aut
-        if not self.factors:
+        if not self.codes:
             return tuple(range(aut.alphabet_size)), [self] * aut.alphabet_size
-        perm, sections = _root_and_sections(_code_tables(aut), _encode(self.factors))
-        return perm, [_word(aut, _decode(_cancel(s))) for s in sections]
+        perm, sections = _root_and_sections(aut, self.codes)
+        return perm, [_word(aut, _cancel(s)) for s in sections]
 
     def is_identity(self, budget: int = DEFAULT_NODE_BUDGET) -> bool:
         """Decide whether this word acts trivially on every digit word, by
@@ -175,47 +167,27 @@ class GroupWord:
         return decide_identity(self, budget)[0]
 
 
-def _encode(factors):
-    "Signed codes of (sid, e) factors: sid+1 for e = +1, -(sid+1) for e = -1."
-    return tuple(sid + 1 if e == 1 else -sid - 1 for sid, e in factors)
-
-
-def _decode(codes):
-    return tuple((c - 1, 1) if c > 0 else (-c - 1, -1) for c in codes)
-
-
 def _cancel(codes):
     "Free reduction of a tuple of signed codes; a reduced tuple comes back as is."
-    if 0 not in map(add, codes, codes[1:]):
+    if -1 not in map(add, codes, codes[1:]):
         return codes
     out = []
     for c in codes:
-        if out and out[-1] == -c:
+        if out and out[-1] == ~c:
             out.pop()
         else:
             out.append(c)
     return tuple(out)
 
 
-def _code_tables(aut):
-    """Per-call cache from a code to its letter map and signed section row:
-    (out, nxt[x]+1) for a positive code, (inv_out, -(nxt[inv_out[y]]+1)) for a negative one."""
-    def tables(c):
-        st = aut.states[abs(c) - 1]
-        if c > 0:
-            return st.out, tuple(t + 1 for t in st.nxt)
-        inv = aut.inv_out(-c - 1)
-        return inv, tuple(-st.nxt[x] - 1 for x in inv)
-    return cache(tables)
-
-
-def _root_and_sections(tables, node):
+def _root_and_sections(aut, node):
     """Root permutation of a nonempty code tuple and its unreduced sections, one per
     letter: one gather of the current letters per factor and table moves them all."""
-    xs, column = tables(node[-1])
+    rows, build = aut.rows, aut.row
+    xs, column = rows[node[-1]] or build(node[-1])
     columns = [column]
     for c in node[-2::-1]:
-        letter_map, row = tables(c)
+        letter_map, row = rows[c] or build(c)
         gather = itemgetter(*xs)  # a tuple, as the alphabet has at least 2 letters
         columns.append(gather(row))
         xs = gather(letter_map)
@@ -230,14 +202,13 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     visited, and ValueError for a budget below 1."""
     if budget < 1:
         raise ValueError(f"the node budget must be at least 1, got {budget}")
-    if not w.factors:
+    if not w.codes:
         return True, 1
     idperm = tuple(range(w.aut.alphabet_size))
-    tables = _code_tables(w.aut)
-    queue = deque([_encode(w.factors)])
+    queue = deque([w.codes])
     visited = set(queue)
     while queue:
-        perm, sections = _root_and_sections(tables, queue.popleft())
+        perm, sections = _root_and_sections(w.aut, queue.popleft())
         if perm != idperm:
             return False, len(visited)
         for s in dict.fromkeys(sections):
@@ -271,7 +242,7 @@ def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> Gr
         raise WordError(
             f"component {matrix_index} has no states {zero} / {neg}; "
             f"is this a deduplicated automaton?") from None
-    return _word(aut, _reduce([(a, 1), (b, -1)]))
+    return _word(aut, (a, ~b))  # distinct states, so already reduced
 
 
 @dataclass
@@ -325,7 +296,7 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
         raise WordError("cannot search for conjugators across different automata")
     aut = w1.aut
     for fac in reduced_words(len(aut.states), max_length):
-        c = _word(aut, fac)
+        c = GroupWord(aut, fac)
         try:
             if equal(c * w1 * ~c, w2, budget):
                 return c
@@ -355,7 +326,7 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
     v in component i, `t[j]` the axis-j translation (component 0 unless a
     `@i` suffix picks another), either with an optional `^k` power; factors
     separated by whitespace or `*`.  Empty text is the identity."""
-    factors = []
+    codes = []
     for tok in text.replace("*", " ").split():
         m = _STATE_TOKEN.match(tok)
         if m:
@@ -369,7 +340,7 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
                 sid = aut.state_id(mi, coords)
             except KeyError:
                 raise WordError(f"no state m[{mi}]:({format_letter(coords)}) in this automaton") from None
-            base = _word(aut, ((sid, 1),))
+            base = _word(aut, (sid,))
         else:
             m = _TRANS_TOKEN.match(tok)
             if not m:
@@ -379,5 +350,5 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
             if comp >= len(aut.matrices):
                 raise WordError(f"no component {comp} in this automaton")
             base = translation_word(aut, comp, axis)
-        factors += (base ** (int(m.group(3)) if m.group(3) else 1)).factors
-    return _word(aut, _reduce(factors))
+        codes += (base ** (int(m.group(3)) if m.group(3) else 1)).codes
+    return _word(aut, _cancel(tuple(codes)))

@@ -212,6 +212,21 @@ def test_verify_detects_corruption_exit_5(tmp_path, capsys):
     assert "mismatches=0" not in captured.out
 
 
+def test_verify_rejects_counts_below_one(tmp_path, capsys):
+    aut = write_automaton(tmp_path, build_single([[2]], 3))
+    for flag, other in (("--depth", "--samples"), ("--samples", "--depth")):
+        for value in ("0", "-2"):
+            code = main(["verify", "--automaton", aut, flag, value, other, "3"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+    # checked before the automaton is loaded
+    code = main(["verify", "--automaton", str(tmp_path / "missing.json"), "--depth", "1", "--samples", "0"])
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_json_mode_lines_parse(tmp_path, capsys):
     mats = write_matrices(tmp_path, [[[2]]])
     out = tmp_path / "a.json"

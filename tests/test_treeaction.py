@@ -335,6 +335,13 @@ def test_free_reduction_nested(doubling3):
         GroupWord(doubling3, [(9, 1)])
 
 
+def test_factors_must_be_ints(doubling3):
+    for bad in ([(0, 1.0), (0, 1.0)], [(True, 1)], [(0, True)], [(1.0, -1)], [("0", 1)], [(0, -1.0)]):
+        with pytest.raises(WordError):
+            GroupWord(doubling3, bad)
+    assert GroupWord(doubling3, [(0, 1), (0, 1)]).format() == "m[0]:(-2)^2"
+
+
 def test_closure_visited_counts(shear2):
     t1 = translation_word(shear2, 0, 1)
     ok, visited = decide_identity(t1 * ~t1, 10 ** 6)
@@ -413,7 +420,7 @@ def reference_root_and_sections(aut, factors):
         for sid, e in reversed(factors):
             st = aut.states[sid]
             if e == -1:
-                x = aut.inv_out(sid)[x]
+                x = st.out.index(x)
             sec.append((st.nxt[x], e))
             if e == 1:
                 x = st.out[x]
@@ -490,3 +497,48 @@ def test_closure_agrees_with_per_letter_reference(doubling3, shear2):
                 else:
                     assert decide_identity(w, budget) == expected
     assert {(True, True), (False, True), (False, False)} <= set(outcomes)
+
+
+def reference_act(aut, factors, u):
+    "Two-branch act: positive factors read out/nxt, negative ones the inverted out row."
+    seq = [aut.letter_index(x) for x in u.letters]
+    for sid, e in reversed(factors):
+        cur = sid
+        for i, y in enumerate(seq):
+            st = aut.states[cur]
+            if e == 1:
+                seq[i] = st.out[y]
+                cur = st.nxt[y]
+            else:
+                x = st.out.index(y)
+                seq[i] = x
+                cur = st.nxt[x]
+    return DigitWord(tuple(aut.letter_digits(i) for i in seq), u.base, u.dim)
+
+
+def test_act_agrees_with_per_letter_reference(doubling3, shear2):
+    from adicaut import block_extend, identity, sanov_pair
+    auts = [doubling3, shear2, build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3),
+            build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)]
+    rng = random.Random(42)
+    for aut in auts:
+        for _ in range(40):
+            w = random_group_word(rng, aut, 12, min_len=1)
+            u = random_digit_word(rng, aut.n, aut.d, 16, min_len=1)
+            assert w.act(u) == reference_act(aut, w.factors, u)
+            assert (~w).act(w.act(u)) == u
+
+
+def test_inverting_a_non_permutation_state_raises():
+    from adicaut import Automaton, AutomatonState
+    # state 0 writes 0 on both letters: fine forwards, no inverse
+    aut = Automaton(2, 1, [((1,),)], [AutomatonState(0, (0,), (0, 0), (0, 0)),
+                                      AutomatonState(0, (-1,), (1, 0), (1, 0))])
+    u = DigitWord.parse("1 0", 2, 1)
+    assert GroupWord.from_state(aut, 0).act(u).format() == "0 0"
+    assert decide_identity(GroupWord.from_state(aut, 0)) == (False, 1)
+    for w in (GroupWord.from_state(aut, 0, -1), GroupWord(aut, [(1, -1), (0, -1)])):
+        with pytest.raises(ValueError, match="state 0 is not a permutation"):
+            w.act(u)
+        with pytest.raises(ValueError, match="state 0 is not a permutation"):
+            decide_identity(w)
