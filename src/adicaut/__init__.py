@@ -36,7 +36,6 @@ from .automaton import (
     DEFAULT_ALPHABET_CAP,
     FormatError,
     WellDefinednessReport,
-    build_single,
     build_union,
     dedup,
     from_json,

@@ -206,11 +206,6 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     return Automaton(n, d, tuple(mats), tuple(states))
 
 
-def build_single(M, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automaton:
-    "Transducer for a single matrix; states indexed by the offset box order."
-    return build_union([M], n, alphabet_cap)
-
-
 @dataclass(frozen=True)
 class CheckFailure:
     state: int
@@ -300,6 +295,8 @@ def from_json(text: str) -> Automaton:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # an int literal past the digit limit, nesting past the recursion limit
+        raise FormatError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
     for key in ("n", "d", "matrices", "states"):
@@ -317,6 +314,10 @@ def from_json(text: str) -> Automaton:
     for i, M in enumerate(mats):
         if len(M) != d:
             raise FormatError(f"matrices[{i}] is {len(M)}x{len(M)}, expected {d}x{d}")
+    if not mats:
+        raise FormatError("matrices must be a nonempty list")
+    if not isinstance(obj["states"], list) or not obj["states"]:
+        raise FormatError("states must be a nonempty list")
 
     alphabet = n ** d
     total = len(obj["states"])

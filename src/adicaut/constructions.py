@@ -102,22 +102,6 @@ class Presentation:
         return " ".join(parts)
 
 
-def _reduce_named(factors):
-    out = []
-    for name, e in factors:
-        if e == 0:
-            continue
-        if out and out[-1][0] == name:
-            s = out[-1][1] + e
-            if s == 0:
-                out.pop()
-            else:
-                out[-1] = (name, s)
-        else:
-            out.append((name, e))
-    return tuple(out)
-
-
 def presentation_for(Ms) -> Presentation:
     """Presentation of the group generated by the coordinate translations and
     the given matrices: translations commute, and each stable letter t_k
@@ -138,10 +122,9 @@ def presentation_for(Ms) -> Presentation:
             relators.append(((a[i], 1), (a[j], 1), (a[i], -1), (a[j], -1)))
     for k, M in enumerate(mats):
         for j in range(d):
-            word = [(t[k], 1), (a[j], 1), (t[k], -1)]
-            for i in reversed(range(d)):
-                word.append((a[i], -M[i][j]))
-            relators.append(_reduce_named(word))
+            # neighbouring factors never share a name, so dropping zero exponents leaves it reduced
+            powers = tuple((a[i], -M[i][j]) for i in reversed(range(d)) if M[i][j])
+            relators.append(((t[k], 1), (a[j], 1), (t[k], -1)) + powers)
     ascending = any(not is_unimodular(M) for M in mats)
     return Presentation(a, t, tuple(relators), ascending)
 

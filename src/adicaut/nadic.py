@@ -58,9 +58,6 @@ class DigitWord:
     def __len__(self):
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def prefix(self, k: int) -> "DigitWord":
         return DigitWord(self.letters[:k], self.base, self.dim)
 

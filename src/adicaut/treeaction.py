@@ -35,7 +35,7 @@ from itertools import groupby
 from operator import add, itemgetter
 
 from .automaton import Automaton
-from .linalg import format_letter, inverse_unimodular
+from .linalg import format_letter
 from .nadic import DigitWord
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -75,7 +75,11 @@ class GroupWord:
     def __init__(self, aut: Automaton, factors=()):
         nstates = len(aut.states)
         codes = []
-        for sid, e in factors:
+        for f in factors:
+            try:
+                sid, e = f
+            except (TypeError, ValueError):
+                raise WordError(f"factor must be a (state id, exponent) pair, got {f!r}") from None
             if type(e) is not int or e not in (1, -1):
                 raise WordError(f"factor exponent must be the int +1 or -1, got {e!r}")
             if type(sid) is not int or not 0 <= sid < nstates:
@@ -85,8 +89,8 @@ class GroupWord:
         self.codes = _cancel(tuple(codes))
 
     @classmethod
-    def from_state(cls, aut: Automaton, sid: int, exponent: int = 1) -> "GroupWord":
-        return cls(aut, ((sid, exponent),))
+    def from_state(cls, aut: Automaton, sid: int) -> "GroupWord":
+        return cls(aut, ((sid, 1),))
 
     @property
     def factors(self) -> tuple:
@@ -113,9 +117,6 @@ class GroupWord:
 
     def __invert__(self) -> "GroupWord":
         return _word(self.aut, tuple([~c for c in reversed(self.codes)]))
-
-    def inverse(self) -> "GroupWord":
-        return ~self
 
     def __pow__(self, k: int) -> "GroupWord":
         base = self if k >= 0 else ~self
@@ -260,22 +261,18 @@ class RelationReport:
 
 
 def verify_relation(aut: Automaton, matrix_index: int, axis: int,
-                    budget: int = DEFAULT_NODE_BUDGET, inverse: bool = False) -> RelationReport:
+                    budget: int = DEFAULT_NODE_BUDGET) -> RelationReport:
     """Check that conjugating the axis translation by the matrix state m_0
     equals the product of axis translations with exponents from the matrix
     column: m_0 t_j m_0^-1 = t_1^{M[1][j]} * ... * t_d^{M[d][j]}.
-
-    With inverse=True the matrix must be invertible over the integers and the
-    conjugation runs the other way, with exponents drawn from the inverse
-    matrix's column.  Exponents are expanded into repeated factors; the
-    decision runs through the word-problem closure, whose budget exhaustion
-    propagates."""
+    Exponents are expanded into repeated factors; the decision runs through
+    the word-problem closure, whose budget exhaustion propagates."""
     M = aut.matrices[matrix_index]
     tau = translation_word(aut, matrix_index, axis)  # rejects an axis outside 1..d
     m0 = GroupWord.from_state(aut, aut.state_id(matrix_index, (0,) * aut.d))
-    col_matrix, lhs = (inverse_unimodular(M), ~m0 * tau * m0) if inverse else (M, m0 * tau * ~m0)
+    lhs = m0 * tau * ~m0
     rhs = GroupWord(aut)
-    for i, row in enumerate(col_matrix, start=1):
+    for i, row in enumerate(M, start=1):
         if row[axis - 1]:
             rhs = rhs * translation_word(aut, matrix_index, i) ** row[axis - 1]
     ok, visited = decide_identity(lhs * ~rhs, budget)

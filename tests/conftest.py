@@ -1,6 +1,6 @@
 import pytest
 
-from adicaut import DigitWord, GroupWord, build_single
+from adicaut import DigitWord, GroupWord, build_union
 
 
 def random_matrix(rng, d, bound=3):
@@ -24,16 +24,16 @@ def random_group_word(rng, aut, max_len, min_len=0):
 @pytest.fixture
 def doubling3():
     "4 states over base 3: offsets -2..1 for the doubling matrix [[2]]."
-    return build_single([[2]], 3)
+    return build_union([[[2]]], 3)
 
 
 @pytest.fixture
 def odometer2():
     "2 states over base 2: the identity state and the decrement state."
-    return build_single([[1]], 2)
+    return build_union([[[1]]], 2)
 
 
 @pytest.fixture
 def shear2():
     "16 states over base 2 for the unimodular shear [[1,1],[0,1]]."
-    return build_single([[1, 1], [0, 1]], 2)
+    return build_union([[[1, 1], [0, 1]]], 2)

@@ -18,7 +18,6 @@ from adicaut import (
     GroupWord,
     affine_apply_prefix,
     block_extend,
-    build_single,
     build_union,
     coprime_to,
     decode,
@@ -79,8 +78,8 @@ def test_criterion_1_state_count_exactness():
                 start, end = aut.component_range(mi)
                 assert end - start == (2 * row_sum_norm(M)) ** d
             assert len(aut.states) <= state_count_bound(Ms)
-        assert len(build_single([[2]], 3).states) == 4 == state_count_bound(doubling_set())
-        assert len(build_single([[1, 1], [0, 1]], 2).states) == 16
+        assert len(build_union([[[2]]], 3).states) == 4 == state_count_bound(doubling_set())
+        assert len(build_union([[[1, 1], [0, 1]]], 2).states) == 16
         d3 = build_union(sanov_d3_set(), 2)
         assert [e - s for s, e in d3.components] == [216, 216]
         assert len(d3.states) == 432 == state_count_bound(sanov_d3_set())
@@ -101,7 +100,7 @@ def test_criterion_3_oracle_semantics():
         # exhaustive: base 2, d <= 2, every state, every word of length <= 6
         exhaustive = [[[1]], [[3]], [[-1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]]
         for M in exhaustive:
-            aut = build_single(M, 2)
+            aut = build_union([M], 2)
             letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
             words = [DigitWord(ls, 2, aut.d)
                      for k in range(7) for ls in product(letters, repeat=k)]
@@ -124,7 +123,7 @@ def test_criterion_3_oracle_semantics():
             size = (2 * row_sum_norm(M)) ** d * n ** d
             if size > 500_000:
                 continue
-            pool.append(build_single(M, n))
+            pool.append(build_union([M], n))
             transitions += size
         assert len(pool) >= 10
         trials = 0
@@ -172,7 +171,7 @@ def test_criterion_5_relations():
                         comm = taus[i] * taus[j] * ~taus[i] * ~taus[j]
                         assert comm.is_identity()
         # the doubling relator t a t^-1 = a^2 in presentation form
-        aut = build_single([[2]], 3)
+        aut = build_union([[[2]]], 3)
         pres = presentation_for(doubling_set())
         assert pres.ascending_hnn
         assert relator_check(aut, pres).ok
@@ -180,7 +179,7 @@ def test_criterion_5_relations():
 
 def test_criterion_6_negative_controls():
     with criterion(6, "negative controls"):
-        aut = build_single([[2]], 3)
+        aut = build_union([[[2]]], 3)
         assert not translation_word(aut, 0, 1).is_identity()
 
         from adicaut import Presentation

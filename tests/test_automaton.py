@@ -9,7 +9,6 @@ from adicaut import (
     BuildError,
     FormatError,
     GroupWord,
-    build_single,
     build_union,
     dedup,
     from_json,
@@ -89,19 +88,19 @@ def test_union_counts_d2():
 
 def test_build_rejections():
     with pytest.raises(BuildError, match="determinant 0"):
-        build_single([[0]], 2)
+        build_union([[[0]]], 2)
     with pytest.raises(BuildError, match="gcd=2"):
-        build_single([[2]], 2)
+        build_union([[[2]]], 2)
     with pytest.raises(BuildError, match="gcd=3"):
         build_union([[[1]], [[3]]], 3)
     with pytest.raises(AlphabetCapError):
-        build_single(identity(2), 3, alphabet_cap=8)
+        build_union([identity(2)], 3, alphabet_cap=8)
     with pytest.raises(BuildError):
         build_union([identity(2), identity(3)], 2)
     with pytest.raises(BuildError):
         build_union([], 2)
     with pytest.raises(BuildError):
-        build_single([[1]], 1)
+        build_union([[[1]]], 1)
 
 
 def test_deterministic_construction():
@@ -120,7 +119,7 @@ def test_output_tables_are_permutations():
         from adicaut import coprime_to
         if not coprime_to(M, n):
             continue
-        aut = build_single(M, n)
+        aut = build_union([M], n)
         for st in aut.states:
             assert sorted(st.out) == list(range(aut.alphabet_size))
 
@@ -208,6 +207,30 @@ def test_well_definedness_rejects_every_single_corruption(doubling3, shear2):
     assert [(f.state, f.letter) for f in rep.failures] == [(1, 0)]
 
 
+def test_well_definedness_report_text(doubling3):
+    assert str(well_definedness_check(doubling3)) == "well-defined: 12 transitions checked"
+    states = list(doubling3.states)
+    states[3] = dataclasses.replace(states[3], offset=(100,))
+    rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states)))
+    # the moved label also breaks the transitions into state 3; three failures are shown
+    assert str(rep) == ("NOT well-defined (6 failures shown of 12 checked): "
+                        "state 1 letter 2: recomposed (300,), expected v+Mx = (3,); "
+                        "state 2 letter 2: recomposed (301,), expected v+Mx = (4,); "
+                        "state 3: offset (100,) outside [-2, 1]^d or not unique")
+
+
+def test_well_definedness_keeps_at_most_max_failures():
+    # every out row rotated by one letter: each of a state's 9 transitions fails
+    union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
+    states = tuple(dataclasses.replace(st, out=st.out[1:] + st.out[:1]) for st in union.states)
+    rep = well_definedness_check(Automaton(union.n, union.d, union.matrices, states))
+    assert not rep.ok and len(rep.failures) == 100
+    assert rep.checked == 12 * 9 < len(states) * union.alphabet_size
+    assert [(f.state, f.letter) for f in rep.failures[:3]] == [(0, 0), (0, 1), (0, 2)]
+    assert str(rep).startswith("NOT well-defined (100 failures shown of 108 checked): state 0 letter 0: recomposed")
+    assert str(rep).count("; ") == 2
+
+
 def test_to_json_digests_pinned():
     import hashlib
     from adicaut import block_extend, sanov_pair
@@ -260,6 +283,39 @@ def test_json_schema_errors(doubling3):
     obj["n"] = 1
     with pytest.raises(FormatError, match="n must be"):
         from_json(json.dumps(obj))
+
+
+def test_json_structure_errors(doubling3):
+    import json
+    good = to_json(doubling3)
+    cases = [
+        ("[1, 2]", "top level must be an object"),
+        ('{"n": 3, "d": 1, "matrices": [[[2]]]}', "missing key 'states'"),
+        (good.replace('"matrices": [[[2]]]', '"matrices": [[[2, 0], [0, 2]]]'), r"matrices\[0\] is 2x2, expected 1x1"),
+        ('{"n": 3, "d": 1, "matrices": [[[2]]], "states": [7]}', r"states\[0\] must be an object"),
+        ("1" * 5000, "invalid JSON: "),
+        ("[" * 100000, "invalid JSON: "),
+    ]
+    obj = json.loads(good)
+    obj["states"][1]["v"] = obj["states"][0]["v"]
+    cases.append((json.dumps(obj), r"states\[1\] duplicates the state label m\[0\]:\(-2\)"))
+    for text, message in cases:
+        with pytest.raises(FormatError, match=message):
+            from_json(text)
+
+
+def test_json_rejects_empty_or_non_list_tables():
+    # every file build writes has a matrix and two states; without them n**d is unchecked work
+    for text, message in (
+        ('{"n": 2, "d": 1, "matrices": [[[1]]], "states": 5}', "states must be a nonempty list"),
+        ('{"n": 2, "d": 1, "matrices": [[[1]]], "states": {}}', "states must be a nonempty list"),
+        ('{"n": 2, "d": 1, "matrices": [[[1]]], "states": null}', "states must be a nonempty list"),
+        ('{"n": 300, "d": 2, "matrices": [[[1, 0], [0, 1]]], "states": []}', "states must be a nonempty list"),
+        ('{"n": 2, "d": 40, "matrices": [], "states": []}', "matrices must be a nonempty list"),
+        ('{"n": 2, "d": 40, "matrices": "", "states": [{}]}', "matrices must be a nonempty list"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            from_json(text)
 
 
 def test_json_rejects_booleans(doubling3):
@@ -318,6 +374,6 @@ def test_dedup_keeps_distinct_states(doubling3):
 
 
 def test_letter_codec(doubling3):
-    aut = build_single(identity(2), 3)
+    aut = build_union([identity(2)], 3)
     for i in range(aut.alphabet_size):
         assert aut.letter_index(aut.letter_digits(i)) == i

@@ -1,6 +1,6 @@
 import json
 
-from adicaut import build_single, from_json, to_json
+from adicaut import build_union, from_json, to_json
 from adicaut.cli import main
 
 
@@ -66,7 +66,7 @@ def test_build_dedup(tmp_path, capsys):
 
 
 def test_act_translation(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[1]], 3))
+    aut = write_automaton(tmp_path, build_union([[[1]]], 3))
     code = main(["act", "--automaton", aut, "--word", "t[1]", "--input", "0 0"])
     captured = capsys.readouterr()
     assert code == 0
@@ -74,7 +74,7 @@ def test_act_translation(tmp_path, capsys):
 
 
 def test_act_state_word(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[2]], 3))
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     code = main(["act", "--automaton", aut, "--word", "m[0]:(0)", "--input", "2 1"])
     captured = capsys.readouterr()
     assert code == 0
@@ -82,7 +82,7 @@ def test_act_state_word(tmp_path, capsys):
 
 
 def test_act_empty_word_echoes(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[2]], 3))
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     code = main(["act", "--automaton", aut, "--word", "", "--input", "2 1 0"])
     captured = capsys.readouterr()
     assert code == 0
@@ -90,7 +90,7 @@ def test_act_empty_word_echoes(tmp_path, capsys):
 
 
 def test_act_rejects_non_permutation_output_exit_2(tmp_path, capsys):
-    obj = json.loads(to_json(build_single([[2]], 3)))
+    obj = json.loads(to_json(build_union([[[2]]], 3)))
     obj["states"][2]["out"] = [0, 0, 0]
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))
@@ -102,7 +102,7 @@ def test_act_rejects_non_permutation_output_exit_2(tmp_path, capsys):
 
 
 def test_act_rejects_boolean_output_exit_2(tmp_path, capsys):
-    obj = json.loads(to_json(build_single([[2]], 3)))
+    obj = json.loads(to_json(build_union([[[2]]], 3)))
     obj["states"][2]["out"][2] = True  # the entry is 1
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))
@@ -113,14 +113,25 @@ def test_act_rejects_boolean_output_exit_2(tmp_path, capsys):
     assert "states[2].out[2] = True out of range" in captured.err
 
 
+def test_wp_rejects_malformed_state_list_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    for states in ("5", "[]"):
+        p.write_text('{"n": 2, "d": 1, "matrices": [[[1]]], "states": %s}' % states)
+        code = main(["wp", "--automaton", str(p), "--word", "t[1]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: states must be a nonempty list\n"
+
+
 def test_act_parse_error_exit_2(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[2]], 3))
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     assert main(["act", "--automaton", aut, "--word", "xyz", "--input", "0"]) == 2
     assert main(["act", "--automaton", aut, "--word", "t[1]", "--input", "9"]) == 2
 
 
 def test_wp_identity(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[1, 0], [0, 1]], 2))
+    aut = write_automaton(tmp_path, build_union([[[1, 0], [0, 1]]], 2))
     code = main(["wp", "--automaton", aut, "--word", "t[1] t[2] t[1]^-1 t[2]^-1"])
     captured = capsys.readouterr()
     assert code == 0
@@ -128,7 +139,7 @@ def test_wp_identity(tmp_path, capsys):
 
 
 def test_wp_nontrivial(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[1]], 2))
+    aut = write_automaton(tmp_path, build_union([[[1]]], 2))
     code = main(["wp", "--automaton", aut, "--word", "t[1]"])
     captured = capsys.readouterr()
     assert code == 0
@@ -137,7 +148,7 @@ def test_wp_nontrivial(tmp_path, capsys):
 
 def test_wp_budget_exit_4(tmp_path, capsys):
     # over the shear the commutator closure needs 3 nodes, so budget 1 trips
-    aut = write_automaton(tmp_path, build_single([[1, 1], [0, 1]], 2))
+    aut = write_automaton(tmp_path, build_union([[[1, 1], [0, 1]]], 2))
     code = main(["wp", "--automaton", aut, "--word", "t[1] t[2] t[1]^-1 t[2]^-1",
                  "--budget", "1"])
     captured = capsys.readouterr()
@@ -146,7 +157,7 @@ def test_wp_budget_exit_4(tmp_path, capsys):
 
 
 def test_wp_env_budget(tmp_path, capsys, monkeypatch):
-    aut = write_automaton(tmp_path, build_single([[1, 1], [0, 1]], 2))
+    aut = write_automaton(tmp_path, build_union([[[1, 1], [0, 1]]], 2))
     monkeypatch.setenv("ADICAUT_BUDGET", "1")
     code = main(["wp", "--automaton", aut, "--word", "t[1] t[2] t[1]^-1 t[2]^-1"])
     capsys.readouterr()
@@ -154,7 +165,7 @@ def test_wp_env_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_wp_budget_flag_below_one_exit_2(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[1]], 2))
+    aut = write_automaton(tmp_path, build_union([[[1]]], 2))
     for budget in ("0", "-5"):
         code = main(["wp", "--automaton", aut, "--word", "t[1]", "--budget", budget])
         captured = capsys.readouterr()
@@ -164,7 +175,7 @@ def test_wp_budget_flag_below_one_exit_2(tmp_path, capsys):
 
 
 def test_wp_env_budget_below_one_exit_2(tmp_path, capsys, monkeypatch):
-    aut = write_automaton(tmp_path, build_single([[1]], 2))
+    aut = write_automaton(tmp_path, build_union([[[1]]], 2))
     monkeypatch.setenv("ADICAUT_BUDGET", "0")
     code = main(["wp", "--automaton", aut, "--word", "t[1]"])
     captured = capsys.readouterr()
@@ -191,7 +202,7 @@ def test_relations_union_rows(tmp_path, capsys):
 
 
 def test_verify_clean(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[2]], 3))
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     code = main(["verify", "--automaton", aut, "--depth", "8", "--samples", "1000"])
     captured = capsys.readouterr()
     assert code == 0
@@ -199,7 +210,7 @@ def test_verify_clean(tmp_path, capsys):
 
 
 def test_verify_detects_corruption_exit_5(tmp_path, capsys):
-    aut = build_single([[2]], 3)
+    aut = build_union([[[2]]], 3)
     obj = json.loads(to_json(aut))
     # swap two output letters of one state: schema-valid but wrong behavior
     obj["states"][2]["out"] = [obj["states"][2]["out"][1], obj["states"][2]["out"][0],
@@ -213,7 +224,7 @@ def test_verify_detects_corruption_exit_5(tmp_path, capsys):
 
 
 def test_verify_rejects_counts_below_one(tmp_path, capsys):
-    aut = write_automaton(tmp_path, build_single([[2]], 3))
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     for flag, other in (("--depth", "--samples"), ("--samples", "--depth")):
         for value in ("0", "-2"):
             code = main(["verify", "--automaton", aut, flag, value, other, "3"])

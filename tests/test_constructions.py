@@ -6,7 +6,6 @@ from adicaut import (
     Presentation,
     block_diag,
     block_extend,
-    build_single,
     build_union,
     det,
     identity,
@@ -111,14 +110,14 @@ def test_presentation_multiple_stable_letters():
 
 
 def test_relator_check_bs12():
-    aut = build_single([[2]], 3)
+    aut = build_union([[[2]]], 3)
     rep = relator_check(aut, presentation_for([[[2]]]))
     assert rep.ok
     assert all(r.outcome == "pass" for r in rep.results)
 
 
 def test_relator_check_identity_commutators():
-    aut = build_single(identity(2), 2)
+    aut = build_union([identity(2)], 2)
     rep = relator_check(aut, presentation_for([identity(2)]))
     assert rep.ok
 
@@ -131,7 +130,7 @@ def test_relator_check_union():
 
 
 def test_relator_check_detects_corrupt_relator():
-    aut = build_single([[2]], 3)
+    aut = build_union([[[2]]], 3)
     # t a t^-1 = a^3 is wrong for the doubling matrix
     bad = Presentation(("a1",), ("t",),
                        ((("t", 1), ("a1", 1), ("t", -1), ("a1", -3)),), True)
@@ -142,7 +141,7 @@ def test_relator_check_detects_corrupt_relator():
 
 def test_relator_check_budget_is_per_relator():
     M = [[1, 1], [0, 1]]
-    aut = build_single(M, 2)
+    aut = build_union([M], 2)
     p = presentation_for([M])
     rep = relator_check(aut, p, budget=1)
     assert not rep.ok
@@ -152,6 +151,13 @@ def test_relator_check_budget_is_per_relator():
 
 
 def test_relator_check_validates_shape():
-    aut = build_single([[2]], 3)
+    aut = build_union([[[2]]], 3)
     with pytest.raises(ValueError):
         relator_check(aut, presentation_for([identity(2)]))
+
+
+def test_relator_check_unknown_generator():
+    aut = build_union([[[2]]], 3)
+    pres = Presentation(("a1",), ("t",), ((("t", 1), ("b", 1)),), False)
+    with pytest.raises(ValueError, match="relator uses unknown generator 'b'"):
+        relator_check(aut, pres)
