@@ -318,6 +318,9 @@ def from_json(text: str) -> Automaton:
         raise FormatError("matrices must be a nonempty list")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise FormatError("states must be a nonempty list")
+    # each state lists all n**d letters, so n**d <= len(text); decided without forming n**d
+    if d * (n.bit_length() - 1) > len(text).bit_length():
+        raise FormatError(f"an alphabet of n**d letters (d = {d}) cannot fit in a {len(text)}-character document")
 
     alphabet = n ** d
     total = len(obj["states"])

@@ -3,7 +3,8 @@
 Commands: `build` a transducer union from a matrix file, `act` with a word
 on a digit word, `wp` decide the word problem, `relations` check the
 conjugation relators for every (matrix, axis), `verify` sample-check the
-transducer action against the big-integer affine oracle.
+transducer action against the big-integer affine oracle and name the first
+mismatch.
 
 Exit codes: 0 success (including a NONTRIVIAL word-problem answer),
 2 invalid input, 3 alphabet cap exceeded, 4 node budget exhausted,
@@ -139,6 +140,7 @@ def _cmd_verify(args) -> int:
     letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
     mismatches = 0
     checked = 0
+    first = None
     for sid, st in enumerate(aut.states):
         f = AffineMap(aut.matrices[st.matrix_index], st.offset)
         w = ta.GroupWord.from_state(aut, sid)
@@ -146,10 +148,19 @@ def _cmd_verify(args) -> int:
             k = rng.randint(1, args.depth)
             u = DigitWord(tuple(rng.choice(letters) for _ in range(k)), aut.n, aut.d)
             checked += 1
-            if w.act(u) != affine_apply_prefix(f, u):
+            image, expected = w.act(u), affine_apply_prefix(f, u)
+            if image != expected:
                 mismatches += 1
-    _emit(args, f"mismatches={mismatches} checked={checked} seed={args.seed}",
-          {"mismatches": mismatches, "checked": checked, "seed": args.seed})
+                if first is None:
+                    first = {"state": w.format(), "input": u.format(),
+                             "automaton": image.format(), "oracle": expected.format()}
+    obj = {"mismatches": mismatches, "checked": checked, "seed": args.seed}
+    if first:
+        obj["first_mismatch"] = first
+        if not args.json:
+            print("first mismatch: state {state}, input {input!r}, automaton {automaton!r}, oracle {oracle!r}"
+                  .format(**first), file=sys.stderr)
+    _emit(args, f"mismatches={mismatches} checked={checked} seed={args.seed}", obj)
     return 5 if mismatches else 0
 
 

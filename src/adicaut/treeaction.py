@@ -20,10 +20,10 @@ A word is stored as a tuple of signed codes: the factor (sid, +1) is `sid`
 and (sid, -1) is `~sid`, so two neighbours cancel when they sum to -1.
 `act`, the sections and the closure all read the automaton's one signed
 table, `rows[c]` = (letter map, row of next codes), and have `row` build an
-entry they find missing.  The closure walks a word's codes right to left,
-moving all letters at once by one `itemgetter` gather per code and table,
-and transposes the section columns with `zip`.  Sections are reduced only
-when neighbours cancel.
+entry they find missing.  `act` reads a letter at a time, reducing each
+section as it builds it; the closure moves all letters at once by one
+`itemgetter` gather per code and table, transposes the section columns with
+`zip`, and reduces a section only when neighbours cancel.
 """
 
 from __future__ import annotations
@@ -136,19 +136,29 @@ class GroupWord:
         return " * ".join(parts)
 
     def act(self, u: DigitWord) -> DigitWord:
-        """Image of a digit word, same length, factors applied rightmost
-        first, each walking the signed table letter by letter."""
+        """Image of a digit word, same length, by wreath recursion: each letter
+        walks the current section right to left while the next section is freely
+        reduced on a stack, so the cost is the sum of the reduced section lengths."""
         aut = self.aut
         if u.base != aut.n or u.dim != aut.d:
             raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {u.base} dim {u.dim}")
         rows, build = aut.rows, aut.row
-        seq = [aut.letter_index(x) for x in u.letters]
-        for c in reversed(self.codes):
-            for i, x in enumerate(seq):
+        word = self.codes[::-1]  # a section is kept rightmost code first
+        image = []
+        for x in map(aut.letter_index, u.letters):
+            section, top = [], None
+            for c in word:
                 letter_map, row = rows[c] or build(c)
-                seq[i] = letter_map[x]
-                c = row[x]
-        return DigitWord(tuple(aut.letter_digits(i) for i in seq), u.base, u.dim)
+                c, x = row[x], letter_map[x]
+                if top == ~c:
+                    section.pop()
+                    top = section[-1] if section else None
+                else:
+                    section.append(c)
+                    top = c
+            image.append(aut.letter_digits(x))
+            word = section
+        return DigitWord(tuple(image), u.base, u.dim)
 
     def root_and_sections(self):
         """The permutation this word induces on first letters, and the reduced

@@ -318,6 +318,19 @@ def test_json_rejects_empty_or_non_list_tables():
             from_json(text)
 
 
+def test_json_rejects_an_alphabet_too_large_for_the_document():
+    # n**d has about 4400 digits here: formatting it into a message would itself fail
+    n = 10 ** 2200 + 1
+    text = ('{"n": %d, "d": 2, "matrices": [[[1, 0], [0, 1]]], '
+            '"states": [{"m": 0, "v": [0, 0], "out": [0], "next": [0]}]}' % n)
+    with pytest.raises(FormatError, match=r"an alphabet of n\*\*d letters \(d = 2\) cannot fit"):
+        from_json(text)
+    # an alphabet that fits the document still reaches the per-state checks
+    with pytest.raises(FormatError, match=r"states\[0\].out must be a list of 4 entries"):
+        from_json('{"n": 2, "d": 2, "matrices": [[[1, 0], [0, 1]]], '
+                  '"states": [{"m": 0, "v": [0, 0], "out": [0], "next": [0]}]}')
+
+
 def test_json_rejects_booleans(doubling3):
     # true/false must not pass as 1/0: to_json would write them back as booleans
     import json

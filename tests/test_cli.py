@@ -1,6 +1,6 @@
 import json
 
-from adicaut import build_union, from_json, to_json
+from adicaut import AffineMap, DigitWord, affine_apply_prefix, build_union, from_json, parse_word, to_json
 from adicaut.cli import main
 
 
@@ -124,6 +124,17 @@ def test_wp_rejects_malformed_state_list_exit_2(tmp_path, capsys):
         assert captured.err == "error: states must be a nonempty list\n"
 
 
+def test_wp_rejects_an_alphabet_too_large_for_the_document_exit_2(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text('{"n": %d, "d": 2, "matrices": [[[1, 0], [0, 1]]], '
+                 '"states": [{"m": 0, "v": [0, 0], "out": [0], "next": [0]}]}' % (10 ** 2200 + 1))
+    code = main(["wp", "--automaton", str(p), "--word", "t[1]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: an alphabet of n**d letters (d = 2) cannot fit")
+
+
 def test_act_parse_error_exit_2(tmp_path, capsys):
     aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     assert main(["act", "--automaton", aut, "--word", "xyz", "--input", "0"]) == 2
@@ -221,6 +232,25 @@ def test_verify_detects_corruption_exit_5(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 5
     assert "mismatches=0" not in captured.out
+    assert captured.err.startswith("first mismatch: state m[0]:(")
+    # one-letter samples see only each state's own out row, so the first mismatch is
+    # in state 2, m[0]:(0), the corrupted one
+    code = main(["verify", "--automaton", str(p), "--depth", "1", "--samples", "20"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err.startswith("first mismatch: state m[0]:(0), input '")
+    code = main(["verify", "--automaton", str(p), "--depth", "1", "--samples", "20", "--json"])
+    captured = capsys.readouterr()
+    first = json.loads(captured.out)["first_mismatch"]
+    assert code == 5 and captured.err == ""
+    assert first["state"] == "m[0]:(0)"
+    assert first["automaton"] != first["oracle"]
+    u = DigitWord.parse(first["input"], 3, 1)
+    assert parse_word(from_json(p.read_text()), first["state"]).act(u).format() == first["automaton"]
+    assert affine_apply_prefix(AffineMap([[2]], (0,)), u).format() == first["oracle"]
+    # a clean run reports no first_mismatch key
+    main(["verify", "--automaton", write_automaton(tmp_path, aut), "--depth", "6", "--samples", "20", "--json"])
+    assert "first_mismatch" not in json.loads(capsys.readouterr().out)
 
 
 def test_verify_rejects_counts_below_one(tmp_path, capsys):

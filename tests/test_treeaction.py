@@ -535,6 +535,48 @@ def test_act_agrees_with_per_letter_reference(doubling3, shear2):
             assert (~w).act(w.act(u)) == u
 
 
+def word_map(aut, w):
+    "The composed affine map of a word over a unimodular union, rightmost factor acting first."
+    from adicaut import compose, mat_vec
+    f = AffineMap(identity(aut.d), (0,) * aut.d)
+    for sid, e in w.factors:
+        st = aut.states[sid]
+        M = aut.matrices[st.matrix_index]
+        if e == 1:
+            f = compose(f, AffineMap(M, st.offset))
+        else:
+            Mi = inverse_unimodular(M)
+            f = compose(f, AffineMap(Mi, tuple(-c for c in mat_vec(Mi, st.offset))))
+    return f
+
+
+def test_act_with_shrinking_sections():
+    # the sections of t[j]^k shrink about n-fold per letter and reach the identity
+    # once the carry dies out; every image must still match the sweep and the oracle
+    from adicaut import block_extend, sanov_pair
+    rng = random.Random(43)
+    for aut in (build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3),
+                build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)):
+        zero = (0,) * aut.d
+        for k in (1, -1, 7, -7, 64, -64, 1000, -1000):
+            axis = rng.randint(1, aut.d)
+            t = translation_word(aut, rng.randrange(len(aut.matrices)), axis) ** k
+            states = random_group_word(rng, aut, 4, min_len=1), random_group_word(rng, aut, 4, min_len=1)
+            for w in (t, states[0] * t * states[1]):
+                u = random_digit_word(rng, aut.n, aut.d, 256, min_len=64)
+                image = w.act(u)
+                assert image == reference_act(aut, w.factors, u)
+                assert image == affine_apply_prefix(word_map(aut, w), u)
+                assert w.act(DigitWord((), aut.n, aut.d)) == DigitWord((), aut.n, aut.d)
+            if k > 0:
+                # on the zero word the section is the identity after about log_n k letters
+                u = DigitWord((zero,) * 64, aut.n, aut.d)
+                image = t.act(u)
+                assert image == reference_act(aut, t.factors, u)
+                assert decode(image) == tuple(k if i == axis - 1 else 0 for i in range(aut.d))
+                assert image.letters[16:] == u.letters[16:]
+
+
 def test_inverting_a_non_permutation_state_raises():
     from adicaut import Automaton, AutomatonState
     # state 0 writes 0 on both letters: fine forwards, no inverse
