@@ -78,7 +78,7 @@ class Automaton:
     """
 
     __slots__ = ("n", "d", "matrices", "states", "components", "rows",
-                 "_weights", "_state_ids", "_letters")
+                 "_index", "_state_ids", "_letters")
 
     def __init__(self, n, d, matrices, states):
         self.n = n
@@ -90,8 +90,8 @@ class Automaton:
         key = attrgetter("matrix_index")  # a temporary list of all keys fragments the heap over rebuilds
         self.components = tuple((bisect_left(self.states, mi, key=key), bisect_left(self.states, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
-        self._weights = tuple(n ** i for i in range(d))
         self._letters = all_letters(n, d)
+        self._index = {x: i for i, x in enumerate(self._letters)}
         self._state_ids = {(st.matrix_index, st.offset): sid for sid, st in enumerate(self.states)}
         self.rows = [None] * (2 * len(self.states))
 
@@ -101,7 +101,7 @@ class Automaton:
 
     def letter_index(self, x: Vector) -> int:
         "Dense index of a digit tuple (first coordinate least significant)."
-        return sum(c * w for c, w in zip(x, self._weights, strict=True))
+        return self._index[x]
 
     def letter_digits(self, i: int) -> Vector:
         return self._letters[i]

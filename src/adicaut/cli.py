@@ -26,6 +26,7 @@ import sys
 
 from . import automaton as am
 from . import treeaction as ta
+from .linalg import matrix_from_lists
 from .nadic import AffineMap, DigitWord, affine_apply_prefix
 
 
@@ -55,9 +56,17 @@ def _load_matrices(path: str):
             obj = json.load(f)
         except json.JSONDecodeError as e:
             raise am.FormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+        except (ValueError, RecursionError) as e:  # an int literal past the digit limit, nesting past the recursion limit
+            raise am.FormatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(obj, list) or not obj:
         raise am.FormatError(f"{path}: expected a nonempty JSON list of matrices")
-    return obj
+    mats = []
+    for i, m in enumerate(obj):
+        try:
+            mats.append(matrix_from_lists(m))
+        except (ValueError, TypeError) as e:
+            raise am.FormatError(f"{path}: matrices[{i}]: {e}") from None
+    return mats
 
 
 def _load_automaton(path: str) -> am.Automaton:
@@ -143,7 +152,7 @@ def _cmd_verify(args) -> int:
     first = None
     for sid, st in enumerate(aut.states):
         f = AffineMap(aut.matrices[st.matrix_index], st.offset)
-        w = ta.GroupWord.from_state(aut, sid)
+        w = ta.GroupWord(aut, (sid,))
         for _ in range(args.samples):
             k = rng.randint(1, args.depth)
             u = DigitWord(tuple(rng.choice(letters) for _ in range(k)), aut.n, aut.d)

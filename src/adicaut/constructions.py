@@ -55,18 +55,15 @@ def sanov_pair():
 
 
 def word_matrix(word, mats) -> Matrix:
-    "Evaluate a reduced word as a matrix product; inverses must be integral."
+    """Evaluate a word of signed codes (`i` for mats[i], `~i` for its
+    inverse) as a matrix product; inverses must be integral."""
     ms = [matrix(m) for m in mats]
-    invs = {}
+    factors = {}
     result = identity(len(ms[0]))
-    for i, e in word:
-        if e == 1:
-            factor = ms[i]
-        else:
-            if i not in invs:
-                invs[i] = inverse_unimodular(ms[i])
-            factor = invs[i]
-        result = mat_mul(result, factor)
+    for c in word:
+        if c not in factors:
+            factors[c] = ms[c] if c >= 0 else inverse_unimodular(ms[~c])
+        result = mat_mul(result, factors[c])
     return result
 
 
@@ -161,7 +158,7 @@ def relator_check(aut: Automaton, pres: Presentation,
     for j, name in enumerate(pres.abelian_generators, start=1):
         words[name] = translation_word(aut, 0, j)
     for k, name in enumerate(pres.stable_generators):
-        words[name] = GroupWord.from_state(aut, aut.state_id(k, (0,) * d))
+        words[name] = GroupWord(aut, (aut.state_id(k, (0,) * d),))
 
     results = []
     ok = True

@@ -1,13 +1,14 @@
 """Words in automaton states acting as tree automorphisms.
 
-A group word is a reduced sequence of (state id, exponent) factors over one
-automaton; it acts on digit words letter by letter, the leftmost factor
-applied last.  Products and inverses decompose by wreath recursion: the
-root permutation of a product composes outermost-first, and the section of
-a product below a letter is the product of the factor sections along the
-letters each suffix produces.  Inverse factors act without being expanded:
-reading through a state backwards just means inverting its output
-permutation before stepping.
+A group word is a freely reduced tuple of signed codes over one automaton:
+`sid` stands for the state `sid` and `~sid` for its inverse, so two
+neighbours cancel when they sum to -1.  A word acts on digit words letter
+by letter, the leftmost code applied last.  Products and inverses decompose
+by wreath recursion: the root permutation of a product composes
+outermost-first, and the section of a product below a letter is the product
+of the factor sections along the letters each suffix produces.  Inverse
+codes act without being expanded: reading through a state backwards just
+means inverting its output permutation before stepping.
 
 The word problem is decided by closing a word under sections: a word acts
 trivially on the whole tree exactly when every word reachable from it by
@@ -16,8 +17,6 @@ factors than their parent and draw states from a finite set, so the closure
 is finite and the search terminates (a node budget still guards against
 pathological blowup and is reported, never treated as an answer).
 
-A word is stored as a tuple of signed codes: the factor (sid, +1) is `sid`
-and (sid, -1) is `~sid`, so two neighbours cancel when they sum to -1.
 `act`, the sections and the closure all read the automaton's one signed
 table, `rows[c]` = (letter map, row of next codes), and have `row` build an
 entry they find missing.  `act` reads a letter at a time, reducing each
@@ -63,39 +62,24 @@ def _word(aut, reduced_codes) -> "GroupWord":
 class GroupWord:
     """A freely reduced word over the states of one automaton.
 
-    Factors are (state id, +1|-1) pairs of ints, stored as the codes `sid`
-    and `~sid`; adjacent inverse pairs are cancelled on construction, so the
-    empty word is the identity.  Words are tied to their automaton instance;
-    mixing instances is rejected.  `==` is structural (same factors); use
-    `equal` for equality as group elements.
+    `codes` holds the ints `sid` for a state and `~sid` for its inverse;
+    every code must lie in [-N, N) for N states, and adjacent inverse pairs
+    are cancelled on construction, so the empty word is the identity.  Words
+    are tied to their automaton instance; mixing instances is rejected.
+    `==` is structural (same codes); use `equal` for equality as group
+    elements.
     """
 
     __slots__ = ("aut", "codes")
 
-    def __init__(self, aut: Automaton, factors=()):
+    def __init__(self, aut: Automaton, codes=()):
         nstates = len(aut.states)
-        codes = []
-        for f in factors:
-            try:
-                sid, e = f
-            except (TypeError, ValueError):
-                raise WordError(f"factor must be a (state id, exponent) pair, got {f!r}") from None
-            if type(e) is not int or e not in (1, -1):
-                raise WordError(f"factor exponent must be the int +1 or -1, got {e!r}")
-            if type(sid) is not int or not 0 <= sid < nstates:
-                raise WordError(f"state id {sid!r} is not an int in range (automaton has {nstates} states)")
-            codes.append(sid if e == 1 else ~sid)
+        codes = tuple(codes)
+        for c in codes:
+            if type(c) is not int or not -nstates <= c < nstates:
+                raise WordError(f"code {c!r} is not an int in range (automaton has {nstates} states)")
         self.aut = aut
-        self.codes = _cancel(tuple(codes))
-
-    @classmethod
-    def from_state(cls, aut: Automaton, sid: int) -> "GroupWord":
-        return cls(aut, ((sid, 1),))
-
-    @property
-    def factors(self) -> tuple:
-        "The word as (state id, +1|-1) pairs."
-        return tuple((c, 1) if c >= 0 else (~c, -1) for c in self.codes)
+        self.codes = _cancel(codes)
 
     def __len__(self):
         return len(self.codes)
@@ -129,9 +113,11 @@ class GroupWord:
         """Word in the `m[i]:(v)` token grammar, runs collapsed to powers,
         factors joined with ` * `.  The identity formats as the empty string."""
         parts = []
-        for (sid, e), run in groupby(self.factors):
-            st = self.aut.states[sid]
-            exp = e * len(list(run))
+        for c, run in groupby(self.codes):
+            exp = len(list(run))
+            if c < 0:
+                c, exp = ~c, -exp
+            st = self.aut.states[c]
             parts.append(f"m[{st.matrix_index}]:({format_letter(st.offset)})" + (f"^{exp}" if exp != 1 else ""))
         return " * ".join(parts)
 
@@ -279,7 +265,7 @@ def verify_relation(aut: Automaton, matrix_index: int, axis: int,
     the word-problem closure, whose budget exhaustion propagates."""
     M = aut.matrices[matrix_index]
     tau = translation_word(aut, matrix_index, axis)  # rejects an axis outside 1..d
-    m0 = GroupWord.from_state(aut, aut.state_id(matrix_index, (0,) * aut.d))
+    m0 = GroupWord(aut, (aut.state_id(matrix_index, (0,) * aut.d),))
     lhs = m0 * tau * ~m0
     rhs = GroupWord(aut)
     for i, row in enumerate(M, start=1):
@@ -302,8 +288,8 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
     if w1.aut is not w2.aut:
         raise WordError("cannot search for conjugators across different automata")
     aut = w1.aut
-    for fac in reduced_words(len(aut.states), max_length):
-        c = GroupWord(aut, fac)
+    for codes in reduced_words(len(aut.states), max_length):
+        c = _word(aut, codes)  # reduced and in range by construction
         try:
             if equal(c * w1 * ~c, w2, budget):
                 return c
@@ -314,13 +300,12 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
 
 def reduced_words(rank: int, max_length: int):
     """All freely reduced words up to max_length over `rank` generators and
-    their inverses, as tuples of (generator index, +1|-1), shortest first."""
-    gens = [(i, e) for i in range(rank) for e in (1, -1)]
+    their inverses, as tuples of signed codes (`i` and `~i`), shortest first."""
+    gens = [c for i in range(rank) for c in (i, ~i)]
     level = [()]
     yield ()
     for _ in range(max_length):
-        level = [w + (g,) for w in level for g in gens
-                 if not (w and w[-1][0] == g[0] and w[-1][1] == -g[1])]
+        level = [w + (g,) for w in level for g in gens if not (w and w[-1] == ~g)]
         yield from level
 
 

@@ -16,9 +16,15 @@ def random_digit_word(rng, n, d, max_len, min_len=0):
     return DigitWord(tuple(random_letter(rng, n, d) for _ in range(k)), n, d)
 
 
+def random_code(rng, sids):
+    "A state drawn from `sids`, then a sign: the code `sid` or `~sid`."
+    sid = rng.choice(sids)
+    return rng.choice((sid, ~sid))
+
+
 def random_group_word(rng, aut, max_len, min_len=0):
     k = rng.randint(min_len, max_len)
-    return GroupWord(aut, [(rng.randrange(len(aut.states)), rng.choice((1, -1))) for _ in range(k)])
+    return GroupWord(aut, [random_code(rng, range(len(aut.states))) for _ in range(k)])
 
 
 @pytest.fixture

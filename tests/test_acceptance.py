@@ -106,7 +106,7 @@ def test_criterion_3_oracle_semantics():
                      for k in range(7) for ls in product(letters, repeat=k)]
             for sid, st in enumerate(aut.states):
                 f = AffineMap(aut.matrices[0], st.offset)
-                w = GroupWord.from_state(aut, sid)
+                w = GroupWord(aut, (sid,))
                 for u in words:
                     assert w.act(u) == affine_apply_prefix(f, u)
 
@@ -133,7 +133,7 @@ def test_criterion_3_oracle_semantics():
             st = aut.states[sid]
             u = random_digit_word(rng, aut.n, aut.d, 10)
             f = AffineMap(aut.matrices[0], st.offset)
-            assert GroupWord.from_state(aut, sid).act(u) == affine_apply_prefix(f, u)
+            assert GroupWord(aut, (sid,)).act(u) == affine_apply_prefix(f, u)
             trials += 1
 
 
@@ -251,7 +251,7 @@ def test_criterion_9_end_to_end_d6():
             st = aut.states[sid]
             u = random_digit_word(rng, 2, 6, 4, min_len=1)
             f = AffineMap(aut.matrices[st.matrix_index], st.offset)
-            assert GroupWord.from_state(aut, sid).act(u) == affine_apply_prefix(f, u)
+            assert GroupWord(aut, (sid,)).act(u) == affine_apply_prefix(f, u)
 
         # criterion 4 restricted: group laws on 100 random pairs
         for _ in range(100):

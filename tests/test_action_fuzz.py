@@ -36,10 +36,10 @@ def prefix_map(aut, w, k):
     digit words of length k: an inverse factor u -> M^-1 (u - v) is taken mod n^k."""
     modulus = aut.n ** k
     f = AffineMap(identity(aut.d), (0,) * aut.d)
-    for sid, e in w.factors:
-        st_ = aut.states[sid]
+    for c in w.codes:
+        st_ = aut.states[c if c >= 0 else ~c]
         M = aut.matrices[st_.matrix_index]
-        if e == 1:
+        if c >= 0:
             f = compose(f, AffineMap(M, st_.offset))
         else:
             Mi = inverse_mod(M, modulus)
@@ -63,8 +63,8 @@ def test_act_matches_oracle(family, data):
     mats, n = family
     aut = build_union(mats, n)
     d = aut.d
-    factor = st.tuples(st.integers(0, len(aut.states) - 1), st.sampled_from((1, -1)))
-    w = GroupWord(aut, data.draw(st.lists(factor, max_size=6)))
+    code = st.integers(-len(aut.states), len(aut.states) - 1)
+    w = GroupWord(aut, data.draw(st.lists(code, max_size=6)))
     letter = st.tuples(*[st.integers(0, n - 1)] * d)
     u = DigitWord(tuple(data.draw(st.lists(letter, max_size=12))), n, d)
     assert w.act(u) == affine_apply_prefix(prefix_map(aut, w, len(u)), u)

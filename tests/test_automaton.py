@@ -377,8 +377,8 @@ def test_dedup_merges_identical_components():
     for _ in range(50):
         u = random_digit_word(rng, 2, 1, 6)
         sid = rng.randrange(2)
-        w_big = GroupWord.from_state(aut, aut.state_id(0, aut.states[sid].offset))
-        w_small = GroupWord.from_state(small, small.state_id(0, small.states[sid].offset))
+        w_big = GroupWord(aut, (aut.state_id(0, aut.states[sid].offset),))
+        w_small = GroupWord(small, (small.state_id(0, small.states[sid].offset),))
         assert w_big.act(u) == w_small.act(u)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from adicaut import AffineMap, DigitWord, affine_apply_prefix, build_union, from_json, parse_word, to_json
 from adicaut.cli import main
 
@@ -54,6 +56,24 @@ def test_build_cap_exit_3(tmp_path, capsys):
 def test_build_missing_file_exit_2(tmp_path, capsys):
     code = main(["build", "--matrices", str(tmp_path / "nope.json"), "--n", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["build", "relations"])
+@pytest.mark.parametrize("text, message", [
+    ("[5]", "matrices[0]: matrix must be a list of rows"),
+    ('[[["a"]]]', "matrices[0]: vector coordinate 'a' is not an int"),
+    ("[[[true]]]", "matrices[0]: vector coordinate True is not an int"),
+    ("[[[1]], [[1.5]]]", "matrices[1]: vector coordinate 1.5 is not an int"),
+    ("[" * 100000 + "]" * 100000, "invalid JSON"),
+], ids=["int-entry", "str-coordinate", "bool-coordinate", "float-coordinate", "deep-nesting"])
+def test_malformed_matrices_exit_2(tmp_path, capsys, command, text, message):
+    p = tmp_path / "mats.json"
+    p.write_text(text)
+    code = main([command, "--matrices", str(p), "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: {message}")
 
 
 def test_build_dedup(tmp_path, capsys):

@@ -9,6 +9,7 @@ from adicaut import (
     build_union,
     det,
     identity,
+    inverse_unimodular,
     mat_mul,
     presentation_for,
     reduced_words,
@@ -78,6 +79,13 @@ def test_reduced_words_counts():
     assert sum(1 for _ in reduced_words(2, 0)) == 1
     assert sum(1 for _ in reduced_words(2, 1)) == 5
     assert sum(1 for _ in reduced_words(2, 2)) == 17
+
+
+def test_reduced_words_are_codes_in_order():
+    assert list(reduced_words(2, 1)) == [(), (0,), (~0,), (1,), (~1,)]
+    assert (0, ~0) not in set(reduced_words(2, 2)) and (~1, 1) not in set(reduced_words(2, 2))
+    A, B = sanov_pair()
+    assert word_matrix((~0, 1), [A, B]) == mat_mul(inverse_unimodular(A), B)
 
 
 def test_presentation_doubling_is_bs12():
