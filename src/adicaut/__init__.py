@@ -31,7 +31,6 @@ from .nadic import (
 from .automaton import (
     AlphabetCapError,
     Automaton,
-    AutomatonState,
     BuildError,
     DEFAULT_ALPHABET_CAP,
     FormatError,

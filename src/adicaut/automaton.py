@@ -12,8 +12,11 @@ build_union sums one digit row and one carry row per coordinate into each
 state's tables; well_definedness_check never divides, but recomposes
 digit_i(out[x]) + n*offset_i(nxt[x]) and compares it row by row with v_i + (M*x)_i.
 
-Letters are stored as dense indices (base-n expansion of the index, first
-coordinate least significant); digit tuples appear only at I/O boundaries.
+Each state is stored once: its label (matrix index, offset) in
+`Automaton.labels` and its table (out, nxt) in `Automaton.rows`, the one
+transition store every reader goes through.  Letters are stored as dense
+indices (base-n expansion of the index, first coordinate least significant);
+digit tuples appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import pairwise
-from operator import add, attrgetter, mul
+from operator import add, itemgetter, mul
 
 from .linalg import (
     Vector,
@@ -53,47 +56,40 @@ class FormatError(ValueError):
     "Malformed serialized automaton."
 
 
-@dataclass(frozen=True, slots=True)
-class AutomatonState:
-    """One transducer state: `out[x]` is the dense index of the letter written
-    when reading letter x, `nxt[x]` the global id of the state that handles
-    the rest of the word."""
-
-    matrix_index: int
-    offset: Vector
-    out: tuple
-    nxt: tuple
-
-
 class Automaton:
     """An immutable transducer over the alphabet {0..n-1}^d.
 
-    `states` must be grouped by ascending matrix index; `components[i]` is
-    the half-open range of state ids whose matrix index is i, derived from
-    the states.  A state or its inverse is coded as the int `sid` or `~sid`,
-    and `rows[c]` is the code's (letter map, row of next codes): `rows[sid]`
-    is the state's own (out, nxt), `rows[~sid]` maps y to the x with
-    out[x] = y and goes on to ~nxt[x].  An entry is None until `row` builds
-    it.  Equality is structural.
+    State `sid` has the label `labels[sid]` = (matrix index, offset v) and the
+    table `tables[sid]` = (out, nxt): reading letter x it writes the letter
+    with dense index out[x] and hands the rest of the word to state nxt[x].
+    Labels must be grouped by ascending matrix index; `components[i]` is the
+    half-open range of state ids whose matrix index is i.  A state or its
+    inverse is coded as the int `sid` or `~sid`, and `rows[c]` is the code's
+    (letter map, row of next codes): `rows[sid]` is the table as given,
+    `rows[~sid]` maps y to the x with out[x] = y and goes on to ~nxt[x], and
+    is None until `row` builds it.  Equality compares the labels and the given
+    tables, never the inverse rows.
     """
 
-    __slots__ = ("n", "d", "matrices", "states", "components", "rows",
+    __slots__ = ("n", "d", "matrices", "labels", "components", "rows",
                  "_index", "_state_ids", "_letters")
 
-    def __init__(self, n, d, matrices, states):
+    def __init__(self, n, d, matrices, labels, tables):
         self.n = n
         self.d = d
         self.matrices = tuple(matrices)
-        self.states = tuple(states)
-        if any(a.matrix_index > b.matrix_index for a, b in pairwise(self.states)):
+        self.labels = tuple(labels)
+        self.rows = [*tables, *[None] * len(self.labels)]
+        if len(self.rows) != 2 * len(self.labels):
+            raise ValueError(f"{len(self.labels)} labels but {len(self.rows) - len(self.labels)} tables")
+        if any(a[0] > b[0] for a, b in pairwise(self.labels)):
             raise ValueError("states must be grouped by ascending matrix index")
-        key = attrgetter("matrix_index")  # a temporary list of all keys fragments the heap over rebuilds
-        self.components = tuple((bisect_left(self.states, mi, key=key), bisect_left(self.states, mi + 1, key=key))
+        key = itemgetter(0)  # a temporary list of all keys fragments the heap over rebuilds
+        self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
         self._letters = all_letters(n, d)
         self._index = {x: i for i, x in enumerate(self._letters)}
-        self._state_ids = {(st.matrix_index, st.offset): sid for sid, st in enumerate(self.states)}
-        self.rows = [None] * (2 * len(self.states))
+        self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
 
     @property
     def alphabet_size(self) -> int:
@@ -114,32 +110,30 @@ class Automaton:
         return self.components[matrix_index]
 
     def row(self, c: int) -> tuple:
-        "rows[c], built on first use; ValueError for an inverse code whose state's out is not a permutation."
+        "rows[c], built on first use for an inverse code; ValueError if its state's out is not a permutation."
         row = self.rows[c]
         if row is None:
-            st = self.states[c if c >= 0 else ~c]
-            if c >= 0:
-                row = st.out, st.nxt
-            else:
-                inv = [-1] * len(st.out)
-                for x, y in enumerate(st.out):
-                    inv[y] = x
-                if -1 in inv:
-                    raise ValueError(f"output table of state {~c} is not a permutation")
-                row = tuple(inv), tuple([~st.nxt[x] for x in inv])
-            self.rows[c] = row
+            out, nxt = self.rows[~c]
+            inv = [-1] * len(out)
+            for x, y in enumerate(out):
+                inv[y] = x
+            if -1 in inv:
+                raise ValueError(f"output table of state {~c} is not a permutation")
+            row = self.rows[c] = tuple(inv), tuple([~nxt[x] for x in inv])
         return row
 
     def __eq__(self, other):
         if not isinstance(other, Automaton):
             return NotImplemented
+        N = len(self.labels)
         return (self.n == other.n and self.d == other.d
                 and self.matrices == other.matrices
-                and self.states == other.states)
+                and self.labels == other.labels
+                and self.rows[:N] == other.rows[:N])
 
     def __repr__(self):
         return (f"Automaton(n={self.n}, d={self.d}, "
-                f"{len(self.matrices)} matrices, {len(self.states)} states)")
+                f"{len(self.matrices)} matrices, {len(self.labels)} states)")
 
 
 def state_count_bound(Ms) -> int:
@@ -189,7 +183,7 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     letters = all_letters(n, d)
     ids = list(range(sum((2 * row_sum_norm(M)) ** d for M in mats)))  # shared int objects keep the big tables lean
 
-    states = []
+    labels, tables = [], []
     base = 0
     for mi, M in enumerate(mats):
         norm = row_sum_norm(M)
@@ -201,9 +195,10 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         rows = [[([r * n ** i for _, r in row], [(q + norm) * (2 * norm) ** i for q, _ in row])
                  for row in per_v] for i, per_v in enumerate(splits)]
         for v, o, c in _box_rows(side, rows, (), [0] * len(letters), [base] * len(letters)):
-            states.append(AutomatonState(mi, v, tuple(o), tuple([ids[t] for t in c])))
+            labels.append((mi, v))
+            tables.append((tuple(o), tuple([ids[t] for t in c])))
         base += len(side) ** d
-    return Automaton(n, d, tuple(mats), tuple(states))
+    return Automaton(n, d, mats, labels, tables)
 
 
 @dataclass(frozen=True)
@@ -239,10 +234,10 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     their own component.  Only failing rows are walked letter by letter; at
     most MAX_FAILURES failures are kept.  Not for deduplicated automata."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
-    states = aut.states
+    labels, rows = aut.labels, aut.rows  # rows[sid] for sid >= 0 are the tables as given; row() is never called
     letters = [aut.letter_digits(y) for y in range(A)]
     digit = [[y[i] for y in letters] for i in range(d)]
-    n_offset = [[n * st.offset[i] for st in states] for i in range(d)]
+    n_offset = [[n * v[i] for _, v in labels] for i in range(d)]
     failures = []
     checked = 0
     for mi, M in enumerate(aut.matrices):
@@ -251,8 +246,8 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
         mxs = [mat_vec(M, x) for x in letters]
         expected = [{c: [c + mx[i] for mx in mxs] for c in range(-norm, norm)} for i in range(d)]
         for sid in range(start, end):
-            st = states[sid]
-            v, out, nxt = st.offset, st.out, st.nxt
+            v = labels[sid][1]
+            out, nxt = rows[sid]
             checked += A
             if not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
                 failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
@@ -264,7 +259,7 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
                 if not (0 <= y < A and start <= t < end):
                     failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
                     continue
-                got = tuple(a + n * b for a, b in zip(letters[y], states[t].offset))
+                got = tuple(a + n * b for a, b in zip(letters[y], labels[t][1]))
                 if got != vec_add(v, mxs[x]):
                     failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {vec_add(v, mxs[x])}"))
             if len(failures) >= MAX_FAILURES:
@@ -282,8 +277,8 @@ def to_json(aut: Automaton) -> str:
         "d": aut.d,
         "matrices": [matrix_to_lists(M) for M in aut.matrices],
         "states": [
-            {"m": st.matrix_index, "v": list(st.offset), "out": list(st.out), "next": list(st.nxt)}
-            for st in aut.states
+            {"m": m, "v": list(v), "out": list(out), "next": list(nxt)}
+            for (m, v), (out, nxt) in zip(aut.labels, aut.rows)
         ],
     }
     return json.dumps(obj, sort_keys=True)
@@ -324,7 +319,7 @@ def from_json(text: str) -> Automaton:
 
     alphabet = n ** d
     total = len(obj["states"])
-    states = []
+    labels, tables = [], []
     seen_labels = set()
     last_m = 0
     for si, entry in enumerate(obj["states"]):
@@ -356,22 +351,22 @@ def from_json(text: str) -> Automaton:
                     raise FormatError(f"{where}.{name}[{x}] = {t!r} out of range [0, {limit})")
         if len(set(out)) != alphabet:
             raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")
-        states.append(AutomatonState(m, tuple(v), tuple(out), tuple(nxt)))
-    return Automaton(n, d, mats, tuple(states))
+        labels.append(label)
+        tables.append((tuple(out), tuple(nxt)))
+    return Automaton(n, d, mats, labels, tables)
 
 
 def to_dot(aut: Automaton) -> str:
     """GraphViz digraph: one node per state labeled `m[i]:(v)`, one edge per
     (state, letter) labeled `x|y` (input|output) in digit-tuple syntax."""
     lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
-    for sid, st in enumerate(aut.states):
-        label = f"m[{st.matrix_index}]:({format_letter(st.offset)})"
-        lines.append(f'  s{sid} [label="{label}"];')
-    for sid, st in enumerate(aut.states):
+    for sid, (m, v) in enumerate(aut.labels):
+        lines.append(f'  s{sid} [label="m[{m}]:({format_letter(v)})"];')
+    for sid, (out, nxt) in enumerate(aut.rows[:len(aut.labels)]):
         for li in range(aut.alphabet_size):
             x = format_letter(aut.letter_digits(li))
-            y = format_letter(aut.letter_digits(st.out[li]))
-            lines.append(f'  s{sid} -> s{st.nxt[li]} [label="{x}|{y}"];')
+            y = format_letter(aut.letter_digits(out[li]))
+            lines.append(f'  s{sid} -> s{nxt[li]} [label="{x}|{y}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -383,24 +378,19 @@ def dedup(aut: Automaton) -> Automaton:
     always keeps components disjoint.  Merged automata keep one representative
     label per class, so label lookups and the structural well-definedness
     check no longer apply to them."""
-    states = aut.states
+    labels, tables = aut.labels, aut.rows[:len(aut.labels)]
     sigs = {}
-    cls = [sigs.setdefault(st.out, len(sigs)) for st in states]
+    cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]
     count = 0
     while len(sigs) > count:  # a pass that splits no class has reached the fixed point
         count = len(sigs)
         sigs = {}
-        cls = [sigs.setdefault((c, *map(cls.__getitem__, st.nxt)), len(sigs)) for c, st in zip(cls, states)]
+        cls = [sigs.setdefault((c, *map(cls.__getitem__, nxt)), len(sigs)) for c, (_, nxt) in zip(cls, tables)]
 
     reps = {}
     for sid, k in enumerate(cls):
         reps.setdefault(k, sid)
-    ordered = sorted(reps.values(), key=lambda sid: (states[sid].matrix_index, sid))
+    ordered = sorted(reps.values(), key=lambda sid: (labels[sid][0], sid))
     new_id = {cls[sid]: i for i, sid in enumerate(ordered)}
-
-    new_states = []
-    for sid in ordered:
-        st = states[sid]
-        nxt = tuple(new_id[cls[t]] for t in st.nxt)
-        new_states.append(AutomatonState(st.matrix_index, st.offset, st.out, nxt))
-    return Automaton(aut.n, aut.d, aut.matrices, tuple(new_states))
+    return Automaton(aut.n, aut.d, aut.matrices, [labels[sid] for sid in ordered],
+                     [(tables[sid][0], tuple(new_id[cls[t]] for t in tables[sid][1])) for sid in ordered])

@@ -81,15 +81,15 @@ def _cmd_build(args) -> int:
         aut = am.dedup(aut)
     bound = am.state_count_bound(mats)
     payload = am.to_json(aut)
-    stats = f"states={len(aut.states)}, bound=2^d*Σ||Mi||^d={bound}"
+    stats = f"states={len(aut.labels)}, bound=2^d*Σ||Mi||^d={bound}"
     if args.output:
         with open(args.output, "w") as f:
             f.write(payload + "\n")
-        _emit(args, stats, {"states": len(aut.states), "bound": bound, "output": args.output})
+        _emit(args, stats, {"states": len(aut.labels), "bound": bound, "output": args.output})
     else:
         print(payload)
         if args.json:
-            print(json.dumps({"states": len(aut.states), "bound": bound}, sort_keys=True), file=sys.stderr)
+            print(json.dumps({"states": len(aut.labels), "bound": bound}, sort_keys=True), file=sys.stderr)
         else:
             print(stats, file=sys.stderr)
     return 0
@@ -150,8 +150,8 @@ def _cmd_verify(args) -> int:
     mismatches = 0
     checked = 0
     first = None
-    for sid, st in enumerate(aut.states):
-        f = AffineMap(aut.matrices[st.matrix_index], st.offset)
+    for sid, (mi, v) in enumerate(aut.labels):
+        f = AffineMap(aut.matrices[mi], v)
         w = ta.GroupWord(aut, (sid,))
         for _ in range(args.samples):
             k = rng.randint(1, args.depth)

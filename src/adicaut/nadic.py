@@ -46,8 +46,9 @@ class DigitWord:
             raise ValueError(f"base must be >= 2, got {self.base}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        letters = tuple(tuple(x) for x in self.letters)
-        for x in letters:
+        letters = tuple(map(tuple, self.letters))
+        # one letter object is checked once: the images `act` builds reuse the automaton's letter tuples
+        for x in dict(zip(map(id, letters), letters)).values():
             if len(x) != self.dim:
                 raise ValueError(f"letter {x} does not have dimension {self.dim}")
             for c in x:

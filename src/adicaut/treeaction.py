@@ -19,7 +19,7 @@ pathological blowup and is reported, never treated as an answer).
 
 `act`, the sections and the closure all read the automaton's one signed
 table, `rows[c]` = (letter map, row of next codes), and have `row` build an
-entry they find missing.  `act` reads a letter at a time, reducing each
+inverse entry they find missing.  `act` reads a letter at a time, reducing each
 section as it builds it; the closure moves all letters at once by one
 `itemgetter` gather per code and table, transposes the section columns with
 `zip`, and reduces a section only when neighbours cancel.
@@ -73,7 +73,7 @@ class GroupWord:
     __slots__ = ("aut", "codes")
 
     def __init__(self, aut: Automaton, codes=()):
-        nstates = len(aut.states)
+        nstates = len(aut.labels)
         codes = tuple(codes)
         for c in codes:
             if type(c) is not int or not -nstates <= c < nstates:
@@ -117,8 +117,8 @@ class GroupWord:
             exp = len(list(run))
             if c < 0:
                 c, exp = ~c, -exp
-            st = self.aut.states[c]
-            parts.append(f"m[{st.matrix_index}]:({format_letter(st.offset)})" + (f"^{exp}" if exp != 1 else ""))
+            mi, v = self.aut.labels[c]
+            parts.append(f"m[{mi}]:({format_letter(v)})" + (f"^{exp}" if exp != 1 else ""))
         return " * ".join(parts)
 
     def act(self, u: DigitWord) -> DigitWord:
@@ -288,7 +288,7 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
     if w1.aut is not w2.aut:
         raise WordError("cannot search for conjugators across different automata")
     aut = w1.aut
-    for codes in reduced_words(len(aut.states), max_length):
+    for codes in reduced_words(len(aut.labels), max_length):
         c = _word(aut, codes)  # reduced and in range by construction
         try:
             if equal(c * w1 * ~c, w2, budget):

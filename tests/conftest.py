@@ -24,7 +24,7 @@ def random_code(rng, sids):
 
 def random_group_word(rng, aut, max_len, min_len=0):
     k = rng.randint(min_len, max_len)
-    return GroupWord(aut, [random_code(rng, range(len(aut.states))) for _ in range(k)])
+    return GroupWord(aut, [random_code(rng, range(len(aut.labels))) for _ in range(k)])
 
 
 @pytest.fixture

@@ -77,12 +77,12 @@ def test_criterion_1_state_count_exactness():
             for mi, M in enumerate(aut.matrices):
                 start, end = aut.component_range(mi)
                 assert end - start == (2 * row_sum_norm(M)) ** d
-            assert len(aut.states) <= state_count_bound(Ms)
-        assert len(build_union([[[2]]], 3).states) == 4 == state_count_bound(doubling_set())
-        assert len(build_union([[[1, 1], [0, 1]]], 2).states) == 16
+            assert len(aut.labels) <= state_count_bound(Ms)
+        assert len(build_union([[[2]]], 3).labels) == 4 == state_count_bound(doubling_set())
+        assert len(build_union([[[1, 1], [0, 1]]], 2).labels) == 16
         d3 = build_union(sanov_d3_set(), 2)
         assert [e - s for s, e in d3.components] == [216, 216]
-        assert len(d3.states) == 432 == state_count_bound(sanov_d3_set())
+        assert len(d3.labels) == 432 == state_count_bound(sanov_d3_set())
 
 
 def test_criterion_2_well_definedness():
@@ -104,8 +104,8 @@ def test_criterion_3_oracle_semantics():
             letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
             words = [DigitWord(ls, 2, aut.d)
                      for k in range(7) for ls in product(letters, repeat=k)]
-            for sid, st in enumerate(aut.states):
-                f = AffineMap(aut.matrices[0], st.offset)
+            for sid, (_, v) in enumerate(aut.labels):
+                f = AffineMap(aut.matrices[0], v)
                 w = GroupWord(aut, (sid,))
                 for u in words:
                     assert w.act(u) == affine_apply_prefix(f, u)
@@ -129,10 +129,9 @@ def test_criterion_3_oracle_semantics():
         trials = 0
         while trials < 10_000:
             aut = pool[trials % len(pool)]
-            sid = rng.randrange(len(aut.states))
-            st = aut.states[sid]
+            sid = rng.randrange(len(aut.labels))
             u = random_digit_word(rng, aut.n, aut.d, 10)
-            f = AffineMap(aut.matrices[0], st.offset)
+            f = AffineMap(aut.matrices[0], aut.labels[sid][1])
             assert GroupWord(aut, (sid,)).act(u) == affine_apply_prefix(f, u)
             trials += 1
 
@@ -188,11 +187,10 @@ def test_criterion_6_negative_controls():
         rep = relator_check(aut, bad)
         assert not rep.ok and rep.results[0].outcome == "fail"
 
-        import dataclasses
-        states = list(aut.states)
-        states[2] = dataclasses.replace(states[2], nxt=(0, 0, 0))
+        rows = list(aut.rows[:len(aut.labels)])
+        rows[2] = rows[2][0], (0, 0, 0)
         from adicaut import Automaton
-        corrupt = Automaton(aut.n, aut.d, aut.matrices, tuple(states))
+        corrupt = Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
         assert not well_definedness_check(corrupt).ok
 
 
@@ -238,7 +236,7 @@ def test_criterion_9_end_to_end_d6():
         for mi, M in enumerate(aut.matrices):
             s, e = aut.component_range(mi)
             assert e - s == (2 * row_sum_norm(M)) ** 6 == 46656
-        assert len(aut.states) == 93312 <= state_count_bound(Ms)
+        assert len(aut.labels) == 93312 <= state_count_bound(Ms)
 
         # criterion 2 on the full automaton
         rep = well_definedness_check(aut)
@@ -247,10 +245,10 @@ def test_criterion_9_end_to_end_d6():
         # criterion 3 restricted: 100 random prefixes of depth <= 4
         rng = random.Random(20260813)
         for _ in range(100):
-            sid = rng.randrange(len(aut.states))
-            st = aut.states[sid]
+            sid = rng.randrange(len(aut.labels))
+            mi, v = aut.labels[sid]
             u = random_digit_word(rng, 2, 6, 4, min_len=1)
-            f = AffineMap(aut.matrices[st.matrix_index], st.offset)
+            f = AffineMap(aut.matrices[mi], v)
             assert GroupWord(aut, (sid,)).act(u) == affine_apply_prefix(f, u)
 
         # criterion 4 restricted: group laws on 100 random pairs

@@ -37,13 +37,13 @@ def prefix_map(aut, w, k):
     modulus = aut.n ** k
     f = AffineMap(identity(aut.d), (0,) * aut.d)
     for c in w.codes:
-        st_ = aut.states[c if c >= 0 else ~c]
-        M = aut.matrices[st_.matrix_index]
+        mi, v = aut.labels[c if c >= 0 else ~c]
+        M = aut.matrices[mi]
         if c >= 0:
-            f = compose(f, AffineMap(M, st_.offset))
+            f = compose(f, AffineMap(M, v))
         else:
             Mi = inverse_mod(M, modulus)
-            f = compose(f, AffineMap(Mi, tuple(-c for c in mat_vec(Mi, st_.offset))))
+            f = compose(f, AffineMap(Mi, tuple(-c for c in mat_vec(Mi, v))))
     return f
 
 
@@ -63,7 +63,7 @@ def test_act_matches_oracle(family, data):
     mats, n = family
     aut = build_union(mats, n)
     d = aut.d
-    code = st.integers(-len(aut.states), len(aut.states) - 1)
+    code = st.integers(-len(aut.labels), len(aut.labels) - 1)
     w = GroupWord(aut, data.draw(st.lists(code, max_size=6)))
     letter = st.tuples(*[st.integers(0, n - 1)] * d)
     u = DigitWord(tuple(data.draw(st.lists(letter, max_size=12))), n, d)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -24,54 +23,59 @@ from adicaut import (
 from conftest import random_digit_word
 
 
+def tables(aut):
+    "The state tables (out, nxt) as given, rows[:N], as a list to corrupt."
+    return list(aut.rows[:len(aut.labels)])
+
+
 def test_doubling_tables(doubling3):
     aut = doubling3
-    assert [st.offset for st in aut.states] == [(-2,), (-1,), (0,), (1,)]
+    assert [v for _, v in aut.labels] == [(-2,), (-1,), (0,), (1,)]
     m0 = aut.state_id(0, (0,))
-    st = aut.states[m0]
+    out, nxt = aut.rows[m0]
     # 0 + 2*2 = 4 = 1 + 3*1: output letter 1, next state offset 1
-    assert st.out[2] == 1
-    assert aut.states[st.nxt[2]].offset == (1,)
+    assert out[2] == 1
+    assert aut.labels[nxt[2]][1] == (1,)
     # full tables, derived by hand from v + 2x = r + 3q
-    assert st.out == (0, 2, 1)
-    assert st.nxt == (2, 2, 3)
-    assert aut.states[0].out == (1, 0, 2)
-    assert aut.states[0].nxt == (1, 2, 2)
+    assert out == (0, 2, 1)
+    assert nxt == (2, 2, 3)
+    assert aut.rows[0][0] == (1, 0, 2)
+    assert aut.rows[0][1] == (1, 2, 2)
 
 
 def test_odometer_tables(odometer2):
     aut = odometer2
-    assert len(aut.states) == 2
-    dec, ident = aut.states[0], aut.states[1]
-    assert ident.offset == (0,)
+    assert len(aut.labels) == 2
+    (dec_out, dec_nxt), (ident_out, ident_nxt) = aut.rows[0], aut.rows[1]
+    assert aut.labels[1][1] == (0,)
     # identity state: copies the letter and stays put
-    assert ident.out == (0, 1) and ident.nxt == (1, 1)
+    assert ident_out == (0, 1) and ident_nxt == (1, 1)
     # decrement state: flips the letter, keeps borrowing on 0
-    assert dec.offset == (-1,)
-    assert dec.out == (1, 0) and dec.nxt == (0, 1)
+    assert aut.labels[0][1] == (-1,)
+    assert dec_out == (1, 0) and dec_nxt == (0, 1)
 
 
 def test_shear_state_count(shear2):
-    assert len(shear2.states) == 16
+    assert len(shear2.labels) == 16
 
 
 def test_union_single_matches_bound(doubling3):
     aut = build_union([[[2]]], 3)
-    assert aut == doubling3 or aut.states == doubling3.states
-    assert len(aut.states) == 4 == state_count_bound([[[2]]])
+    assert aut == doubling3 or (aut.labels, tables(aut)) == (doubling3.labels, tables(doubling3))
+    assert len(aut.labels) == 4 == state_count_bound([[[2]]])
 
 
 def test_union_disjoint_copies():
     aut = build_union([identity(1), identity(1)], 2)
-    assert len(aut.states) == 4
+    assert len(aut.labels) == 4
     assert aut.components == ((0, 2), (2, 4))
     # two separate copies, no cross-component arrows
     for sid in range(2):
-        assert all(t < 2 for t in aut.states[sid].nxt)
+        assert all(t < 2 for t in aut.rows[sid][1])
     for sid in range(2, 4):
-        assert all(t >= 2 for t in aut.states[sid].nxt)
+        assert all(t >= 2 for t in aut.rows[sid][1])
     with pytest.raises(ValueError, match="grouped by ascending matrix index"):
-        Automaton(aut.n, aut.d, aut.matrices, aut.states[::-1])
+        Automaton(aut.n, aut.d, aut.matrices, aut.labels[::-1], tables(aut)[::-1])
 
 
 def test_union_counts_d2():
@@ -82,8 +86,8 @@ def test_union_counts_d2():
     # each component lists its offset box in offset_box order
     for mi, M in enumerate(Ms):
         s, e = aut.component_range(mi)
-        assert [st.offset for st in aut.states[s:e]] == offset_box(matrix(M))
-    assert len(aut.states) == 72 <= state_count_bound(Ms) == 72
+        assert [v for _, v in aut.labels[s:e]] == offset_box(matrix(M))
+    assert len(aut.labels) == 72 <= state_count_bound(Ms) == 72
 
 
 def test_build_rejections():
@@ -120,51 +124,48 @@ def test_output_tables_are_permutations():
         if not coprime_to(M, n):
             continue
         aut = build_union([M], n)
-        for st in aut.states:
-            assert sorted(st.out) == list(range(aut.alphabet_size))
+        for out, _ in tables(aut):
+            assert sorted(out) == list(range(aut.alphabet_size))
 
 
 def test_well_definedness_pass(doubling3, shear2):
     for aut in (doubling3, shear2):
         rep = well_definedness_check(aut)
         assert rep.ok and not rep.failures
-        assert rep.checked == len(aut.states) * aut.alphabet_size
+        assert rep.checked == len(aut.labels) * aut.alphabet_size
 
 
 def test_well_definedness_range_example(doubling3):
     # state with offset 1 reading letter 2: v + Mx = 5, inside [-6, 5]
     sid = doubling3.state_id(0, (1,))
-    st = doubling3.states[sid]
-    assert st.offset[0] + 2 * 2 == 5
+    assert doubling3.labels[sid][1][0] + 2 * 2 == 5
     assert well_definedness_check(doubling3).ok
 
 
 def test_well_definedness_catches_corrupt_next(doubling3):
-    states = list(doubling3.states)
-    st = states[2]
-    bad = dataclasses.replace(st, nxt=(st.nxt[0], st.nxt[1], 0))
-    states[2] = bad
-    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states))
+    rows = tables(doubling3)
+    out, nxt = rows[2]
+    rows[2] = out, (nxt[0], nxt[1], 0)
+    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows)
     rep = well_definedness_check(corrupt)
     assert not rep.ok
     assert any(f.state == 2 and f.letter == 2 for f in rep.failures)
 
 
 def test_well_definedness_catches_corrupt_output(doubling3):
-    states = list(doubling3.states)
-    st = states[1]
-    bad = dataclasses.replace(st, out=(st.out[1], st.out[0], st.out[2]))
-    states[1] = bad
-    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states))
+    rows = tables(doubling3)
+    out, nxt = rows[1]
+    rows[1] = (out[1], out[0], out[2]), nxt
+    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows)
     rep = well_definedness_check(corrupt)
     assert not rep.ok
     assert {f.state for f in rep.failures} == {1}
 
 
 def test_well_definedness_catches_offset_outside_box(doubling3):
-    states = list(doubling3.states)
-    states[3] = dataclasses.replace(states[3], offset=(100,))
-    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states))
+    labels = list(doubling3.labels)
+    labels[3] = (labels[3][0], (100,))
+    corrupt = Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, tables(doubling3))
     rep = well_definedness_check(corrupt)
     assert not rep.ok
     assert any("outside" in f.reason for f in rep.failures)
@@ -174,25 +175,22 @@ def test_well_definedness_rejects_every_single_corruption(doubling3, shear2):
     union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
     rng = random.Random(20261018)
     for aut in (doubling3, shear2, union):
-        count, A = len(aut.states), aut.alphabet_size
+        count, A = len(aut.labels), aut.alphabet_size
         for kind in ("out", "nxt", "offset") * 20:
             sid, x = rng.randrange(count), rng.randrange(A)
-            st = aut.states[sid]
+            labels, rows = list(aut.labels), tables(aut)
+            out, nxt = map(list, rows[sid])
             if kind == "out":
-                out = list(st.out)
                 out[x] = rng.choice([y for y in range(A) if y != out[x]])
-                bad = dataclasses.replace(st, out=tuple(out))
             elif kind == "nxt":
-                nxt = list(st.nxt)
                 nxt[x] = rng.choice([t for t in range(count) if t != nxt[x]])
-                bad = dataclasses.replace(st, nxt=tuple(nxt))
             else:
-                v = list(st.offset)
+                mi, v = labels[sid]
+                v = list(v)
                 v[rng.randrange(aut.d)] += rng.choice([-1, 1]) * rng.randint(1, 5)
-                bad = dataclasses.replace(st, offset=tuple(v))
-            states = list(aut.states)
-            states[sid] = bad
-            rep = well_definedness_check(Automaton(aut.n, aut.d, aut.matrices, tuple(states)))
+                labels[sid] = mi, tuple(v)
+            rows[sid] = tuple(out), tuple(nxt)
+            rep = well_definedness_check(Automaton(aut.n, aut.d, aut.matrices, labels, rows))
             assert not rep.ok, (kind, sid, x)
             if kind == "offset":
                 # the box is full, so the new label is outside it or taken
@@ -201,17 +199,18 @@ def test_well_definedness_rejects_every_single_corruption(doubling3, shear2):
                 assert {(f.state, f.letter) for f in rep.failures} == {(sid, x)}, (kind, str(rep))
     # a next state in the other copy of the same matrix recomposes exactly
     twins = build_union([[[2]], [[2]]], 3)
-    states = list(twins.states)
-    states[1] = dataclasses.replace(states[1], nxt=(states[1].nxt[0] + 4,) + states[1].nxt[1:])
-    rep = well_definedness_check(Automaton(twins.n, twins.d, twins.matrices, tuple(states)))
+    rows = tables(twins)
+    out, nxt = rows[1]
+    rows[1] = out, (nxt[0] + 4,) + nxt[1:]
+    rep = well_definedness_check(Automaton(twins.n, twins.d, twins.matrices, twins.labels, rows))
     assert [(f.state, f.letter) for f in rep.failures] == [(1, 0)]
 
 
 def test_well_definedness_report_text(doubling3):
     assert str(well_definedness_check(doubling3)) == "well-defined: 12 transitions checked"
-    states = list(doubling3.states)
-    states[3] = dataclasses.replace(states[3], offset=(100,))
-    rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, tuple(states)))
+    labels = list(doubling3.labels)
+    labels[3] = (labels[3][0], (100,))
+    rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, tables(doubling3)))
     # the moved label also breaks the transitions into state 3; three failures are shown
     assert str(rep) == ("NOT well-defined (6 failures shown of 12 checked): "
                         "state 1 letter 2: recomposed (300,), expected v+Mx = (3,); "
@@ -222,10 +221,10 @@ def test_well_definedness_report_text(doubling3):
 def test_well_definedness_keeps_at_most_max_failures():
     # every out row rotated by one letter: each of a state's 9 transitions fails
     union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
-    states = tuple(dataclasses.replace(st, out=st.out[1:] + st.out[:1]) for st in union.states)
-    rep = well_definedness_check(Automaton(union.n, union.d, union.matrices, states))
+    rows = [(out[1:] + out[:1], nxt) for out, nxt in tables(union)]
+    rep = well_definedness_check(Automaton(union.n, union.d, union.matrices, union.labels, rows))
     assert not rep.ok and len(rep.failures) == 100
-    assert rep.checked == 12 * 9 < len(states) * union.alphabet_size
+    assert rep.checked == 12 * 9 < len(rows) * union.alphabet_size
     assert [(f.state, f.letter) for f in rep.failures[:3]] == [(0, 0), (0, 1), (0, 2)]
     assert str(rep).startswith("NOT well-defined (100 failures shown of 108 checked): state 0 letter 0: recomposed")
     assert str(rep).count("; ") == 2
@@ -371,19 +370,39 @@ def test_dot_export(odometer2):
 def test_dedup_merges_identical_components():
     aut = build_union([identity(1), identity(1)], 2)
     small = dedup(aut)
-    assert len(small.states) == 2
+    assert len(small.labels) == 2
     # same behavior on sample words
     rng = random.Random(22)
     for _ in range(50):
         u = random_digit_word(rng, 2, 1, 6)
         sid = rng.randrange(2)
-        w_big = GroupWord(aut, (aut.state_id(0, aut.states[sid].offset),))
-        w_small = GroupWord(small, (small.state_id(0, small.states[sid].offset),))
+        w_big = GroupWord(aut, (aut.state_id(0, aut.labels[sid][1]),))
+        w_small = GroupWord(small, (small.state_id(0, small.labels[sid][1]),))
         assert w_big.act(u) == w_small.act(u)
 
 
 def test_dedup_keeps_distinct_states(doubling3):
-    assert len(dedup(doubling3).states) == 4
+    assert len(dedup(doubling3).labels) == 4
+
+
+def test_labels_and_tables_must_match_in_length(doubling3):
+    labels, rows = doubling3.labels, tables(doubling3)
+    for bad_labels, bad_rows in ((labels, rows[:-1]), (labels[:-1], rows), (labels, rows + rows[:1])):
+        with pytest.raises(ValueError, match="labels but"):
+            Automaton(doubling3.n, doubling3.d, doubling3.matrices, bad_labels, bad_rows)
+
+
+def test_inverse_rows_do_not_change_codec_equality_or_dedup(shear2):
+    union = build_union([identity(1), identity(1)], 2)
+    for aut in (shear2, union):
+        fresh = from_json(to_json(aut))
+        js, merged = to_json(aut), dedup(aut)
+        for sid in range(len(aut.labels)):
+            aut.row(~sid)
+        assert None not in aut.rows and None in fresh.rows
+        assert aut == fresh == from_json(to_json(aut))
+        assert to_json(aut) == js
+        assert dedup(aut) == merged and to_json(dedup(aut)) == to_json(merged)
 
 
 def test_letter_codec(doubling3):

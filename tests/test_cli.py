@@ -26,7 +26,7 @@ def test_build_writes_automaton_and_stats(tmp_path, capsys):
     assert code == 0
     assert "states=4, bound=2^d*Σ||Mi||^d=4" in captured.out
     aut = from_json(out.read_text())
-    assert len(aut.states) == 4
+    assert len(aut.labels) == 4
 
 
 def test_build_to_stdout(tmp_path, capsys):
@@ -35,7 +35,7 @@ def test_build_to_stdout(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     aut = from_json(captured.out)
-    assert len(aut.states) == 2
+    assert len(aut.labels) == 2
     assert "states=2" in captured.err
 
 
@@ -82,7 +82,7 @@ def test_build_dedup(tmp_path, capsys):
     code = main(["build", "--matrices", mats, "--n", "2", "--dedup", "-o", str(out)])
     capsys.readouterr()
     assert code == 0
-    assert len(from_json(out.read_text()).states) == 2
+    assert len(from_json(out.read_text()).labels) == 2
 
 
 def test_act_translation(tmp_path, capsys):

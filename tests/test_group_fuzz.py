@@ -24,7 +24,7 @@ def unions(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(aut=unions(), data=st.data())
 def test_group_laws(aut, data):
-    code = st.integers(-len(aut.states), len(aut.states) - 1)
+    code = st.integers(-len(aut.labels), len(aut.labels) - 1)
     a, b, c = (GroupWord(aut, data.draw(st.lists(code, max_size=6))) for _ in range(3))
     letter = st.tuples(*[st.integers(0, aut.n - 1)] * aut.d)
     u = DigitWord(tuple(data.draw(st.lists(letter, max_size=10))), aut.n, aut.d)

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import product, repeat
+from operator import eq
 
 import pytest
 
@@ -34,13 +35,16 @@ def test_mod_div_rejects_small_base():
 
 
 def test_mod_div_round_trip_exhaustive():
-    # v = r + n*q with r in [0,n)^d, over the full box [-50,50]^d for d <= 3
+    # v = r + n*q with r in [0,n)^d, over the full box [-50,50]^d for d <= 3: every
+    # vector's split must be the coordinatewise one, found here by search, not division
+    side = range(-50, 51)
     for n in (2, 3, 5):
+        splits = [[(r, q) for r in range(n) for q in side if r + n * q == c] for c in side]
+        assert all(len(found) == 1 for found in splits)  # the range constraint makes (r, q) unique
+        rs, qs = zip(*(found for (found,) in splits))
         for d in (1, 2, 3):
-            for v in product(range(-50, 51), repeat=d):
-                r, q = mod_div(v, n)
-                assert all(0 <= c < n for c in r)
-                assert tuple(a + n * b for a, b in zip(r, q)) == v
+            expected = zip(product(rs, repeat=d), product(qs, repeat=d))
+            assert all(map(eq, map(mod_div, product(side, repeat=d), repeat(n)), expected))
 
 
 def test_row_sum_norm_examples():

@@ -39,6 +39,12 @@ def test_digit_word_validation():
         DigitWord(((2,),), 2, 1)  # digit out of range
     with pytest.raises(ValueError):
         DigitWord(((0, 1),), 2, 1)  # wrong dimension
+    bad = (2,)
+    for letters in (((1,), bad, bad), ((1,), (2,), (2,)),  # a repeated bad letter, shared or not
+                    (([0],),),  # an unhashable digit
+                    ((1,), (1.0,))):  # equal to a good letter, but not an int
+        with pytest.raises(ValueError, match="out of range"):
+            DigitWord(letters, 2, 1)
 
 
 def test_digit_word_parse_format():

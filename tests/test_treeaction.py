@@ -49,8 +49,8 @@ def test_act_single_state(doubling3):
 def test_act_matches_oracle_per_state(doubling3, shear2):
     rng = random.Random(31)
     for aut in (doubling3, shear2):
-        for sid, st in enumerate(aut.states):
-            f = AffineMap(aut.matrices[st.matrix_index], st.offset)
+        for sid, (mi, v) in enumerate(aut.labels):
+            f = AffineMap(aut.matrices[mi], v)
             for _ in range(25):
                 u = random_digit_word(rng, aut.n, aut.d, 8)
                 assert GroupWord(aut, (sid,)).act(u) == affine_apply_prefix(f, u)
@@ -341,7 +341,7 @@ def test_free_reduction_nested(doubling3):
 
 
 def test_factors_must_be_ints(doubling3):
-    N = len(doubling3.states)
+    N = len(doubling3.labels)
     for bad in (1.0, True, (0, 1), N, ~N, "0"):
         with pytest.raises(WordError):
             GroupWord(doubling3, [0, bad])
@@ -429,12 +429,12 @@ def reference_root_and_sections(aut, factors):
     for x in range(aut.alphabet_size):
         sec = []
         for sid, e in reversed(factors):
-            st = aut.states[sid]
+            out, nxt = aut.rows[sid]
             if e == -1:
-                x = st.out.index(x)
-            sec.append((st.nxt[x], e))
+                x = out.index(x)
+            sec.append((nxt[x], e))
             if e == 1:
-                x = st.out[x]
+                x = out[x]
         perm.append(x)
         sections.append(reference_reduce(reversed(sec)))
     return tuple(perm), sections
@@ -465,7 +465,7 @@ def agreement_words(rng, aut):
     """Mixed-sign words over a few states, and conjugates r w r^-1 of
     identities (a translation commutator, the relation m t_1 m^-1 = column
     word) and of translation powers t^(2^k), whose sections cancel deep down."""
-    nstates = len(aut.states)
+    nstates = len(aut.labels)
     pool = rng.sample(range(nstates), min(nstates, 3))
 
     def word(k):
@@ -516,14 +516,14 @@ def reference_act(aut, factors, u):
     for sid, e in reversed(factors):
         cur = sid
         for i, y in enumerate(seq):
-            st = aut.states[cur]
+            out, nxt = aut.rows[cur]
             if e == 1:
-                seq[i] = st.out[y]
-                cur = st.nxt[y]
+                seq[i] = out[y]
+                cur = nxt[y]
             else:
-                x = st.out.index(y)
+                x = out.index(y)
                 seq[i] = x
-                cur = st.nxt[x]
+                cur = nxt[x]
     return DigitWord(tuple(aut.letter_digits(i) for i in seq), u.base, u.dim)
 
 
@@ -545,13 +545,13 @@ def word_map(aut, w):
     from adicaut import compose, mat_vec
     f = AffineMap(identity(aut.d), (0,) * aut.d)
     for sid, e in pairs(w):
-        st = aut.states[sid]
-        M = aut.matrices[st.matrix_index]
+        mi, v = aut.labels[sid]
+        M = aut.matrices[mi]
         if e == 1:
-            f = compose(f, AffineMap(M, st.offset))
+            f = compose(f, AffineMap(M, v))
         else:
             Mi = inverse_unimodular(M)
-            f = compose(f, AffineMap(Mi, tuple(-c for c in mat_vec(Mi, st.offset))))
+            f = compose(f, AffineMap(Mi, tuple(-c for c in mat_vec(Mi, v))))
     return f
 
 
@@ -583,10 +583,9 @@ def test_act_with_shrinking_sections():
 
 
 def test_inverting_a_non_permutation_state_raises():
-    from adicaut import Automaton, AutomatonState
+    from adicaut import Automaton
     # state 0 writes 0 on both letters: fine forwards, no inverse
-    aut = Automaton(2, 1, [((1,),)], [AutomatonState(0, (0,), (0, 0), (0, 0)),
-                                      AutomatonState(0, (-1,), (1, 0), (1, 0))])
+    aut = Automaton(2, 1, [((1,),)], [(0, (0,)), (0, (-1,))], [((0, 0), (0, 0)), ((1, 0), (1, 0))])
     u = DigitWord.parse("1 0", 2, 1)
     assert GroupWord(aut, (0,)).act(u).format() == "0 0"
     assert decide_identity(GroupWord(aut, (0,))) == (False, 1)
