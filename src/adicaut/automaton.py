@@ -204,7 +204,7 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
 @dataclass(frozen=True)
 class CheckFailure:
     state: int
-    letter: int | None  # None when the state's label itself is bad
+    letter: int | None  # None when the state's label or the length of its row is bad
     reason: str
 
 
@@ -230,9 +230,10 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     independently of build_union: for a state with offset v in the component
     of M, digit_i(out[x]) + n*offset_i(nxt[x]) must equal v_i + (M*x)_i for
     every coordinate i and letter x, compared a whole row at a time.  Offsets
-    must lie in the offset box and label their own state, next states in
-    their own component.  Only failing rows are walked letter by letter; at
-    most MAX_FAILURES failures are kept.  Not for deduplicated automata."""
+    must lie in the offset box and label their own state, rows have one entry
+    per letter, next states lie in their own component.  Only failing rows are
+    walked letter by letter; at most MAX_FAILURES failures are kept.  Not for
+    deduplicated automata."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
     labels, rows = aut.labels, aut.rows  # rows[sid] for sid >= 0 are the tables as given; row() is never called
     letters = [aut.letter_digits(y) for y in range(A)]
@@ -251,17 +252,21 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
             checked += A
             if not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
                 failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
-            if (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
+            if len(out) != A or len(nxt) != A:
+                failures += [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
+                             for name, t in (("out", out), ("next", nxt)) if len(t) != A]
+            elif (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
                     and all(list(map(add, map(digit[i].__getitem__, out), map(n_offset[i].__getitem__, nxt)))
                             == expected[i].get(v[i]) for i in range(d))):
                 continue
-            for x, (y, t) in enumerate(zip(out, nxt)):
-                if not (0 <= y < A and start <= t < end):
-                    failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
-                    continue
-                got = tuple(a + n * b for a, b in zip(letters[y], labels[t][1]))
-                if got != vec_add(v, mxs[x]):
-                    failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {vec_add(v, mxs[x])}"))
+            else:
+                for x, (y, t) in enumerate(zip(out, nxt)):
+                    if not (0 <= y < A and start <= t < end):
+                        failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
+                        continue
+                    got = tuple(a + n * b for a, b in zip(letters[y], labels[t][1]))
+                    if got != vec_add(v, mxs[x]):
+                        failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {vec_add(v, mxs[x])}"))
             if len(failures) >= MAX_FAILURES:
                 return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
     return WellDefinednessReport(not failures, checked, failures)

@@ -19,10 +19,9 @@ pathological blowup and is reported, never treated as an answer).
 
 `act`, the sections and the closure all read the automaton's one signed
 table, `rows[c]` = (letter map, row of next codes), and have `row` build an
-inverse entry they find missing.  `act` reads a letter at a time, reducing each
-section as it builds it; the closure moves all letters at once by one
-`itemgetter` gather per code and table, transposes the section columns with
-`zip`, and reduces a section only when neighbours cancel.
+inverse entry they find missing.  Both walk a word one letter at a time and
+freely reduce each section on a stack as they build it; the closure keeps its
+words rightmost code first, the order the letters walk them in.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from operator import add, itemgetter
+from operator import add
 
 from .automaton import Automaton
 from .linalg import format_letter
@@ -150,11 +149,8 @@ class GroupWord:
         """The permutation this word induces on first letters, and the reduced
         word acting below each letter (dense-indexed).  Every section has at
         most as many factors as this word."""
-        aut = self.aut
-        if not self.codes:
-            return tuple(range(aut.alphabet_size)), [self] * aut.alphabet_size
-        perm, sections = _root_and_sections(aut, self.codes)
-        return perm, [_word(aut, _cancel(s)) for s in sections]
+        perm, sections = _sections(self.aut, self.codes[::-1])
+        return perm, [_word(self.aut, s[::-1]) for s in sections]
 
     def is_identity(self, budget: int = DEFAULT_NODE_BUDGET) -> bool:
         """Decide whether this word acts trivially on every digit word, by
@@ -177,19 +173,26 @@ def _cancel(codes):
     return tuple(out)
 
 
-def _root_and_sections(aut, node):
-    """Root permutation of a nonempty code tuple and its unreduced sections, one per
-    letter: one gather of the current letters per factor and table moves them all."""
+def _sections(aut, word):
+    """Root permutation of a code tuple given rightmost code first, and its
+    freely reduced sections, one per letter and each rightmost code first:
+    every letter walks the word's rows while a stack reduces its section."""
     rows, build = aut.rows, aut.row
-    xs, column = rows[node[-1]] or build(node[-1])
-    columns = [column]
-    for c in node[-2::-1]:
-        letter_map, row = rows[c] or build(c)
-        gather = itemgetter(*xs)  # a tuple, as the alphabet has at least 2 letters
-        columns.append(gather(row))
-        xs = gather(letter_map)
-    columns.reverse()
-    return xs, zip(*columns)
+    steps = [rows[c] or build(c) for c in word]
+    perm, sections = [], []
+    for x in range(aut.alphabet_size):
+        section, top = [], None
+        for letter_map, row in steps:
+            c, x = row[x], letter_map[x]
+            if top == ~c:
+                section.pop()
+                top = section[-1] if section else None
+            else:
+                section.append(c)
+                top = c
+        perm.append(x)
+        sections.append(tuple(section))
+    return tuple(perm), sections
 
 
 def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
@@ -199,17 +202,14 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     visited, and ValueError for a budget below 1."""
     if budget < 1:
         raise ValueError(f"the node budget must be at least 1, got {budget}")
-    if not w.codes:
-        return True, 1
     idperm = tuple(range(w.aut.alphabet_size))
-    queue = deque([w.codes])
+    queue = deque([w.codes[::-1]])  # words rightmost code first, as _sections takes and gives them
     visited = set(queue)
     while queue:
-        perm, sections = _root_and_sections(w.aut, queue.popleft())
+        perm, sections = _sections(w.aut, queue.popleft())
         if perm != idperm:
             return False, len(visited)
-        for s in dict.fromkeys(sections):
-            s = _cancel(s)
+        for s in sections:
             if s and s not in visited:
                 if len(visited) >= budget:
                     raise BudgetExceededError(len(visited))

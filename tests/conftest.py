@@ -1,6 +1,6 @@
 import pytest
 
-from adicaut import DigitWord, GroupWord, build_union
+from adicaut import AffineMap, DigitWord, GroupWord, build_union, compose, identity, inverse_unimodular, mat_vec
 
 
 def random_matrix(rng, d, bound=3):
@@ -25,6 +25,21 @@ def random_code(rng, sids):
 def random_group_word(rng, aut, max_len, min_len=0):
     k = rng.randint(min_len, max_len)
     return GroupWord(aut, [random_code(rng, range(len(aut.labels))) for _ in range(k)])
+
+
+def affine_map(w):
+    """The composed affine map of a word over a unimodular union, its leftmost
+    factor applied last; an inverse factor is (M^-1, -M^-1 v)."""
+    aut = w.aut
+    f = AffineMap(identity(aut.d), (0,) * aut.d)
+    for c in w.codes:
+        mi, v = aut.labels[c if c >= 0 else ~c]
+        M = aut.matrices[mi]
+        if c < 0:
+            M = inverse_unimodular(M)
+            v = tuple(-x for x in mat_vec(M, v))
+        f = compose(f, AffineMap(M, v))
+    return f
 
 
 @pytest.fixture

@@ -230,6 +230,22 @@ def test_well_definedness_keeps_at_most_max_failures():
     assert str(rep).count("; ") == 2
 
 
+def test_well_definedness_rejects_rows_of_the_wrong_length(doubling3):
+    # rows cut to 2 of the 3 letters used to pass, as the letter walk saw only
+    # the 2 correct letters; rows padded to 4 letters raised IndexError
+    def check(rows):
+        rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows))
+        assert not rep.ok and rep.checked == 12
+        return [(f.state, f.letter, f.reason) for f in rep.failures]
+    for k, rows in ((2, [(out[:2], nxt[:2]) for out, nxt in tables(doubling3)]),
+                    (4, [(out + (0,), nxt + (0,)) for out, nxt in tables(doubling3)])):
+        assert check(rows) == [(sid, None, f"{name} has {k} entries, expected 3")
+                               for sid in range(4) for name in ("out", "next")]
+    rows = tables(doubling3)
+    rows[2] = rows[2][0], rows[2][1][:2]
+    assert check(rows) == [(2, None, "next has 2 entries, expected 3")]
+
+
 def test_to_json_digests_pinned():
     import hashlib
     from adicaut import block_extend, sanov_pair

@@ -331,3 +331,20 @@ def test_relations_prints_every_row_after_budget_exhaustion(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 4
     assert [l.split()[2] for l in lines] == ["PASS", "BUDGET-EXCEEDED", "BUDGET-EXCEEDED", "PASS"]
+
+
+def test_wp_json_stdout_pinned_on_the_sanov_union(tmp_path, capsys):
+    # d=3 Sanov union (432 states, 8 letters); the visited counts are the
+    # closure sizes, so any change to the section order or reduction shows here
+    from adicaut import block_extend, identity, sanov_pair
+    aut = write_automaton(tmp_path, build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2))
+    conj = "m[0]:(0,0,0) m[1]:(0,0,0) m[0]:(0,0,0) m[1]:(0,0,0) t[{j}] m[1]:(0,0,0)^-1 m[0]:(0,0,0)^-1 " \
+           "m[1]:(0,0,0)^-1 m[0]:(0,0,0)^-1"
+    ladder = conj.format(j=2) + " t[3]^-12 t[2]^-29"  # (m0 m1)^2 t[2] (m0 m1)^-2 = t[2]^29 t[3]^12
+    deep = conj.format(j=1) + " t[1]^-1 t[1]^16"
+    for word, budget, code, stdout in (
+            (ladder, [], 0, '{"result": "IDENTITY", "visited": 195}\n'),
+            (deep, [], 0, '{"result": "NONTRIVIAL", "visited": 219}\n'),
+            (ladder, ["--budget", "97"], 4, '{"result": "BUDGET-EXCEEDED", "visited": 97}\n')):
+        assert main(["wp", "--automaton", aut, "--word", word, "--json", *budget]) == code
+        assert capsys.readouterr().out == stdout

@@ -23,7 +23,7 @@ from adicaut import (
     verify_relation,
 )
 
-from conftest import random_code, random_digit_word, random_group_word
+from conftest import affine_map, random_code, random_digit_word, random_group_word
 
 
 # --- action ---------------------------------------------------------------
@@ -540,21 +540,6 @@ def test_act_agrees_with_per_letter_reference(doubling3, shear2):
             assert (~w).act(w.act(u)) == u
 
 
-def word_map(aut, w):
-    "The composed affine map of a word over a unimodular union, rightmost factor acting first."
-    from adicaut import compose, mat_vec
-    f = AffineMap(identity(aut.d), (0,) * aut.d)
-    for sid, e in pairs(w):
-        mi, v = aut.labels[sid]
-        M = aut.matrices[mi]
-        if e == 1:
-            f = compose(f, AffineMap(M, v))
-        else:
-            Mi = inverse_unimodular(M)
-            f = compose(f, AffineMap(Mi, tuple(-c for c in mat_vec(Mi, v))))
-    return f
-
-
 def test_act_with_shrinking_sections():
     # the sections of t[j]^k shrink about n-fold per letter and reach the identity
     # once the carry dies out; every image must still match the sweep and the oracle
@@ -571,7 +556,7 @@ def test_act_with_shrinking_sections():
                 u = random_digit_word(rng, aut.n, aut.d, 256, min_len=64)
                 image = w.act(u)
                 assert image == reference_act(aut, pairs(w), u)
-                assert image == affine_apply_prefix(word_map(aut, w), u)
+                assert image == affine_apply_prefix(affine_map(w), u)
                 assert w.act(DigitWord((), aut.n, aut.d)) == DigitWord((), aut.n, aut.d)
             if k > 0:
                 # on the zero word the section is the identity after about log_n k letters
