@@ -47,7 +47,6 @@ from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
     GroupWord,
-    RelationReport,
     WordError,
     conjugacy_search_bounded,
     decide_identity,
@@ -55,7 +54,6 @@ from .treeaction import (
     parse_word,
     reduced_words,
     translation_word,
-    verify_relation,
 )
 from .constructions import (
     Presentation,
@@ -64,6 +62,7 @@ from .constructions import (
     presentation_for,
     relator_check,
     sanov_pair,
+    verify_relation,
     word_matrix,
 )
 

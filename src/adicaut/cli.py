@@ -26,6 +26,7 @@ import sys
 
 from . import automaton as am
 from . import treeaction as ta
+from .constructions import verify_relation
 from .linalg import matrix_from_lists
 from .nadic import AffineMap, DigitWord, affine_apply_prefix
 
@@ -123,21 +124,15 @@ def _cmd_relations(args) -> int:
     budget = _budget(args)
     mats = _load_matrices(args.matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    exhausted = failed = False
+    outcomes = set()
     for mi in range(len(aut.matrices)):
         for axis in range(1, aut.d + 1):
-            try:
-                rep = ta.verify_relation(aut, mi, axis, budget=budget)
-            except ta.BudgetExceededError as e:
-                _emit(args, f"M[{mi}] j={axis} BUDGET-EXCEEDED visited={e.visited}",
-                      {"matrix": mi, "axis": axis, "result": "BUDGET-EXCEEDED", "visited": e.visited})
-                exhausted = True
-                continue
-            _emit(args, str(rep),
-                  {"matrix": mi, "axis": axis, "result": "PASS" if rep.ok else "FAIL",
-                   "visited": rep.visited})
-            failed = failed or not rep.ok
-    return 4 if exhausted else 5 if failed else 0
+            r = verify_relation(aut, mi, axis, budget)
+            result = r.outcome.upper()
+            _emit(args, f"M[{mi}] j={axis} {result} visited={r.visited}",
+                  {"matrix": mi, "axis": axis, "result": result, "visited": r.visited})
+            outcomes.add(r.outcome)
+    return 4 if "budget-exceeded" in outcomes else 5 if "fail" in outcomes else 0
 
 
 def _cmd_verify(args) -> int:

@@ -8,11 +8,16 @@ raised to the j-th column entries of its matrix.  When every matrix is
 invertible over the integers these are defining relators of a semidirect
 product; otherwise the same relators present an ascending HNN extension and
 the emitted presentation is tagged as one-sided.
+
+`relator_check` is the one relation checker: it turns each relator into a
+word over the automaton states and decides it by the word problem, reporting
+budget exhaustion as an outcome.  `verify_relation` is one of its column
+rows, the check that `adicaut relations` prints for each (matrix, axis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automaton import Automaton
 from .linalg import Matrix, block_diag, is_unimodular, mat_mul, matrix, identity, inverse_unimodular
@@ -132,49 +137,63 @@ class RelatorResult:
     outcome: str  # "pass" | "fail" | "budget-exceeded"
     visited: int
 
+    @property
+    def ok(self) -> bool:
+        return self.outcome == "pass"
+
 
 @dataclass
 class RelatorCheckReport:
     ok: bool
     results: list
 
-    def __str__(self):
-        lines = [f"{r.relator}: {r.outcome.upper()} visited={r.visited}" for r in self.results]
-        return "\n".join(lines)
-
 
 def relator_check(aut: Automaton, pres: Presentation,
                   budget: int = DEFAULT_NODE_BUDGET) -> RelatorCheckReport:
-    """Rewrite every relator into a word over the automaton states (a_j as
-    the axis-j translation from component 0, t_k as the zero-offset state of
-    component k) and decide it through the word problem.  Budget exhaustion
-    is recorded per relator instead of aborting the report."""
+    """Rewrite every relator into a word over the automaton states and decide
+    it through the word problem.  t_k is the zero-offset state of component
+    k; a_j is the axis-j translation of the component of the relator's first
+    stable letter (component 0 when it has none, as in the commutators).
+    Budget exhaustion is recorded per relator as the outcome
+    "budget-exceeded" instead of aborting the report."""
     d = aut.d
     if len(pres.abelian_generators) != d:
         raise ValueError(f"presentation has {len(pres.abelian_generators)} translation generators, automaton dimension is {d}")
     if len(pres.stable_generators) != len(aut.matrices):
         raise ValueError(f"presentation has {len(pres.stable_generators)} stable letters, automaton has {len(aut.matrices)} components")
-    words = {}
-    for j, name in enumerate(pres.abelian_generators, start=1):
-        words[name] = translation_word(aut, 0, j)
-    for k, name in enumerate(pres.stable_generators):
-        words[name] = GroupWord(aut, (aut.state_id(k, (0,) * d),))
+    axes = {name: j for j, name in enumerate(pres.abelian_generators, start=1)}
+    stable = {name: k for k, name in enumerate(pres.stable_generators)}
 
     results = []
-    ok = True
     for relator in pres.relators:
+        k = next((stable[name] for name, _ in relator if name in stable), 0)
         w = GroupWord(aut)
         for name, e in relator:
-            if name not in words:
+            if name in stable:
+                g = GroupWord(aut, (aut.state_id(stable[name], (0,) * d),))
+            elif name in axes:
+                g = translation_word(aut, k, axes[name])
+            else:
                 raise ValueError(f"relator uses unknown generator {name!r}")
-            w = w * words[name] ** e
+            w = w * g ** e
         text = Presentation.format_relator(relator)
         try:
             answer, visited = decide_identity(w, budget)
         except BudgetExceededError as e:
             results.append(RelatorResult(text, "budget-exceeded", e.visited))
-            ok = False
             continue
         results.append(RelatorResult(text, "pass" if answer else "fail", visited))
-        ok = ok and answer
-    return RelatorCheckReport(ok, results)
+    return RelatorCheckReport(all(r.ok for r in results), results)
+
+
+def verify_relation(aut: Automaton, matrix_index: int, axis: int,
+                    budget: int = DEFAULT_NODE_BUDGET) -> RelatorResult:
+    """The column relator t_k a_j t_k^-1 = a_1^{M_k[1][j]} ... a_d^{M_k[d][j]}
+    of `presentation_for(aut.matrices)` for k = `matrix_index` and j = `axis`
+    (1-based), checked by `relator_check`: its `outcome` is "pass", "fail" or
+    "budget-exceeded"."""
+    translation_word(aut, matrix_index, axis)  # rejects a component or an axis out of range
+    pres = presentation_for(aut.matrices)
+    # presentation_for lists the d(d-1)/2 commutators, then d column relators per matrix
+    column = pres.relators[aut.d * (aut.d - 1) // 2 + matrix_index * aut.d + axis - 1]
+    return relator_check(aut, replace(pres, relators=(column,)), budget).results[0]

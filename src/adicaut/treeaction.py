@@ -22,13 +22,16 @@ table, `rows[c]` = (letter map, row of next codes), and have `row` build an
 inverse entry they find missing.  Both walk a word one letter at a time and
 freely reduce each section on a stack as they build it; the closure keeps its
 words rightmost code first, the order the letters walk them in.
+
+`translation_word` builds the axis translations `t[j]@i` that `parse_word`
+reads; the relators of a presentation are built from them and decided in
+`constructions`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from itertools import groupby
 from operator import add
 
@@ -228,6 +231,8 @@ def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> Gr
     acts on digit words as +1 on coordinate `axis` (1-based), carries
     included.  Both states exist in every component."""
     d = aut.d
+    if not 0 <= matrix_index < len(aut.matrices):
+        raise WordError(f"no component {matrix_index} in this automaton")
     if not 1 <= axis <= d:
         raise WordError(f"axis {axis} out of range 1..{d}")
     zero = (0,) * d
@@ -240,39 +245,6 @@ def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> Gr
             f"component {matrix_index} has no states {zero} / {neg}; "
             f"is this a deduplicated automaton?") from None
     return _word(aut, (a, ~b))  # distinct states, so already reduced
-
-
-@dataclass
-class RelationReport:
-    matrix_index: int
-    axis: int
-    ok: bool
-    visited: int
-    lhs: GroupWord
-    rhs: GroupWord
-
-    def __str__(self):
-        status = "PASS" if self.ok else "FAIL"
-        return f"M[{self.matrix_index}] j={self.axis} {status} visited={self.visited}"
-
-
-def verify_relation(aut: Automaton, matrix_index: int, axis: int,
-                    budget: int = DEFAULT_NODE_BUDGET) -> RelationReport:
-    """Check that conjugating the axis translation by the matrix state m_0
-    equals the product of axis translations with exponents from the matrix
-    column: m_0 t_j m_0^-1 = t_1^{M[1][j]} * ... * t_d^{M[d][j]}.
-    Exponents are expanded into repeated factors; the decision runs through
-    the word-problem closure, whose budget exhaustion propagates."""
-    M = aut.matrices[matrix_index]
-    tau = translation_word(aut, matrix_index, axis)  # rejects an axis outside 1..d
-    m0 = GroupWord(aut, (aut.state_id(matrix_index, (0,) * aut.d),))
-    lhs = m0 * tau * ~m0
-    rhs = GroupWord(aut)
-    for i, row in enumerate(M, start=1):
-        if row[axis - 1]:
-            rhs = rhs * translation_word(aut, matrix_index, i) ** row[axis - 1]
-    ok, visited = decide_identity(lhs * ~rhs, budget)
-    return RelationReport(matrix_index, axis, ok, visited, lhs, rhs)
 
 
 def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
@@ -339,8 +311,6 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
                 raise WordError(f"cannot parse word token {tok!r}")
             axis = int(m.group(1))
             comp = int(m.group(2)) if m.group(2) else 0
-            if comp >= len(aut.matrices):
-                raise WordError(f"no component {comp} in this automaton")
             base = translation_word(aut, comp, axis)
         codes += (base ** (int(m.group(3)) if m.group(3) else 1)).codes
     return _word(aut, _cancel(tuple(codes)))

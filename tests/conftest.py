@@ -1,6 +1,7 @@
 import pytest
 
-from adicaut import AffineMap, DigitWord, GroupWord, build_union, compose, identity, inverse_unimodular, mat_vec
+from adicaut import (AffineMap, DigitWord, GroupWord, build_union, compose, identity, inverse_unimodular, mat_vec,
+                     translation_word)
 
 
 def random_matrix(rng, d, bound=3):
@@ -40,6 +41,16 @@ def affine_map(w):
             v = tuple(-x for x in mat_vec(M, v))
         f = compose(f, AffineMap(M, v))
     return f
+
+
+def column_sides(aut, mi, axis):
+    """The two sides of the column relation of matrix `mi` at `axis`, from
+    component mi's translations: m0 t_j m0^-1 and t_1^{M_1j} ... t_d^{M_dj}."""
+    m0 = GroupWord(aut, (aut.state_id(mi, (0,) * aut.d),))
+    rhs = GroupWord(aut)
+    for i, row in enumerate(aut.matrices[mi], start=1):
+        rhs = rhs * translation_word(aut, mi, i) ** row[axis - 1]
+    return m0 * translation_word(aut, mi, axis) * ~m0, rhs
 
 
 @pytest.fixture

@@ -333,6 +333,23 @@ def test_relations_prints_every_row_after_budget_exhaustion(tmp_path, capsys):
     assert [l.split()[2] for l in lines] == ["PASS", "BUDGET-EXCEEDED", "BUDGET-EXCEEDED", "PASS"]
 
 
+def test_relations_stdout_pinned_on_the_sanov_union(tmp_path, capsys):
+    # d=3 Sanov union with n=2: every column row, unbounded and with a budget that exhausts five of them
+    from adicaut import block_extend, identity, sanov_pair
+    mats = write_matrices(tmp_path, [list(map(list, M)) for M in block_extend([identity(1)] * 2, list(sanov_pair()))])
+    cells = [(mi, j) for mi in (0, 1) for j in (1, 2, 3)]
+    for budget, code, rows in (
+            ([], 0, [("PASS", v) for v in (7, 4, 3, 7, 5, 4)]),
+            (["--budget", "3"], 4, [("BUDGET-EXCEEDED", 3)] * 2 + [("PASS", 3)] + [("BUDGET-EXCEEDED", 3)] * 3)):
+        assert main(["relations", "--matrices", mats, "--n", "2", *budget]) == code
+        assert capsys.readouterr().out == "".join(
+            f"M[{mi}] j={j} {result} visited={v}\n" for (mi, j), (result, v) in zip(cells, rows))
+        assert main(["relations", "--matrices", mats, "--n", "2", "--json", *budget]) == code
+        assert capsys.readouterr().out == "".join(
+            f'{{"axis": {j}, "matrix": {mi}, "result": "{result}", "visited": {v}}}\n'
+            for (mi, j), (result, v) in zip(cells, rows))
+
+
 def test_wp_json_stdout_pinned_on_the_sanov_union(tmp_path, capsys):
     # d=3 Sanov union (432 states, 8 letters); the visited counts are the
     # closure sizes, so any change to the section order or reduction shows here

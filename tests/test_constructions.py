@@ -7,6 +7,7 @@ from adicaut import (
     block_diag,
     block_extend,
     build_union,
+    decide_identity,
     det,
     identity,
     inverse_unimodular,
@@ -16,8 +17,11 @@ from adicaut import (
     relator_check,
     row_sum_norm,
     sanov_pair,
+    verify_relation,
     word_matrix,
 )
+
+from conftest import column_sides
 
 
 def test_block_extend_sanov_to_d6():
@@ -169,3 +173,35 @@ def test_relator_check_unknown_generator():
     pres = Presentation(("a1",), ("t",), ((("t", 1), ("b", 1)),), False)
     with pytest.raises(ValueError, match="relator uses unknown generator 'b'"):
         relator_check(aut, pres)
+
+
+@pytest.mark.parametrize("Ms, n", [
+    ([[[2]]], 3),
+    ([[[1, 1], [0, 1]]], 2),
+    (block_extend([identity(1)] * 2, list(sanov_pair())), 2),
+    (block_extend([identity(1)] * 2, list(sanov_pair())), 3),
+    (block_extend([identity(2)] * 2, list(sanov_pair())), 2),
+    (block_extend([identity(2)] * 2, list(sanov_pair())), 3),
+], ids=["doubling-n3", "shear-n2", "sanov-d3-n2", "sanov-d3-n3", "sanov-d4-n2", "sanov-d4-n3"])
+def test_relator_check_columns_are_verify_relation_rows(Ms, n):
+    # each stable letter's column relators read its own component's translations
+    aut = build_union(Ms, n)
+    d = aut.d
+    cells = [(mi, axis) for mi in range(len(Ms)) for axis in range(1, d + 1)]
+    for budget in (10 ** 6, 3):  # with 3, exhaustion is an outcome on both sides
+        rep = relator_check(aut, presentation_for(aut.matrices), budget)
+        rows = [verify_relation(aut, mi, axis, budget) for mi, axis in cells]
+        assert [(r.outcome, r.visited) for r in rep.results[d * (d - 1) // 2:]] == [
+            (r.outcome, r.visited) for r in rows]
+    for (mi, axis), r in zip(cells, rows):
+        assert r.ok == (r.outcome == "pass")
+        lhs, rhs = column_sides(aut, mi, axis)
+        assert decide_identity(lhs * ~rhs) == (True, verify_relation(aut, mi, axis).visited)
+
+
+def test_relator_check_visited_on_the_d3_sanov_union():
+    aut = build_union(block_extend([identity(1)] * 2, list(sanov_pair())), 2)
+    rep = relator_check(aut, presentation_for(aut.matrices))
+    assert rep.ok
+    assert [r.visited for r in rep.results] == [6, 5, 5, 7, 4, 3, 7, 5, 4]
+    assert verify_relation(aut, 1, 2).relator == "t2 a2 t2^-1 a3^-2 a2^-1"

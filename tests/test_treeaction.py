@@ -23,7 +23,7 @@ from adicaut import (
     verify_relation,
 )
 
-from conftest import affine_map, random_code, random_digit_word, random_group_word
+from conftest import affine_map, column_sides, random_code, random_digit_word, random_group_word
 
 
 # --- action ---------------------------------------------------------------
@@ -214,17 +214,20 @@ def test_verify_relation_shear():
         rep = verify_relation(aut, 0, axis)
         assert rep.ok
     # second column (1,1): conjugation turns t2 into t1*t2
-    rhs = verify_relation(aut, 0, 2).rhs
+    lhs, rhs = column_sides(aut, 0, 2)
     t1 = translation_word(aut, 0, 1)
     t2 = translation_word(aut, 0, 2)
     assert equal(rhs, t1 * t2)
+    assert equal(lhs, rhs)
 
 
 def test_verify_relation_doubling(doubling3):
     rep = verify_relation(doubling3, 0, 1)
     assert rep.ok
+    lhs, rhs = column_sides(doubling3, 0, 1)
     tau = translation_word(doubling3, 0, 1)
-    assert equal(rep.rhs, tau * tau)
+    assert equal(rhs, tau * tau)
+    assert equal(lhs, rhs)
 
 
 def test_verify_relation_identity_matrix():
@@ -243,6 +246,16 @@ def test_verify_relation_inverse_side():
         for i, row in enumerate(inverse_unimodular(M), start=1):
             rhs = rhs * translation_word(aut, 0, i) ** row[axis - 1]
         assert decide_identity(~m0 * translation_word(aut, 0, axis) * m0 * ~rhs) == (True, visited)
+
+
+def test_component_out_of_range_is_a_word_error():
+    aut = build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3)
+    for mi in (2, 3, 5, -1):
+        for call in (lambda: translation_word(aut, mi, 1), lambda: verify_relation(aut, mi, 1)):
+            with pytest.raises(WordError, match=f"^no component {mi} in this automaton$"):
+                call()
+    with pytest.raises(WordError, match="^no component 2 in this automaton$"):
+        parse_word(aut, "t[1]@2")
 
 
 def test_verify_relation_union_components():
@@ -471,14 +484,14 @@ def agreement_words(rng, aut):
     def word(k):
         return GroupWord(aut, [random_code(rng, pool) for _ in range(k)])
     t = [translation_word(aut, 0, j) for j in range(1, aut.d + 1)]
-    relation = verify_relation(aut, 0, 1)
+    lhs, rhs = column_sides(aut, 0, 1)
     words = [word(rng.randint(1, 8)) for _ in range(3)]
     for _ in range(4):
         r = word(rng.randint(1, 3))
-        a, b = rng.sample(t, 2) if aut.d > 1 else (t[0], relation.lhs * ~relation.rhs)
+        a, b = rng.sample(t, 2) if aut.d > 1 else (t[0], lhs * ~rhs)
         ka, kb = rng.randint(1, 3), rng.randint(1, 2)
         words.append(r * a ** ka * b ** kb * ~a ** ka * ~b ** kb * ~r)
-        words.append(r * relation.lhs * ~relation.rhs * ~r)
+        words.append(r * lhs * ~rhs * ~r)
         words.append(r * rng.choice(t) ** (2 ** rng.randint(1, 4)) * ~r)
     return words
 
