@@ -38,6 +38,7 @@ from .automaton import (
     build_union,
     dedup,
     from_json,
+    read_matrices,
     state_count_bound,
     to_dot,
     to_json,

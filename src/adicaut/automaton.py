@@ -289,14 +289,37 @@ def to_json(aut: Automaton) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def from_json(text: str) -> Automaton:
-    "Parse and validate the schema written by to_json; round-trips exactly."
+def _loads(text: str):
+    "json.loads, with every way the text can fail to decode raised as a FormatError."
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # an int literal past the digit limit, nesting past the recursion limit
         raise FormatError(f"invalid JSON: {e}") from None
+
+
+def _matrices(value) -> tuple:
+    "A nonempty list of row-major matrices; an entry's error names its index."
+    if not isinstance(value, list) or not value:
+        raise FormatError("matrices must be a nonempty list")
+    mats = []
+    for i, m in enumerate(value):
+        try:
+            mats.append(matrix_from_lists(m))
+        except (ValueError, TypeError) as e:
+            raise FormatError(f"matrices[{i}]: {e}") from None
+    return tuple(mats)
+
+
+def read_matrices(text: str) -> tuple:
+    "Parse a matrix file: a nonempty JSON list of square integer matrices, row-major."
+    return _matrices(_loads(text))
+
+
+def from_json(text: str) -> Automaton:
+    "Parse and validate the schema written by to_json; round-trips exactly."
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
     for key in ("n", "d", "matrices", "states"):
@@ -307,15 +330,10 @@ def from_json(text: str) -> Automaton:
         raise FormatError(f"n must be an integer >= 2, got {obj['n']!r}")
     if type(d) is not int or d < 1:
         raise FormatError(f"d must be an integer >= 1, got {obj['d']!r}")
-    try:
-        mats = tuple(matrix_from_lists(m) for m in obj["matrices"])
-    except (ValueError, TypeError) as e:
-        raise FormatError(f"matrices: {e}") from None
+    mats = _matrices(obj["matrices"])
     for i, M in enumerate(mats):
         if len(M) != d:
             raise FormatError(f"matrices[{i}] is {len(M)}x{len(M)}, expected {d}x{d}")
-    if not mats:
-        raise FormatError("matrices must be a nonempty list")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise FormatError("states must be a nonempty list")
     # each state lists all n**d letters, so n**d <= len(text); decided without forming n**d
@@ -377,12 +395,12 @@ def to_dot(aut: Automaton) -> str:
 
 
 def dedup(aut: Automaton) -> Automaton:
-    """Optional post-pass that merges behaviorally equivalent states by
-    partition refinement (equal output tables, then equal successor classes,
-    iterated to a fixed point).  This is an extension: the plain construction
-    always keeps components disjoint.  Merged automata keep one representative
-    label per class, so label lookups and the structural well-definedness
-    check no longer apply to them."""
+    """Merge behaviorally equivalent states by partition refinement (equal
+    output tables, then equal successor classes, iterated to a fixed point).
+    Library only, with no CLI flag: it stays while the benchmark still times
+    it.  The plain construction always keeps components disjoint.  Merged
+    automata keep one representative label per class, so label lookups and
+    the structural well-definedness check no longer apply to them."""
     labels, tables = aut.labels, aut.rows[:len(aut.labels)]
     sigs = {}
     cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]

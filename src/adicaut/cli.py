@@ -11,8 +11,8 @@ Exit codes: 0 success (including a NONTRIVIAL word-problem answer),
 5 verification or relation failure.
 
 The node budget defaults to 10**6 visited words, overridable with
-ADICAUT_BUDGET or --budget (the flag wins).  All randomness is seeded
-(--seed, default 0) and echoed, so runs are reproducible byte for byte.
+--budget.  All randomness is seeded (--seed, default 0) and echoed, so runs
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -20,31 +20,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 
 from . import automaton as am
 from . import treeaction as ta
 from .constructions import verify_relation
-from .linalg import matrix_from_lists
 from .nadic import AffineMap, DigitWord, affine_apply_prefix
 
 
 def _budget(args) -> int:
-    "The node budget from --budget, else ADICAUT_BUDGET, else the default; must be >= 1."
-    if args.budget is not None:
-        budget, source = args.budget, f"--budget {args.budget}"
-    elif env := os.environ.get("ADICAUT_BUDGET"):
-        try:
-            budget, source = int(env), f"ADICAUT_BUDGET={env!r}"
-        except ValueError:
-            raise ValueError(f"ADICAUT_BUDGET={env!r} is not an integer") from None
-    else:
-        return ta.DEFAULT_NODE_BUDGET
-    if budget < 1:
-        raise ValueError(f"{source}: the node budget must be at least 1")
-    return budget
+    "The node budget from --budget (default DEFAULT_NODE_BUDGET); must be >= 1."
+    if args.budget < 1:
+        raise ValueError(f"--budget {args.budget}: the node budget must be at least 1")
+    return args.budget
 
 
 def _emit(args, text: str, obj: dict):
@@ -54,20 +43,9 @@ def _emit(args, text: str, obj: dict):
 def _load_matrices(path: str):
     with open(path) as f:
         try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise am.FormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-        except (ValueError, RecursionError) as e:  # an int literal past the digit limit, nesting past the recursion limit
-            raise am.FormatError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(obj, list) or not obj:
-        raise am.FormatError(f"{path}: expected a nonempty JSON list of matrices")
-    mats = []
-    for i, m in enumerate(obj):
-        try:
-            mats.append(matrix_from_lists(m))
-        except (ValueError, TypeError) as e:
-            raise am.FormatError(f"{path}: matrices[{i}]: {e}") from None
-    return mats
+            return am.read_matrices(f.read())
+        except ValueError as e:  # a FormatError, or text that is not valid in the file's encoding
+            raise am.FormatError(f"{path}: {e}") from None
 
 
 def _load_automaton(path: str) -> am.Automaton:
@@ -78,8 +56,6 @@ def _load_automaton(path: str) -> am.Automaton:
 def _cmd_build(args) -> int:
     mats = _load_matrices(args.matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    if args.dedup:
-        aut = am.dedup(aut)
     bound = am.state_count_bound(mats)
     payload = am.to_json(aut)
     stats = f"states={len(aut.labels)}, bound=2^d*Σ||Mi||^d={bound}"
@@ -181,8 +157,6 @@ def _parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build the disjoint-union transducer for a matrix family")
     b.add_argument("--matrices", required=True, help="JSON file: list of square integer matrices (row-major)")
     b.add_argument("--n", required=True, type=int, help="base, >= 2, coprime to every determinant")
-    b.add_argument("--dedup", action="store_true",
-                   help="extension: merge behaviorally equivalent states after building")
     b.add_argument("--alphabet-cap", type=int, default=am.DEFAULT_ALPHABET_CAP,
                    help="refuse alphabets larger than this (default %(default)s)")
     b.add_argument("-o", "--output", help="write automaton JSON here instead of stdout")
@@ -201,7 +175,8 @@ def _parser() -> argparse.ArgumentParser:
     w = sub.add_parser("wp", help="decide whether a word acts trivially (word problem)")
     w.add_argument("--automaton", required=True)
     w.add_argument("--word", required=True)
-    w.add_argument("--budget", type=int, help="node budget for the closure search (default 10^6 or ADICAUT_BUDGET)")
+    w.add_argument("--budget", type=int, default=ta.DEFAULT_NODE_BUDGET,
+                   help="node budget for the closure search (default %(default)s)")
     common(w)
     w.set_defaults(func=_cmd_wp)
 
@@ -209,7 +184,7 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("--matrices", required=True)
     r.add_argument("--n", required=True, type=int)
     r.add_argument("--alphabet-cap", type=int, default=am.DEFAULT_ALPHABET_CAP)
-    r.add_argument("--budget", type=int)
+    r.add_argument("--budget", type=int, default=ta.DEFAULT_NODE_BUDGET)
     common(r)
     r.set_defaults(func=_cmd_relations)
 
@@ -230,10 +205,7 @@ def main(argv=None) -> int:
     except am.AlphabetCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ta.BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (am.BuildError, am.FormatError, ta.WordError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

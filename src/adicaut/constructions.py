@@ -25,6 +25,7 @@ from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
     GroupWord,
+    WordError,
     decide_identity,
     translation_word,
 )
@@ -170,7 +171,11 @@ def relator_check(aut: Automaton, pres: Presentation,
         w = GroupWord(aut)
         for name, e in relator:
             if name in stable:
-                g = GroupWord(aut, (aut.state_id(stable[name], (0,) * d),))
+                try:
+                    g = GroupWord(aut, (aut.state_id(stable[name], (0,) * d),))
+                except KeyError:
+                    raise WordError(f"component {stable[name]} has no zero-offset state; "
+                                    f"is this a deduplicated automaton?") from None
             elif name in axes:
                 g = translation_word(aut, k, axes[name])
             else:

@@ -271,8 +271,10 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
 
 
 def reduced_words(rank: int, max_length: int):
-    """All freely reduced words up to max_length over `rank` generators and
-    their inverses, as tuples of signed codes (`i` and `~i`), shortest first."""
+    """All freely reduced words up to max_length >= 0 over `rank` generators
+    and their inverses, as tuples of signed codes (`i` and `~i`), shortest first."""
+    if max_length < 0:
+        raise ValueError(f"max_length must be at least 0, got {max_length}")
     gens = [c for i in range(rank) for c in (i, ~i)]
     level = [()]
     yield ()

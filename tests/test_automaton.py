@@ -359,7 +359,7 @@ def test_json_rejects_booleans(doubling3):
         (union, ("states", first, "out", st["out"].index(1)),
          rf"states\[{first}\].out\[{st['out'].index(1)}\] = True out of range"),
         (json.loads(to_json(doubling3)), ("states", 0, "next", 0), r"states\[0\].next\[0\] = True out of range"),
-        (union, ("matrices", 0, 0, 0), "matrices: vector coordinate True is not an int"),
+        (union, ("matrices", 0, 0, 0), r"matrices\[0\]: vector coordinate True is not an int"),
     ]
     for obj, path, message in cases:
         assert from_json(json.dumps(obj)) is not None

@@ -5,9 +5,11 @@ import pytest
 from adicaut import (
     Presentation,
     block_diag,
+    WordError,
     block_extend,
     build_union,
     decide_identity,
+    dedup,
     det,
     identity,
     inverse_unimodular,
@@ -173,6 +175,15 @@ def test_relator_check_unknown_generator():
     pres = Presentation(("a1",), ("t",), ((("t", 1), ("b", 1)),), False)
     with pytest.raises(ValueError, match="relator uses unknown generator 'b'"):
         relator_check(aut, pres)
+
+
+def test_relator_check_names_a_component_without_a_zero_offset_state():
+    # dedup merges the second shear component into the first, leaving it empty
+    shear = [[1, 1], [0, 1]]
+    aut = dedup(build_union([shear, shear], 2))
+    assert aut.component_range(1)[0] == aut.component_range(1)[1]
+    with pytest.raises(WordError, match="component 1 has no zero-offset state"):
+        relator_check(aut, presentation_for(aut.matrices))
 
 
 @pytest.mark.parametrize("Ms, n", [

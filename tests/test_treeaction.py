@@ -19,6 +19,7 @@ from adicaut import (
     inverse_unimodular,
     matrix,
     parse_word,
+    reduced_words,
     translation_word,
     verify_relation,
 )
@@ -289,6 +290,16 @@ def test_conjugacy_search_inconclusive_is_none(odometer2):
     # tau and tau^2 are not conjugate (the group is abelian); the search must
     # come back empty-handed, never claim non-conjugacy
     assert conjugacy_search_bounded(tau, tau * tau, 2) is None
+
+
+def test_negative_max_length_is_rejected(doubling3):
+    # a negative bound once gave no words, and the search certified the identity
+    tau = translation_word(doubling3, 0, 1)
+    with pytest.raises(ValueError, match="max_length must be at least 0, got -5"):
+        list(reduced_words(3, -5))
+    with pytest.raises(ValueError, match="max_length must be at least 0, got -1"):
+        conjugacy_search_bounded(tau, tau, -1)
+    assert list(reduced_words(3, 0)) == [()]
 
 
 # --- word grammar ------------------------------------------------------------
