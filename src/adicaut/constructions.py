@@ -25,7 +25,6 @@ from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
     GroupWord,
-    WordError,
     decide_identity,
     translation_word,
 )
@@ -171,11 +170,8 @@ def relator_check(aut: Automaton, pres: Presentation,
         w = GroupWord(aut)
         for name, e in relator:
             if name in stable:
-                try:
-                    g = GroupWord(aut, (aut.state_id(stable[name], (0,) * d),))
-                except KeyError:
-                    raise WordError(f"component {stable[name]} has no zero-offset state; "
-                                    f"is this a deduplicated automaton?") from None
+                # m[k]:(0) is the first factor of component k's translation words
+                g = GroupWord(aut, translation_word(aut, stable[name], 1).codes[:1])
             elif name in axes:
                 g = translation_word(aut, k, axes[name])
             else:

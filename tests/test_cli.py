@@ -67,10 +67,15 @@ def test_build_missing_file_exit_2(tmp_path, capsys):
     ("[" * 100000 + "]" * 100000, "invalid JSON"),
     ("{}", "matrices must be a nonempty list"),
     ("[]", "matrices must be a nonempty list"),
-], ids=["int-entry", "str-coordinate", "bool-coordinate", "float-coordinate", "deep-nesting", "object", "empty"])
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+], ids=["int-entry", "str-coordinate", "bool-coordinate", "float-coordinate", "deep-nesting", "object", "empty",
+        "not-utf-8"])
 def test_malformed_matrices_exit_2(tmp_path, capsys, command, text, message):
     p = tmp_path / "mats.json"
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     code = main([command, "--matrices", str(p), "--n", "3"])
     captured = capsys.readouterr()
     assert code == 2

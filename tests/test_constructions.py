@@ -182,7 +182,8 @@ def test_relator_check_names_a_component_without_a_zero_offset_state():
     shear = [[1, 1], [0, 1]]
     aut = dedup(build_union([shear, shear], 2))
     assert aut.component_range(1)[0] == aut.component_range(1)[1]
-    with pytest.raises(WordError, match="component 1 has no zero-offset state"):
+    with pytest.raises(WordError, match=r"component 1 has no states \(0, 0\) / \(-1, 0\); "
+                                        r"is this a deduplicated automaton\?"):
         relator_check(aut, presentation_for(aut.matrices))
 
 
