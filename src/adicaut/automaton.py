@@ -35,8 +35,6 @@ from .linalg import (
     format_letter,
     mat_vec,
     matrix,
-    matrix_from_lists,
-    matrix_to_lists,
     row_sum_norm,
     vec_add,
 )
@@ -276,15 +274,14 @@ def to_json(aut: Automaton) -> str:
     """Serialize to the documented schema:
     {"n":int, "d":int, "matrices":[[[int]]], "states":[{"m","v","out","next"}]}
     with out/next indexed by dense letter index.  Component boundaries are the
-    runs of equal "m"."""
+    runs of equal "m".  The stored tuples go to json as they are, which
+    writes them as arrays."""
     obj = {
         "n": aut.n,
         "d": aut.d,
-        "matrices": [matrix_to_lists(M) for M in aut.matrices],
-        "states": [
-            {"m": m, "v": list(v), "out": list(out), "next": list(nxt)}
-            for (m, v), (out, nxt) in zip(aut.labels, aut.rows)
-        ],
+        "matrices": aut.matrices,
+        "states": [{"m": m, "v": v, "out": out, "next": nxt}
+                   for (m, v), (out, nxt) in zip(aut.labels, aut.rows)],
     }
     return json.dumps(obj, sort_keys=True)
 
@@ -305,8 +302,10 @@ def _matrices(value) -> tuple:
         raise FormatError("matrices must be a nonempty list")
     mats = []
     for i, m in enumerate(value):
+        if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
+            raise FormatError(f"matrices[{i}]: matrix must be a list of rows")
         try:
-            mats.append(matrix_from_lists(m))
+            mats.append(matrix(m))
         except (ValueError, TypeError) as e:
             raise FormatError(f"matrices[{i}]: {e}") from None
     return tuple(mats)

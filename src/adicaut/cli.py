@@ -40,21 +40,17 @@ def _emit(args, text: str, obj: dict):
     print(json.dumps(obj, sort_keys=True) if args.json else text)
 
 
-def _load_matrices(path: str):
+def _read(path: str, parse):
+    "parse(text of the file at path); a ValueError names the file."
     with open(path) as f:
         try:
-            return am.read_matrices(f.read())
+            return parse(f.read())
         except ValueError as e:  # a FormatError, or text that is not valid in the file's encoding
             raise am.FormatError(f"{path}: {e}") from None
 
 
-def _load_automaton(path: str) -> am.Automaton:
-    with open(path) as f:
-        return am.from_json(f.read())
-
-
 def _cmd_build(args) -> int:
-    mats = _load_matrices(args.matrices)
+    mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
     bound = am.state_count_bound(mats)
     payload = am.to_json(aut)
@@ -73,7 +69,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    aut = _load_automaton(args.automaton)
+    aut = _read(args.automaton, am.from_json)
     w = ta.parse_word(aut, args.word)
     u = DigitWord.parse(args.input, aut.n, aut.d)
     image = w.act(u)
@@ -83,7 +79,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_wp(args) -> int:
     budget = _budget(args)
-    aut = _load_automaton(args.automaton)
+    aut = _read(args.automaton, am.from_json)
     w = ta.parse_word(aut, args.word)
     try:
         answer, visited = ta.decide_identity(w, budget)
@@ -98,7 +94,7 @@ def _cmd_wp(args) -> int:
 
 def _cmd_relations(args) -> int:
     budget = _budget(args)
-    mats = _load_matrices(args.matrices)
+    mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
     outcomes = set()
     for mi in range(len(aut.matrices)):
@@ -115,7 +111,7 @@ def _cmd_verify(args) -> int:
     for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
-    aut = _load_automaton(args.automaton)
+    aut = _read(args.automaton, am.from_json)
     rng = random.Random(args.seed)
     letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
     mismatches = 0
@@ -151,49 +147,50 @@ def _parser() -> argparse.ArgumentParser:
         description="Build and compute with transducers realizing affine maps on base-n digit words.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--json", action="store_true", help="machine-readable output, one JSON object per line")
+    shared = {  # the arguments more than one command takes, each with its one help text
+        "--matrices": dict(required=True, help="JSON file: list of square integer matrices (row-major)"),
+        "--n": dict(required=True, type=int, help="base, >= 2, coprime to every determinant"),
+        "--alphabet-cap": dict(type=int, default=am.DEFAULT_ALPHABET_CAP,
+                               help="refuse alphabets larger than this (default %(default)s)"),
+        "--automaton": dict(required=True, help="automaton JSON file"),
+        "--word": dict(required=True, help="word grammar: m[i]:(v1,...,vd), t[j], t[j]@i, with optional ^k; "
+                                           "separated by * or spaces"),
+        "--budget": dict(type=int, default=ta.DEFAULT_NODE_BUDGET,
+                         help="node budget for the closure search (default %(default)s)"),
+        "--json": dict(action="store_true", help="machine-readable output, one JSON object per line"),
+    }
+
+    def add(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     b = sub.add_parser("build", help="build the disjoint-union transducer for a matrix family")
-    b.add_argument("--matrices", required=True, help="JSON file: list of square integer matrices (row-major)")
-    b.add_argument("--n", required=True, type=int, help="base, >= 2, coprime to every determinant")
-    b.add_argument("--alphabet-cap", type=int, default=am.DEFAULT_ALPHABET_CAP,
-                   help="refuse alphabets larger than this (default %(default)s)")
+    add(b, "--matrices", "--n", "--alphabet-cap")
     b.add_argument("-o", "--output", help="write automaton JSON here instead of stdout")
-    common(b)
+    add(b, "--json")
     b.set_defaults(func=_cmd_build)
 
     a = sub.add_parser("act", help="apply a word to a digit word")
-    a.add_argument("--automaton", required=True, help="automaton JSON file")
-    a.add_argument("--word", required=True,
-                   help="word grammar: m[i]:(v1,...,vd), t[j], t[j]@i, with optional ^k; separated by * or spaces")
+    add(a, "--automaton", "--word")
     a.add_argument("--input", required=True,
                    help="digit word, least significant letter first, letters space-separated, digits comma-joined")
-    common(a)
+    add(a, "--json")
     a.set_defaults(func=_cmd_act)
 
     w = sub.add_parser("wp", help="decide whether a word acts trivially (word problem)")
-    w.add_argument("--automaton", required=True)
-    w.add_argument("--word", required=True)
-    w.add_argument("--budget", type=int, default=ta.DEFAULT_NODE_BUDGET,
-                   help="node budget for the closure search (default %(default)s)")
-    common(w)
+    add(w, "--automaton", "--word", "--budget", "--json")
     w.set_defaults(func=_cmd_wp)
 
     r = sub.add_parser("relations", help="check the conjugation relator for every (matrix, axis)")
-    r.add_argument("--matrices", required=True)
-    r.add_argument("--n", required=True, type=int)
-    r.add_argument("--alphabet-cap", type=int, default=am.DEFAULT_ALPHABET_CAP)
-    r.add_argument("--budget", type=int, default=ta.DEFAULT_NODE_BUDGET)
-    common(r)
+    add(r, "--matrices", "--n", "--alphabet-cap", "--budget", "--json")
     r.set_defaults(func=_cmd_relations)
 
     v = sub.add_parser("verify", help="sample-check the action against the big-integer affine oracle")
-    v.add_argument("--automaton", required=True)
+    add(v, "--automaton")
     v.add_argument("--depth", required=True, type=int, help="maximum prefix length")
     v.add_argument("--samples", required=True, type=int, help="random prefixes per state")
     v.add_argument("--seed", type=int, default=0)
-    common(v)
+    add(v, "--json")
     v.set_defaults(func=_cmd_verify)
     return p
 

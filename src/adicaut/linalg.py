@@ -184,14 +184,3 @@ def parse_letter(text: str) -> Vector:
     except ValueError:
         raise ValueError(f"cannot parse letter {text!r}") from None
 
-
-def matrix_to_lists(M: Matrix):
-    "Row-major nested lists, the JSON encoding of a matrix."
-    return [list(row) for row in M]
-
-
-def matrix_from_lists(obj) -> Matrix:
-    "Parse the row-major nested-list JSON encoding."
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise ValueError("matrix must be a list of rows")
-    return matrix(obj)

@@ -40,6 +40,7 @@ from .linalg import format_letter
 from .nadic import DigitWord
 
 DEFAULT_NODE_BUDGET = 10 ** 6
+MAX_WORD_CODES = 10 ** 6  # the most codes parse_word expands a word to
 
 
 class WordError(ValueError):
@@ -291,7 +292,8 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
     """Parse the word grammar: `m[i]:(v1,...,vd)` names the state with offset
     v in component i, `t[j]` the axis-j translation (component 0 unless a
     `@i` suffix picks another), either with an optional `^k` power; factors
-    separated by whitespace or `*`.  Empty text is the identity."""
+    separated by whitespace or `*`.  Empty text is the identity; a word whose
+    powers expand past MAX_WORD_CODES codes is refused before it is built."""
     codes = []
     for tok in text.replace("*", " ").split():
         m = _STATE_TOKEN.match(tok)
@@ -314,5 +316,8 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
             axis = int(m.group(1))
             comp = int(m.group(2)) if m.group(2) else 0
             base = translation_word(aut, comp, axis)
-        codes += (base ** (int(m.group(3)) if m.group(3) else 1)).codes
+        k = int(m.group(3)) if m.group(3) else 1
+        if len(codes) + len(base.codes) * abs(k) > MAX_WORD_CODES:
+            raise WordError(f"word token {tok!r} expands the word past {MAX_WORD_CODES} codes")
+        codes += (base ** k).codes
     return _word(aut, _cancel(tuple(codes)))

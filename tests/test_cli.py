@@ -147,7 +147,7 @@ def test_wp_rejects_malformed_state_list_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: states must be a nonempty list\n"
+        assert captured.err == f"error: {p}: states must be a nonempty list\n"
 
 
 def test_wp_rejects_an_alphabet_too_large_for_the_document_exit_2(tmp_path, capsys):
@@ -158,13 +158,26 @@ def test_wp_rejects_an_alphabet_too_large_for_the_document_exit_2(tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: an alphabet of n**d letters (d = 2) cannot fit")
+    assert captured.err.startswith(f"error: {p}: an alphabet of n**d letters (d = 2) cannot fit")
 
 
 def test_act_parse_error_exit_2(tmp_path, capsys):
     aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     assert main(["act", "--automaton", aut, "--word", "xyz", "--input", "0"]) == 2
     assert main(["act", "--automaton", aut, "--word", "t[1]", "--input", "9"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "--word", "t[1]^10000000000000000000"],
+    ["act", "--word", "m[0]:(0)^-10000000000000000000", "--input", "0"],
+], ids=["wp", "act"])
+def test_huge_powers_exit_2(tmp_path, capsys, argv):
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
+    code = main([argv[0], "--automaton", aut, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: word token {argv[2]!r} expands the word past 1000000 codes\n"
 
 
 def test_wp_identity(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -23,6 +24,7 @@ from adicaut import (
     translation_word,
     verify_relation,
 )
+from adicaut.treeaction import MAX_WORD_CODES
 
 from conftest import affine_map, column_sides, random_code, random_digit_word, random_group_word
 
@@ -340,6 +342,22 @@ def test_parse_word_errors(doubling3):
         parse_word(doubling3, "m[0]:(0,0)")  # wrong dimension
     with pytest.raises(WordError):
         parse_word(doubling3, "t[2]")  # axis out of range
+
+
+@pytest.mark.parametrize("text", [
+    "t[1]^10000000000000000000",
+    "m[0]:(0)^-10000000000000000000",
+    f"m[0]:(0)^{MAX_WORD_CODES + 1}",
+    f"t[1]^{MAX_WORD_CODES // 2} m[0]:(0)",  # t[1] is 2 codes: the last token is one over in total
+], ids=["huge-translation-power", "huge-state-power", "one-power-one-over", "running-total-one-over"])
+def test_parse_word_refuses_words_past_the_code_cap(doubling3, text):
+    token = text.split()[-1]
+    with pytest.raises(WordError, match=re.escape(f"word token {token!r} expands the word past {MAX_WORD_CODES} codes")):
+        parse_word(doubling3, text)
+
+
+def test_parse_word_expands_up_to_the_code_cap(doubling3):
+    assert len(parse_word(doubling3, f"m[0]:(0)^{MAX_WORD_CODES}").codes) == MAX_WORD_CODES
 
 
 def test_format_parse_round_trip(shear2):
