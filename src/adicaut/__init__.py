@@ -15,7 +15,6 @@ from .linalg import (
     mod_div,
     offset_box,
     row_sum_norm,
-    unit_vector,
     vec_add,
     vector,
 )

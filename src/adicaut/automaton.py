@@ -35,6 +35,7 @@ from .linalg import (
     format_letter,
     mat_vec,
     matrix,
+    offset_box,
     row_sum_norm,
     vec_add,
 )
@@ -140,15 +141,6 @@ def state_count_bound(Ms) -> int:
     return 2 ** d * sum(row_sum_norm(matrix(M)) ** d for M in Ms)
 
 
-def _box_rows(side, rows, v, out, nxt):
-    """(offset, out row, next row) for each offset ending in v, in offset_box order, one at a
-    time; rows[i][k] is coordinate i's share of the letter index and next state id at side[k]."""
-    if not rows:
-        return [(v, out, nxt)]
-    return (t for x, (dr, cr) in zip(side, rows[-1])
-            for t in _box_rows(side, rows[:-1], (x,) + v, list(map(add, out, dr)), list(map(add, nxt, cr))))
-
-
 def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automaton:
     """Disjoint union of the transducers for each matrix, in the given order.
     Identical matrices yield identical but separate components.
@@ -179,11 +171,12 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
             raise BuildError(f"determinant {D} of matrix {i} is not coprime to base {n} (gcd={g})")
 
     letters = all_letters(n, d)
-    ids = list(range(sum((2 * row_sum_norm(M)) ** d for M in mats)))  # shared int objects keep the big tables lean
+    ids = list(range(state_count_bound(mats)))  # shared int objects keep the big tables lean
 
     labels, tables = [], []
     base = 0
     for mi, M in enumerate(mats):
+        box = offset_box(M)
         norm = row_sum_norm(M)
         side = range(-norm, norm)
         # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = side[k]
@@ -192,10 +185,15 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
             raise BuildError("internal error: a carry left the offset box")
         rows = [[([r * n ** i for _, r in row], [(q + norm) * (2 * norm) ** i for q, _ in row])
                  for row in per_v] for i, per_v in enumerate(splits)]
-        for v, o, c in _box_rows(side, rows, (), [0] * len(letters), [base] * len(letters)):
-            labels.append((mi, v))
-            tables.append((tuple(o), tuple([ids[t] for t in c])))
-        base += len(side) ** d
+        # (out, next) sums over coordinates d-1 down to 1, the last varying slowest as in box
+        level = [([0] * len(letters), [ids[base]] * len(letters))]
+        for per_v in rows[:0:-1]:
+            level = [(list(map(add, o, dr)), [ids[t] for t in map(add, c, cr)]) for o, c in level for dr, cr in per_v]
+        # a tuple made from a list is allocated once at its size; tuple(map(...)) resizes as it grows
+        tables +=[(tuple([*map(add, o, dr)]), tuple([ids[t] for t in map(add, c, cr)]))
+                   for o, c in level for dr, cr in rows[0]]
+        labels += [(mi, v) for v in box]
+        base += len(box)
     return Automaton(n, d, mats, labels, tables)
 
 

@@ -41,13 +41,6 @@ def identity(d: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def unit_vector(d: int, axis: int) -> Vector:
-    "Standard basis vector along `axis` (1-based)."
-    if not 1 <= axis <= d:
-        raise ValueError(f"axis {axis} out of range 1..{d}")
-    return tuple(1 if i == axis - 1 else 0 for i in range(d))
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 

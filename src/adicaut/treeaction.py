@@ -40,7 +40,7 @@ from .linalg import format_letter
 from .nadic import DigitWord
 
 DEFAULT_NODE_BUDGET = 10 ** 6
-MAX_WORD_CODES = 10 ** 6  # the most codes parse_word expands a word to
+MAX_WORD_CODES = 10 ** 6  # the most codes a power or parse_word expands a word to
 
 
 class WordError(ValueError):
@@ -106,6 +106,11 @@ class GroupWord:
         return _word(self.aut, tuple([~c for c in reversed(self.codes)]))
 
     def __pow__(self, k: int) -> "GroupWord":
+        "The k-th power; WordError if it expands past MAX_WORD_CODES codes before free reduction."
+        if not self.codes:
+            return self
+        if len(self.codes) * abs(k) > MAX_WORD_CODES:
+            raise WordError(f"a power of a {len(self.codes)}-code word expands past {MAX_WORD_CODES} codes")
         base = self if k >= 0 else ~self
         return _word(self.aut, _cancel(base.codes * abs(k)))
 
@@ -296,27 +301,28 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
     powers expand past MAX_WORD_CODES codes is refused before it is built."""
     codes = []
     for tok in text.replace("*", " ").split():
-        m = _STATE_TOKEN.match(tok)
-        if m:
-            mi = int(m.group(1))
-            coords = tuple(int(p) for p in m.group(2).split(","))
-            if mi >= len(aut.matrices):
-                raise WordError(f"no component {mi} in this automaton")
-            if len(coords) != aut.d:
-                raise WordError(f"state offset {tok!r} has {len(coords)} coordinates, expected {aut.d}")
+        m = _STATE_TOKEN.match(tok) or _TRANS_TOKEN.match(tok)
+        if not m:
+            raise WordError(f"cannot parse word token {tok!r}")
+        # m[i]:(rest) is component i at offset rest; t[i]@rest[0] is axis i of component rest[0]
+        try:  # int() fails only on a digit group past the interpreter's conversion limit
+            i = int(m.group(1))
+            rest = tuple(int(p) for p in (m.group(2) or "0").split(","))
+            k = int(m.group(3) or 1)
+        except ValueError:
+            raise WordError(f"word token {tok!r} has a number too long to convert") from None
+        if m.re is _STATE_TOKEN:
+            if i >= len(aut.matrices):
+                raise WordError(f"no component {i} in this automaton")
+            if len(rest) != aut.d:
+                raise WordError(f"state offset {tok!r} has {len(rest)} coordinates, expected {aut.d}")
             try:
-                sid = aut.state_id(mi, coords)
+                sid = aut.state_id(i, rest)
             except KeyError:
-                raise WordError(f"no state m[{mi}]:({format_letter(coords)}) in this automaton") from None
+                raise WordError(f"no state m[{i}]:({format_letter(rest)}) in this automaton") from None
             base = _word(aut, (sid,))
         else:
-            m = _TRANS_TOKEN.match(tok)
-            if not m:
-                raise WordError(f"cannot parse word token {tok!r}")
-            axis = int(m.group(1))
-            comp = int(m.group(2)) if m.group(2) else 0
-            base = translation_word(aut, comp, axis)
-        k = int(m.group(3)) if m.group(3) else 1
+            base = translation_word(aut, rest[0], i)
         if len(codes) + len(base.codes) * abs(k) > MAX_WORD_CODES:
             raise WordError(f"word token {tok!r} expands the word past {MAX_WORD_CODES} codes")
         codes += (base ** k).codes

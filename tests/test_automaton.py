@@ -249,12 +249,18 @@ def test_well_definedness_rejects_rows_of_the_wrong_length(doubling3):
 def test_to_json_digests_pinned():
     import hashlib
     from adicaut import block_extend, sanov_pair
-    sanov_d3 = build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)
-    union_d2 = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
-    assert hashlib.sha256(to_json(sanov_d3).encode()).hexdigest() == \
-        "e91155338d927cf7bc61eeae03c5b5a2044db5d5669c9ab92e927202f520b2d8"
-    assert hashlib.sha256(to_json(union_d2).encode()).hexdigest() == \
-        "3870f4588e8fb736b5c7a3b447ff33c67e5e0ecc296f4ef211a6788c98770357"
+
+    def sanov(d):
+        return block_extend([identity(d - 2), identity(d - 2)], list(sanov_pair()))
+    for Ms, n, digest in [
+        (sanov(3), 2, "e91155338d927cf7bc61eeae03c5b5a2044db5d5669c9ab92e927202f520b2d8"),
+        ([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3, "3870f4588e8fb736b5c7a3b447ff33c67e5e0ecc296f4ef211a6788c98770357"),
+        ([[[2]]], 3, "c348e44d925b5d98ec8dee1574c2d27e2187267765b1a381c9d00c5d0bb20b30"),  # d=1: no level to fold
+        (sanov(4), 2, "4dc1eb3adc5ee94fec36c80a9ff6e99593c676bad666879dcef597debd84683a"),
+        (sanov(4), 3, "dd1d7f1d708b50eb26b5bf20be1e68ea92ec8af0b22f3913b32c44764405faa6"),
+        (sanov(5), 2, "e93c4a96e5d2696c317af4b832ed42249f482f2a7fadd17d036537319ae6a69c"),
+    ]:
+        assert hashlib.sha256(to_json(build_union(Ms, n)).encode()).hexdigest() == digest
 
 
 def test_json_round_trip(doubling3, shear2):

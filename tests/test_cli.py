@@ -167,17 +167,18 @@ def test_act_parse_error_exit_2(tmp_path, capsys):
     assert main(["act", "--automaton", aut, "--word", "t[1]", "--input", "9"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["wp", "--word", "t[1]^10000000000000000000"],
-    ["act", "--word", "m[0]:(0)^-10000000000000000000", "--input", "0"],
-], ids=["wp", "act"])
-def test_huge_powers_exit_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, reason", [
+    (["wp", "--word", "t[1]^10000000000000000000"], "expands the word past 1000000 codes"),
+    (["act", "--word", "m[0]:(0)^-10000000000000000000", "--input", "0"], "expands the word past 1000000 codes"),
+    (["wp", "--word", "t[1]^" + "9" * 5000], "has a number too long to convert"),
+], ids=["wp", "act", "wp-too-long-to-convert"])
+def test_huge_powers_exit_2(tmp_path, capsys, argv, reason):
     aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     code = main([argv[0], "--automaton", aut, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: word token {argv[2]!r} expands the word past 1000000 codes\n"
+    assert captured.err == f"error: word token {argv[2]!r} {reason}\n"
 
 
 def test_wp_identity(tmp_path, capsys):

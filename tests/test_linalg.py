@@ -17,7 +17,6 @@ from adicaut import (
     mod_div,
     offset_box,
     row_sum_norm,
-    unit_vector,
     vector,
 )
 from adicaut.linalg import all_letters, format_letter, parse_letter
@@ -148,9 +147,6 @@ def test_vector_matrix_validation():
         vector((1.5,))
     with pytest.raises(ValueError):
         matrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        unit_vector(2, 3)
-    assert unit_vector(3, 2) == (0, 1, 0)
 
 
 def test_mat_vec():

@@ -360,6 +360,27 @@ def test_parse_word_expands_up_to_the_code_cap(doubling3):
     assert len(parse_word(doubling3, f"m[0]:(0)^{MAX_WORD_CODES}").codes) == MAX_WORD_CODES
 
 
+@pytest.mark.parametrize("text", [
+    "m[" + "9" * 5000 + "]:(0)",
+    "m[0]:(" + "9" * 5000 + ")",
+    "t[" + "9" * 5000 + "]",
+    "t[1]^" + "9" * 5000,
+], ids=["component", "offset-coordinate", "axis", "exponent"])
+def test_parse_word_names_a_token_with_a_number_too_long_to_convert(doubling3, text):
+    with pytest.raises(WordError, match=re.escape(f"word token {text!r} has a number too long to convert")):
+        parse_word(doubling3, text)
+
+
+def test_powers_past_the_code_cap_are_refused(doubling3):
+    t = translation_word(doubling3)  # 2 codes
+    for k in (10 ** 19, -(10 ** 19), MAX_WORD_CODES // 2 + 1):
+        with pytest.raises(WordError, match=f"expands past {MAX_WORD_CODES} codes"):
+            t ** k
+    assert (GroupWord(doubling3) ** 10 ** 19).codes == ()
+    assert len((t ** (MAX_WORD_CODES // 2)).codes) == MAX_WORD_CODES
+    assert len((t ** -(MAX_WORD_CODES // 2)).codes) == MAX_WORD_CODES
+
+
 def test_format_parse_round_trip(shear2):
     rng = random.Random(38)
     for _ in range(100):
