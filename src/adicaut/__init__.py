@@ -50,7 +50,6 @@ from .treeaction import (
     WordError,
     conjugacy_search_bounded,
     decide_identity,
-    equal,
     parse_word,
     reduced_words,
     translation_word,

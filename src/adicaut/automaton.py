@@ -137,6 +137,8 @@ class Automaton:
 
 def state_count_bound(Ms) -> int:
     "The guaranteed ceiling 2**d * sum_i ||M_i||**d on the union's state count."
+    if not Ms:
+        raise BuildError("need at least one matrix")
     d = len(Ms[0])
     return 2 ** d * sum(row_sum_norm(matrix(M)) ** d for M in Ms)
 

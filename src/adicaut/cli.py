@@ -111,6 +111,8 @@ def _cmd_verify(args) -> int:
     for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+    if args.depth > ta.MAX_WORD_CODES:
+        raise ValueError(f"--depth must be at most {ta.MAX_WORD_CODES}, got {args.depth}")
     aut = _read(args.automaton, am.from_json)
     rng = random.Random(args.seed)
     letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]

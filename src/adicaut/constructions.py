@@ -63,6 +63,8 @@ def word_matrix(word, mats) -> Matrix:
     """Evaluate a word of signed codes (`i` for mats[i], `~i` for its
     inverse) as a matrix product; inverses must be integral."""
     ms = [matrix(m) for m in mats]
+    if not ms:
+        raise ValueError("need at least one matrix")
     factors = {}
     result = identity(len(ms[0]))
     for c in word:
@@ -109,6 +111,8 @@ def presentation_for(Ms) -> Presentation:
     the given matrices: translations commute, and each stable letter t_k
     conjugates a_j to a_1^{m_1j} ... a_d^{m_dj} read off column j of M_k."""
     mats = [matrix(M) for M in Ms]
+    if not mats:
+        raise ValueError("need at least one matrix")
     d = len(mats[0])
     for M in mats:
         if len(M) != d:

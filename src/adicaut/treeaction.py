@@ -40,7 +40,9 @@ from .linalg import format_letter
 from .nadic import DigitWord
 
 DEFAULT_NODE_BUDGET = 10 ** 6
-MAX_WORD_CODES = 10 ** 6  # the most codes a power or parse_word expands a word to
+# the most codes a power or parse_word expands a word to, and the longest
+# digit word `adicaut verify --depth` draws
+MAX_WORD_CODES = 10 ** 6
 
 
 class WordError(ValueError):
@@ -69,8 +71,8 @@ class GroupWord:
     every code must lie in [-N, N) for N states, and adjacent inverse pairs
     are cancelled on construction, so the empty word is the identity.  Words
     are tied to their automaton instance; mixing instances is rejected.
-    `==` is structural (same codes); use `equal` for equality as group
-    elements.
+    `==` is structural (same codes); decide `w1 * ~w2` for equality as
+    group elements.
     """
 
     __slots__ = ("aut", "codes")
@@ -227,11 +229,6 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     return True, len(visited)
 
 
-def equal(w1: GroupWord, w2: GroupWord, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    "Equality as tree automorphisms: w1 * w2^-1 acts trivially."
-    return (w1 * ~w2).is_identity(budget)
-
-
 def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> GroupWord:
     """The two-factor word m_0 * m_{-e_axis}^-1 from the given component; it
     acts on digit words as +1 on coordinate `axis` (1-based), carries
@@ -258,18 +255,17 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
     """Breadth-first search for a conjugator c with c * w1 * c^-1 = w2 among
     freely reduced words of at most max_length factors over all states.
 
-    Returns the first certified conjugator (verified through `equal`), or
-    None when no candidate within the bounds checks out.  This is a bounded
+    Returns the first conjugator certified by `decide_identity`, or None
+    when no candidate within the bounds checks out.  This is a bounded
     semi-decision procedure: None only means the search was inconclusive and
     never certifies that the two words are non-conjugate.  Candidates whose
-    verification exhausts the node budget are skipped."""
-    if w1.aut is not w2.aut:
-        raise WordError("cannot search for conjugators across different automata")
-    aut = w1.aut
+    check exhausts the node budget are skipped.  Words over different
+    automata raise WordError before any closure runs."""
+    aut, inv_w2 = w1.aut, ~w2
     for codes in reduced_words(len(aut.labels), max_length):
         c = _word(aut, codes)  # reduced and in range by construction
         try:
-            if equal(c * w1 * ~c, w2, budget):
+            if decide_identity(c * w1 * ~c * inv_w2, budget)[0]:
                 return c
         except BudgetExceededError:
             continue
@@ -289,6 +285,11 @@ def reduced_words(rank: int, max_length: int):
         yield from level
 
 
+def _quote(tok: str) -> str:
+    "A token as an error message quotes it: its first 40 characters, then `...` if it is longer."
+    return repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}..."
+
+
 _STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$")
 _TRANS_TOKEN = re.compile(r"t\[(\d+)\](?:@(\d+))?(?:\^(-?\d+))?$")
 
@@ -303,19 +304,19 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
     for tok in text.replace("*", " ").split():
         m = _STATE_TOKEN.match(tok) or _TRANS_TOKEN.match(tok)
         if not m:
-            raise WordError(f"cannot parse word token {tok!r}")
+            raise WordError(f"cannot parse word token {_quote(tok)}")
         # m[i]:(rest) is component i at offset rest; t[i]@rest[0] is axis i of component rest[0]
         try:  # int() fails only on a digit group past the interpreter's conversion limit
             i = int(m.group(1))
             rest = tuple(int(p) for p in (m.group(2) or "0").split(","))
             k = int(m.group(3) or 1)
         except ValueError:
-            raise WordError(f"word token {tok!r} has a number too long to convert") from None
+            raise WordError(f"word token {_quote(tok)} has a number too long to convert") from None
         if m.re is _STATE_TOKEN:
             if i >= len(aut.matrices):
                 raise WordError(f"no component {i} in this automaton")
             if len(rest) != aut.d:
-                raise WordError(f"state offset {tok!r} has {len(rest)} coordinates, expected {aut.d}")
+                raise WordError(f"state offset {_quote(tok)} has {len(rest)} coordinates, expected {aut.d}")
             try:
                 sid = aut.state_id(i, rest)
             except KeyError:
@@ -324,6 +325,6 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
         else:
             base = translation_word(aut, rest[0], i)
         if len(codes) + len(base.codes) * abs(k) > MAX_WORD_CODES:
-            raise WordError(f"word token {tok!r} expands the word past {MAX_WORD_CODES} codes")
+            raise WordError(f"word token {_quote(tok)} expands the word past {MAX_WORD_CODES} codes")
         codes += (base ** k).codes
     return _word(aut, _cancel(tuple(codes)))

@@ -107,6 +107,11 @@ def test_build_rejections():
         build_union([[[1]]], 1)
 
 
+def test_state_count_bound_needs_a_matrix():
+    with pytest.raises(ValueError, match="^need at least one matrix$"):
+        state_count_bound([])
+
+
 def test_deterministic_construction():
     a = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
     b = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)

@@ -167,18 +167,21 @@ def test_act_parse_error_exit_2(tmp_path, capsys):
     assert main(["act", "--automaton", aut, "--word", "t[1]", "--input", "9"]) == 2
 
 
-@pytest.mark.parametrize("argv, reason", [
-    (["wp", "--word", "t[1]^10000000000000000000"], "expands the word past 1000000 codes"),
-    (["act", "--word", "m[0]:(0)^-10000000000000000000", "--input", "0"], "expands the word past 1000000 codes"),
-    (["wp", "--word", "t[1]^" + "9" * 5000], "has a number too long to convert"),
+@pytest.mark.parametrize("argv, token, reason", [
+    (["wp", "--word", "t[1]^10000000000000000000"], "'t[1]^10000000000000000000'",
+     "expands the word past 1000000 codes"),
+    (["act", "--word", "m[0]:(0)^-10000000000000000000", "--input", "0"], "'m[0]:(0)^-10000000000000000000'",
+     "expands the word past 1000000 codes"),
+    (["wp", "--word", "t[1]^" + "9" * 5000], "'t[1]^" + "9" * 35 + "'...", "has a number too long to convert"),
 ], ids=["wp", "act", "wp-too-long-to-convert"])
-def test_huge_powers_exit_2(tmp_path, capsys, argv, reason):
+def test_huge_powers_exit_2(tmp_path, capsys, argv, token, reason):
     aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     code = main([argv[0], "--automaton", aut, *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: word token {argv[2]!r} {reason}\n"
+    assert captured.err == f"error: word token {token} {reason}\n"
+    assert len(captured.err) < 200
 
 
 def test_wp_identity(tmp_path, capsys):
@@ -300,6 +303,16 @@ def test_verify_rejects_counts_below_one(tmp_path, capsys):
     code = main(["verify", "--automaton", str(tmp_path / "missing.json"), "--depth", "1", "--samples", "0"])
     assert code == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_depth_past_the_word_cap(tmp_path, capsys):
+    # a depth-k sample is a k-letter digit word, so an unbounded depth is an unbounded allocation
+    for aut in (write_automaton(tmp_path, build_union([[[2]]], 3)), str(tmp_path / "missing.json")):
+        code = main(["verify", "--automaton", aut, "--depth", "1000001", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --depth must be at most 1000000, got 1000001\n"
 
 
 def test_json_mode_lines_parse(tmp_path, capsys):

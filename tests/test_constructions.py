@@ -94,6 +94,15 @@ def test_reduced_words_are_codes_in_order():
     assert word_matrix((~0, 1), [A, B]) == mat_mul(inverse_unimodular(A), B)
 
 
+@pytest.mark.parametrize("call", [lambda: presentation_for([]),
+                                  lambda: word_matrix((), []),
+                                  lambda: word_matrix((0,), [])],
+                         ids=["presentation_for", "word_matrix-empty-word", "word_matrix"])
+def test_an_empty_matrix_list_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^need at least one matrix$"):
+        call()
+
+
 def test_presentation_doubling_is_bs12():
     p = presentation_for([[[2]]])
     assert p.abelian_generators == ("a1",)

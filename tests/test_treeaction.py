@@ -15,7 +15,6 @@ from adicaut import (
     decide_identity,
     decode,
     encode,
-    equal,
     identity,
     inverse_unimodular,
     matrix,
@@ -157,11 +156,11 @@ def test_is_identity_agrees_with_finite_action():
 def test_equal(doubling3, shear2):
     rng = random.Random(35)
     w = random_group_word(rng, doubling3, 5)
-    assert equal(w, w)
+    assert (w * ~w).is_identity()
     t1 = translation_word(shear2, 0, 1)
     t2 = translation_word(shear2, 0, 2)
-    assert equal(t1 * t2, t2 * t1)
-    assert not equal(t1, t1 * t1)
+    assert (t1 * t2 * ~(t2 * t1)).is_identity()
+    assert not (t1 * ~(t1 * t1)).is_identity()
 
 
 # --- group laws -------------------------------------------------------------
@@ -220,8 +219,8 @@ def test_verify_relation_shear():
     lhs, rhs = column_sides(aut, 0, 2)
     t1 = translation_word(aut, 0, 1)
     t2 = translation_word(aut, 0, 2)
-    assert equal(rhs, t1 * t2)
-    assert equal(lhs, rhs)
+    assert (rhs * ~(t1 * t2)).is_identity()
+    assert (lhs * ~rhs).is_identity()
 
 
 def test_verify_relation_doubling(doubling3):
@@ -229,8 +228,8 @@ def test_verify_relation_doubling(doubling3):
     assert rep.ok
     lhs, rhs = column_sides(doubling3, 0, 1)
     tau = translation_word(doubling3, 0, 1)
-    assert equal(rhs, tau * tau)
-    assert equal(lhs, rhs)
+    assert (rhs * ~(tau * tau)).is_identity()
+    assert (lhs * ~rhs).is_identity()
 
 
 def test_verify_relation_identity_matrix():
@@ -284,7 +283,31 @@ def test_conjugacy_search_finds_short_conjugator(doubling3):
     c = conjugacy_search_bounded(tau, target, 1)
     # the first hit in candidate order is the single state m[0]:(-2)
     assert c is not None and c.format() == "m[0]:(-2)"
-    assert equal(c * tau * ~c, target)
+    assert (c * tau * ~c * ~target).is_identity()
+
+
+def test_conjugacy_search_skips_candidates_that_exhaust_the_budget(doubling3, shear2):
+    # m[0]:(-2) certifies the conjugation by m[0]:(-1) after 6 closure nodes, m[0]:(-1) itself after 1
+    tau = translation_word(doubling3, 0, 1)
+    m1 = GroupWord(doubling3, (1,))
+    target = m1 * tau * ~m1
+    assert conjugacy_search_bounded(tau, target, 1).format() == "m[0]:(-2)"
+    for budget in (1, 5):
+        assert conjugacy_search_bounded(tau, target, 1, budget).format() == "m[0]:(-1)"
+    # this conjugate of t1 equals t1, but the identity certifies that only after 7 nodes
+    t1 = translation_word(shear2, 0, 1)
+    target = GroupWord(shear2, (~1,)) * t1 * GroupWord(shear2, (1,))
+    assert conjugacy_search_bounded(t1, target, 0, 7).codes == ()
+    assert conjugacy_search_bounded(t1, target, 0, 6) is None
+    assert conjugacy_search_bounded(t1, target, 1, 6).codes == (~1,)
+
+
+def test_conjugacy_search_rejects_words_over_two_automata(doubling3):
+    tau = translation_word(doubling3, 0, 1)
+    other = translation_word(build_union([[[2]]], 3), 0, 1)
+    for w1, w2 in ((tau, other), (other, tau)):
+        with pytest.raises(WordError):
+            conjugacy_search_bounded(w1, w2, 1)
 
 
 def test_conjugacy_search_inconclusive_is_none(odometer2):
@@ -328,7 +351,7 @@ def test_parse_word_component_suffix():
     t_at_1 = parse_word(aut, "t[1]@1")
     assert t_at_1 == translation_word(aut, 1, 1)
     assert t_at_1 != translation_word(aut, 0, 1)
-    assert equal(t_at_1, translation_word(aut, 0, 1))
+    assert (t_at_1 * ~translation_word(aut, 0, 1)).is_identity()
 
 
 def test_parse_word_errors(doubling3):
@@ -367,8 +390,23 @@ def test_parse_word_expands_up_to_the_code_cap(doubling3):
     "t[1]^" + "9" * 5000,
 ], ids=["component", "offset-coordinate", "axis", "exponent"])
 def test_parse_word_names_a_token_with_a_number_too_long_to_convert(doubling3, text):
-    with pytest.raises(WordError, match=re.escape(f"word token {text!r} has a number too long to convert")):
+    with pytest.raises(WordError, match=re.escape(f"word token {text[:40]!r}... has a number too long to convert")) as e:
         parse_word(doubling3, text)
+    assert len(str(e.value)) < 200
+
+
+@pytest.mark.parametrize("text, start, end", [
+    ("x" * 5000, "cannot parse word token 'xxxx", "'..."),
+    ("m[0]:(" + ",".join(["0"] * 2000) + ")", "state offset 'm[0]:(0,0,", "has 2000 coordinates, expected 1"),
+    ("m[0]:(0)^" + "0" * 50 + str(MAX_WORD_CODES + 1), "word token 'm[0]:(0)^0000",
+     f"expands the word past {MAX_WORD_CODES} codes"),
+], ids=["cannot-parse", "state-offset", "expands-past"])
+def test_word_errors_quote_at_most_40_characters_of_a_token(doubling3, text, start, end):
+    with pytest.raises(WordError) as e:
+        parse_word(doubling3, text)
+    message = str(e.value)
+    assert message.startswith(start) and message.endswith(end) and len(message) < 200
+    assert f"{text[:40]!r}..." in message and text[:41] not in message
 
 
 def test_powers_past_the_code_cap_are_refused(doubling3):
@@ -427,7 +465,7 @@ def test_budget_below_one_rejected(shear2):
         for call in (lambda: decide_identity(t1, budget),
                      lambda: decide_identity(GroupWord(shear2), budget),
                      lambda: t1.is_identity(budget),
-                     lambda: equal(t1, t1, budget),
+                     lambda: (t1 * ~t1).is_identity(budget),
                      lambda: verify_relation(shear2, 0, 1, budget=budget),
                      lambda: relator_check(shear2, presentation_for(shear2.matrices), budget)):
             with pytest.raises(ValueError, match="at least 1"):
