@@ -36,13 +36,14 @@ def _budget(args) -> int:
     return args.budget
 
 
-def _emit(args, text: str, obj: dict):
-    print(json.dumps(obj, sort_keys=True) if args.json else text)
+def _emit(args, text: str, obj: dict, file=None):
+    "Print text, or obj as JSON under --json, to file (stdout by default)."
+    print(json.dumps(obj, sort_keys=True) if args.json else text, file=file)
 
 
 def _read(path: str, parse):
-    "parse(text of the file at path); a ValueError names the file."
-    with open(path) as f:
+    "parse(text of the UTF-8 file at path); a ValueError names the file."
+    with open(path, encoding="utf-8") as f:
         try:
             return parse(f.read())
         except ValueError as e:  # a FormatError, or text that is not valid in the file's encoding
@@ -54,17 +55,15 @@ def _cmd_build(args) -> int:
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
     bound = am.state_count_bound(mats)
     payload = am.to_json(aut)
-    stats = f"states={len(aut.labels)}, bound=2^d*Σ||Mi||^d={bound}"
+    text = f"states={len(aut.labels)}, bound=2^d*sum||Mi||^d={bound}"
+    stats = {"states": len(aut.labels), "bound": bound}
     if args.output:
-        with open(args.output, "w") as f:
+        with open(args.output, "w", encoding="utf-8") as f:
             f.write(payload + "\n")
-        _emit(args, stats, {"states": len(aut.labels), "bound": bound, "output": args.output})
+        _emit(args, text, {**stats, "output": args.output})
     else:
         print(payload)
-        if args.json:
-            print(json.dumps({"states": len(aut.labels), "bound": bound}, sort_keys=True), file=sys.stderr)
-        else:
-            print(stats, file=sys.stderr)
+        _emit(args, text, stats, sys.stderr)
     return 0
 
 

@@ -61,13 +61,16 @@ def sanov_pair():
 
 def word_matrix(word, mats) -> Matrix:
     """Evaluate a word of signed codes (`i` for mats[i], `~i` for its
-    inverse) as a matrix product; inverses must be integral."""
+    inverse) as a matrix product; inverses must be integral.  A code that is
+    not an int in [-len(mats), len(mats)) is a ValueError."""
     ms = [matrix(m) for m in mats]
     if not ms:
         raise ValueError("need at least one matrix")
     factors = {}
     result = identity(len(ms[0]))
     for c in word:
+        if type(c) is not int or not -len(ms) <= c < len(ms):
+            raise ValueError(f"code {c!r} is not an int in range (got {len(ms)} matrices)")
         if c not in factors:
             factors[c] = ms[c] if c >= 0 else inverse_unimodular(ms[~c])
         result = mat_mul(result, factors[c])

@@ -25,7 +25,9 @@ words rightmost code first, the order the letters walk them in.
 
 `translation_word` builds the axis translations `t[j]@i` that `parse_word`
 reads; the relators of a presentation are built from them and decided in
-`constructions`.
+`constructions`.  Both resolve a state label through one lookup, which names
+a missing component or state, and error messages cut an echoed token, label
+or number to its first 40 characters.
 """
 
 from __future__ import annotations
@@ -232,21 +234,12 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
 def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> GroupWord:
     """The two-factor word m_0 * m_{-e_axis}^-1 from the given component; it
     acts on digit words as +1 on coordinate `axis` (1-based), carries
-    included.  Both states exist in every component."""
+    included.  Both states exist in every component of a `build_union` automaton."""
     d = aut.d
-    if not 0 <= matrix_index < len(aut.matrices):
-        raise WordError(f"no component {matrix_index} in this automaton")
+    a = _state(aut, matrix_index, (0,) * d)
     if not 1 <= axis <= d:
-        raise WordError(f"axis {axis} out of range 1..{d}")
-    zero = (0,) * d
-    neg = tuple(-1 if i == axis - 1 else 0 for i in range(d))
-    try:
-        a = aut.state_id(matrix_index, zero)
-        b = aut.state_id(matrix_index, neg)
-    except KeyError:
-        raise WordError(
-            f"component {matrix_index} has no states {zero} / {neg}; "
-            f"is this a deduplicated automaton?") from None
+        raise WordError(f"axis {_number(axis)} out of range 1..{d}")
+    b = _state(aut, matrix_index, tuple(-1 if i == axis - 1 else 0 for i in range(d)))
     return _word(aut, (a, ~b))  # distinct states, so already reduced
 
 
@@ -278,16 +271,43 @@ def reduced_words(rank: int, max_length: int):
     if max_length < 0:
         raise ValueError(f"max_length must be at least 0, got {max_length}")
     gens = [c for i in range(rank) for c in (i, ~i)]
-    level = [()]
-    yield ()
-    for _ in range(max_length):
-        level = [w + (g,) for w in level for g in gens if not (w and w[-1] == ~g)]
-        yield from level
+    for length in range(max_length + 1):
+        # one lazy generator per factor: a level is never held whole
+        words = iter([()])
+        for _ in range(length):
+            words = (w + (g,) for w in words for g in gens if not (w and w[-1] == ~g))
+        yield from words
 
 
-def _quote(tok: str) -> str:
-    "A token as an error message quotes it: its first 40 characters, then `...` if it is longer."
-    return repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}..."
+def _quote(tok: str, show=repr) -> str:
+    "A token as an error message quotes it: show() of its first 40 characters, then `...` if it is longer."
+    return show(tok) if len(tok) <= 40 else f"{show(tok[:40])}..."
+
+
+def _number(k: int) -> str:
+    """An int as an error message echoes it, cut as `_quote` cuts a token.  A
+    longer int is first cut to its leading digits, as str() refuses one past the
+    interpreter's conversion limit: 0.30102999 < log10(2), so dividing by
+    10**(that times the bit length, less 40) keeps at least 41 of them."""
+    if -10 ** 39 < k < 10 ** 40:
+        return str(k)
+    lead = abs(k) // 10 ** max(0, (abs(k).bit_length() - 1) * 30102999 // 10 ** 8 - 40)
+    return _quote(("-" if k < 0 else "") + str(lead), str)
+
+
+def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
+    """The id of the state labeled (matrix_index, offset).  A missing label raises
+    WordError naming the component outside the automaton, else the offset's wrong
+    length (quoting `token`, the word token naming it), else the absent state."""
+    try:
+        return aut.state_id(matrix_index, offset)
+    except KeyError:
+        pass
+    if not 0 <= matrix_index < len(aut.matrices):
+        raise WordError(f"no component {_number(matrix_index)} in this automaton")
+    if len(offset) != aut.d:
+        raise WordError(f"state offset {_quote(token)} has {len(offset)} coordinates, expected {aut.d}")
+    raise WordError(f"no state {_quote(f'm[{matrix_index}]:({format_letter(offset)})', str)} in this automaton")
 
 
 _STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$")
@@ -313,15 +333,7 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
         except ValueError:
             raise WordError(f"word token {_quote(tok)} has a number too long to convert") from None
         if m.re is _STATE_TOKEN:
-            if i >= len(aut.matrices):
-                raise WordError(f"no component {i} in this automaton")
-            if len(rest) != aut.d:
-                raise WordError(f"state offset {_quote(tok)} has {len(rest)} coordinates, expected {aut.d}")
-            try:
-                sid = aut.state_id(i, rest)
-            except KeyError:
-                raise WordError(f"no state m[{i}]:({format_letter(rest)}) in this automaton") from None
-            base = _word(aut, (sid,))
+            base = _word(aut, (_state(aut, i, rest, tok),))
         else:
             base = translation_word(aut, rest[0], i)
         if len(codes) + len(base.codes) * abs(k) > MAX_WORD_CODES:

@@ -24,7 +24,7 @@ def test_build_writes_automaton_and_stats(tmp_path, capsys):
     code = main(["build", "--matrices", mats, "--n", "3", "-o", str(out)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "states=4, bound=2^d*Σ||Mi||^d=4" in captured.out
+    assert "states=4, bound=2^d*sum||Mi||^d=4" in captured.out
     aut = from_json(out.read_text())
     assert len(aut.labels) == 4
 
@@ -36,7 +36,11 @@ def test_build_to_stdout(tmp_path, capsys):
     assert code == 0
     aut = from_json(captured.out)
     assert len(aut.labels) == 2
-    assert "states=2" in captured.err
+    assert captured.err == "states=2, bound=2^d*sum||Mi||^d=2\n"
+    assert main(["build", "--matrices", mats, "--n", "2", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert from_json(captured.out) == aut
+    assert json.loads(captured.err) == {"states": 2, "bound": 2}
 
 
 def test_build_non_coprime_exit_2(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -87,6 +89,18 @@ def test_reduced_words_counts():
     assert sum(1 for _ in reduced_words(2, 2)) == 17
 
 
+def test_reduced_words_yields_a_level_before_building_it_whole():
+    # the 360000 words of length 2 over 300 generators once sat in one list (22 MB) before the first was yielded
+    tracemalloc.start()
+    try:
+        first = next(w for w in reduced_words(300, 2) if len(w) == 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0, 0)
+    assert peak < 10 ** 6
+
+
 def test_reduced_words_are_codes_in_order():
     assert list(reduced_words(2, 1)) == [(), (0,), (~0,), (1,), (~1,)]
     assert (0, ~0) not in set(reduced_words(2, 2)) and (~1, 1) not in set(reduced_words(2, 2))
@@ -94,12 +108,17 @@ def test_reduced_words_are_codes_in_order():
     assert word_matrix((~0, 1), [A, B]) == mat_mul(inverse_unimodular(A), B)
 
 
-@pytest.mark.parametrize("call", [lambda: presentation_for([]),
-                                  lambda: word_matrix((), []),
-                                  lambda: word_matrix((0,), [])],
-                         ids=["presentation_for", "word_matrix-empty-word", "word_matrix"])
-def test_an_empty_matrix_list_is_a_value_error(call):
-    with pytest.raises(ValueError, match="^need at least one matrix$"):
+# over two matrices the last four codes once raised IndexError or TypeError, and True silently read mats[1]
+@pytest.mark.parametrize("call, message", [
+    (lambda: presentation_for([]), "need at least one matrix"),
+    (lambda: word_matrix((), []), "need at least one matrix"),
+    (lambda: word_matrix((0,), []), "need at least one matrix"),
+    *[(lambda c=c: word_matrix((0, c), list(sanov_pair())), f"code {c!r} is not an int in range (got 2 matrices)")
+      for c in (5, ~5, 0.0, True)],
+], ids=["presentation_for", "word_matrix-empty-word", "word_matrix",
+        "word_matrix-code-past-the-end", "word_matrix-inverse-past-the-end", "word_matrix-float", "word_matrix-bool"])
+def test_an_empty_matrix_list_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -191,8 +210,7 @@ def test_relator_check_names_a_component_without_a_zero_offset_state():
     shear = [[1, 1], [0, 1]]
     aut = dedup(build_union([shear, shear], 2))
     assert aut.component_range(1)[0] == aut.component_range(1)[1]
-    with pytest.raises(WordError, match=r"component 1 has no states \(0, 0\) / \(-1, 0\); "
-                                        r"is this a deduplicated automaton\?"):
+    with pytest.raises(WordError, match=r"^no state m\[1\]:\(0,0\) in this automaton$"):
         relator_check(aut, presentation_for(aut.matrices))
 
 

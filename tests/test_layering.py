@@ -26,7 +26,7 @@ def sibling(module, level):
 
 
 def violations(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     aliases, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and sibling(node.module, node.level) is not None:

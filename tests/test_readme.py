@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_python_blocks_print_their_comments():
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     assert blocks
     for block in blocks:
         # `print(...)   # text`: the comment is the line that call must print
@@ -27,7 +27,7 @@ def test_readme_python_blocks_print_their_comments():
 
 
 def test_readme_command_line_transcript_replays(tmp_path, monkeypatch, capsys):
-    blocks = [b for b in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S) if "\n$ " in "\n" + b]
+    blocks = [b for b in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S) if "\n$ " in "\n" + b]
     assert len(blocks) == 1
     # each `$ command` is followed by the stdout lines it prints, up to a blank line or the next command
     steps = re.findall(r"^\$ (.*)\n((?:(?!\$ ).+\n)*)", blocks[0], re.M)

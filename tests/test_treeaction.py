@@ -409,6 +409,26 @@ def test_word_errors_quote_at_most_40_characters_of_a_token(doubling3, text, sta
     assert f"{text[:40]!r}..." in message and text[:41] not in message
 
 
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda aut: parse_word(aut, f"m[{NINES}]:(0)"), "no component 9999"),
+    (lambda aut: parse_word(aut, f"t[1]@{NINES}"), "no component 9999"),
+    (lambda aut: parse_word(aut, f"t[{NINES}]"), "axis 9999"),
+    (lambda aut: parse_word(aut, f"m[0]:({NINES})"), "no state m[0]:(9999"),
+    (lambda aut: translation_word(aut, 0, 10 ** 5000), "axis 1000"),
+    (lambda aut: translation_word(aut, 10 ** 5000, 1), "no component 1000"),
+], ids=["component", "translation-component", "axis", "state", "int-axis", "int-component"])
+def test_word_errors_cut_a_long_number_to_40_characters(doubling3, call, start):
+    # 10**5000 is past the interpreter's int-to-str limit, which once escaped as a bare ValueError
+    with pytest.raises(WordError) as e:
+        call(doubling3)
+    message = str(e.value)
+    assert message.startswith(start) and "..." in message and len(message) < 200
+    assert re.search(r"\d{41}", message) is None
+
+
 def test_powers_past_the_code_cap_are_refused(doubling3):
     t = translation_word(doubling3)  # 2 codes
     for k in (10 ** 19, -(10 ** 19), MAX_WORD_CODES // 2 + 1):
