@@ -34,7 +34,7 @@ from .linalg import (
     det,
     format_letter,
     mat_vec,
-    matrix,
+    matrix_family,
     offset_box,
     row_sum_norm,
     vec_add,
@@ -137,10 +137,9 @@ class Automaton:
 
 def state_count_bound(Ms) -> int:
     "The guaranteed ceiling 2**d * sum_i ||M_i||**d on the union's state count."
-    if not Ms:
-        raise BuildError("need at least one matrix")
-    d = len(Ms[0])
-    return 2 ** d * sum(row_sum_norm(matrix(M)) ** d for M in Ms)
+    mats = matrix_family(Ms)
+    d = len(mats[0])
+    return 2 ** d * sum(row_sum_norm(M) ** d for M in mats)
 
 
 def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automaton:
@@ -151,13 +150,11 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     output tables would not permute the alphabet).  The alphabet size n**d is
     capped to keep accidental huge builds from exhausting memory.
     """
-    mats = [matrix(M) for M in Ms]
-    if not mats:
-        raise BuildError("need at least one matrix")
+    try:
+        mats = matrix_family(Ms)
+    except ValueError as e:
+        raise BuildError(str(e)) from None
     d = len(mats[0])
-    for i, M in enumerate(mats):
-        if len(M) != d:
-            raise BuildError(f"matrix {i} is {len(M)}x{len(M)}, expected {d}x{d}")
     if not isinstance(n, int) or n < 2:
         raise BuildError(f"base must be an integer >= 2, got {n!r}")
     if n ** d > alphabet_cap:
@@ -297,18 +294,18 @@ def _loads(text: str):
 
 
 def _matrices(value) -> tuple:
-    "A nonempty list of row-major matrices; an entry's error names its index."
+    "A nonempty list of row-major matrices of one size; the first bad entry's error names its index."
     if not isinstance(value, list) or not value:
         raise FormatError("matrices must be a nonempty list")
-    mats = []
-    for i, m in enumerate(value):
+
+    def rows(i, m):
         if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
             raise FormatError(f"matrices[{i}]: matrix must be a list of rows")
-        try:
-            mats.append(matrix(m))
-        except (ValueError, TypeError) as e:
-            raise FormatError(f"matrices[{i}]: {e}") from None
-    return tuple(mats)
+        return m
+    try:
+        return matrix_family(rows(i, m) for i, m in enumerate(value))
+    except ValueError as e:  # a FormatError from rows() keeps its message
+        raise FormatError(str(e)) from None
 
 
 def read_matrices(text: str) -> tuple:
@@ -330,9 +327,8 @@ def from_json(text: str) -> Automaton:
     if type(d) is not int or d < 1:
         raise FormatError(f"d must be an integer >= 1, got {obj['d']!r}")
     mats = _matrices(obj["matrices"])
-    for i, M in enumerate(mats):
-        if len(M) != d:
-            raise FormatError(f"matrices[{i}] is {len(M)}x{len(M)}, expected {d}x{d}")
+    if len(mats[0]) != d:  # _matrices gave every entry entry 0's size
+        raise FormatError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {d}x{d}")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise FormatError("states must be a nonempty list")
     # each state lists all n**d letters, so n**d <= len(text); decided without forming n**d

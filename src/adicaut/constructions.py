@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .automaton import Automaton
-from .linalg import Matrix, block_diag, is_unimodular, mat_mul, matrix, identity, inverse_unimodular
+from .linalg import Matrix, block_diag, is_unimodular, mat_mul, matrix_family, identity, inverse_unimodular
 from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
@@ -35,19 +35,11 @@ def block_extend(uppers, lowers):
     into block-diagonal d x d matrices diag(upper, lower).  The outputs map
     onto the group generated by the lower blocks, so a free lower family
     keeps the extended family free."""
-    ups = [matrix(m) for m in uppers]
-    lows = [matrix(m) for m in lowers]
+    ups, lows = matrix_family(uppers), matrix_family(lowers)
     if len(ups) != len(lows):
         raise ValueError(f"got {len(ups)} upper blocks but {len(lows)} lower blocks")
-    if not ups:
-        raise ValueError("need at least one pair of blocks")
-    du = len(ups[0])
-    for m in ups:
-        if len(m) != du:
-            raise ValueError("upper blocks must all have the same size")
-    for m in lows:
-        if len(m) != 2:
-            raise ValueError("lower blocks must be 2x2")
+    if len(lows[0]) != 2:
+        raise ValueError(f"lower blocks must be 2x2, got {len(lows[0])}x{len(lows[0])}")
     return [block_diag(u, l) for u, l in zip(ups, lows)]
 
 
@@ -63,9 +55,7 @@ def word_matrix(word, mats) -> Matrix:
     """Evaluate a word of signed codes (`i` for mats[i], `~i` for its
     inverse) as a matrix product; inverses must be integral.  A code that is
     not an int in [-len(mats), len(mats)) is a ValueError."""
-    ms = [matrix(m) for m in mats]
-    if not ms:
-        raise ValueError("need at least one matrix")
+    ms = matrix_family(mats)
     factors = {}
     result = identity(len(ms[0]))
     for c in word:
@@ -113,13 +103,8 @@ def presentation_for(Ms) -> Presentation:
     """Presentation of the group generated by the coordinate translations and
     the given matrices: translations commute, and each stable letter t_k
     conjugates a_j to a_1^{m_1j} ... a_d^{m_dj} read off column j of M_k."""
-    mats = [matrix(M) for M in Ms]
-    if not mats:
-        raise ValueError("need at least one matrix")
+    mats = matrix_family(Ms)
     d = len(mats[0])
-    for M in mats:
-        if len(M) != d:
-            raise ValueError("matrices must all have the same dimension")
     a = tuple(f"a{i}" for i in range(1, d + 1))
     if len(mats) == 1:
         t = ("t",)

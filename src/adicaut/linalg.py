@@ -3,7 +3,8 @@ automaton construction is built on.
 
 Vectors are tuples of ints and matrices are tuples of row tuples, so every
 value is immutable, hashable, and arbitrary precision.  Nothing here uses
-floating point, and nothing can overflow.
+floating point, and nothing can overflow.  `matrix_family` is the one check
+of every construction's input: a nonempty family of matrices of one size.
 """
 
 from __future__ import annotations
@@ -35,6 +36,22 @@ def matrix(rows) -> Matrix:
         if len(row) != len(m):
             raise ValueError(f"matrix is not square: {len(m)} rows, row of length {len(row)}")
     return m
+
+
+def matrix_family(Ms) -> tuple:
+    "Freeze a nonempty family of square integer matrices of entry 0's size; an entry's error names its index."
+    mats = []
+    for i, M in enumerate(Ms):
+        try:
+            mats.append(matrix(M))
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"matrices[{i}]: {e}") from None
+        k, d = len(mats[i]), len(mats[0])
+        if k != d:
+            raise ValueError(f"matrices[{i}] is {k}x{k}, expected {d}x{d}")
+    if not mats:
+        raise ValueError("need at least one matrix")
+    return tuple(mats)
 
 
 def identity(d: int) -> Matrix:

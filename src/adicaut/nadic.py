@@ -52,7 +52,7 @@ class DigitWord:
             if len(x) != self.dim:
                 raise ValueError(f"letter {x} does not have dimension {self.dim}")
             for c in x:
-                if not isinstance(c, int) or not 0 <= c < self.base:
+                if type(c) is not int or not 0 <= c < self.base:
                     raise ValueError(f"digit {c!r} out of range for base {self.base}")
         object.__setattr__(self, "letters", letters)
 

@@ -237,8 +237,8 @@ def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> Gr
     included.  Both states exist in every component of a `build_union` automaton."""
     d = aut.d
     a = _state(aut, matrix_index, (0,) * d)
-    if not 1 <= axis <= d:
-        raise WordError(f"axis {_number(axis)} out of range 1..{d}")
+    if type(axis) is not int or not 1 <= axis <= d:  # 1.5 and True compare like ints
+        raise WordError(f"axis {_echo(axis)} out of range 1..{d}")
     b = _state(aut, matrix_index, tuple(-1 if i == axis - 1 else 0 for i in range(d)))
     return _word(aut, (a, ~b))  # distinct states, so already reduced
 
@@ -295,19 +295,23 @@ def _number(k: int) -> str:
     return _quote(("-" if k < 0 else "") + str(lead), str)
 
 
+def _echo(x) -> str:
+    "A component or axis as an error message echoes it: an int by `_number`, anything else by its cut repr."
+    return _number(x) if type(x) is int else _quote(repr(x), str)
+
+
 def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
     """The id of the state labeled (matrix_index, offset).  A missing label raises
-    WordError naming the component outside the automaton, else the offset's wrong
-    length (quoting `token`, the word token naming it), else the absent state."""
+    WordError naming the component outside the automaton (or not an int), else the
+    offset's wrong length (quoting `token`, the word token naming it), else the absent state."""
+    if type(matrix_index) is not int or not 0 <= matrix_index < len(aut.matrices):
+        raise WordError(f"no component {_echo(matrix_index)} in this automaton")
+    if len(offset) != aut.d:
+        raise WordError(f"state offset {_quote(token)} has {len(offset)} coordinates, expected {aut.d}")
     try:
         return aut.state_id(matrix_index, offset)
     except KeyError:
-        pass
-    if not 0 <= matrix_index < len(aut.matrices):
-        raise WordError(f"no component {_number(matrix_index)} in this automaton")
-    if len(offset) != aut.d:
-        raise WordError(f"state offset {_quote(token)} has {len(offset)} coordinates, expected {aut.d}")
-    raise WordError(f"no state {_quote(f'm[{matrix_index}]:({format_letter(offset)})', str)} in this automaton")
+        raise WordError(f"no state {_quote(f'm[{matrix_index}]:({format_letter(offset)})', str)} in this automaton") from None
 
 
 _STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$")

@@ -105,6 +105,8 @@ def test_build_rejections():
         build_union([], 2)
     with pytest.raises(BuildError):
         build_union([[[1]]], 1)
+    with pytest.raises(BuildError, match=r"^matrices\[0\]: vector coordinate 1\.5 is not an int$"):
+        build_union([[[1.5]]], 2)
 
 
 def test_state_count_bound_needs_a_matrix():

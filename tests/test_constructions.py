@@ -21,6 +21,7 @@ from adicaut import (
     relator_check,
     row_sum_norm,
     sanov_pair,
+    state_count_bound,
     verify_relation,
     word_matrix,
 )
@@ -52,6 +53,17 @@ def test_block_extend_errors():
         block_extend([identity(2)], [identity(3)])
     with pytest.raises(ValueError):
         block_extend([], [])
+
+
+@pytest.mark.parametrize("uppers, lowers, message", [
+    ([identity(2)], [identity(2), identity(2)], "got 1 upper blocks but 2 lower blocks"),
+    ([], [], "need at least one matrix"),
+    ([identity(2), identity(3)], list(sanov_pair()), "matrices[1] is 3x3, expected 2x2"),
+    ([identity(2)], [identity(3)], "lower blocks must be 2x2, got 3x3"),
+], ids=["count-mismatch", "empty", "mixed-upper-sizes", "lower-not-2x2"])
+def test_block_extend_rejections(uppers, lowers, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        block_extend(uppers, lowers)
 
 
 def test_block_multiplication_respects_blocks():
@@ -108,6 +120,9 @@ def test_reduced_words_are_codes_in_order():
     assert word_matrix((~0, 1), [A, B]) == mat_mul(inverse_unimodular(A), B)
 
 
+MIXED = [[[1]], [[1, 0], [0, 1]]]
+
+
 # over two matrices the last four codes once raised IndexError or TypeError, and True silently read mats[1]
 @pytest.mark.parametrize("call, message", [
     (lambda: presentation_for([]), "need at least one matrix"),
@@ -115,8 +130,12 @@ def test_reduced_words_are_codes_in_order():
     (lambda: word_matrix((0,), []), "need at least one matrix"),
     *[(lambda c=c: word_matrix((0, c), list(sanov_pair())), f"code {c!r} is not an int in range (got 2 matrices)")
       for c in (5, ~5, 0.0, True)],
+    (lambda: state_count_bound(MIXED), "matrices[1] is 2x2, expected 1x1"),
+    (lambda: word_matrix((0, 1), MIXED), "matrices[1] is 2x2, expected 1x1"),
+    (lambda: presentation_for(MIXED), "matrices[1] is 2x2, expected 1x1"),
 ], ids=["presentation_for", "word_matrix-empty-word", "word_matrix",
-        "word_matrix-code-past-the-end", "word_matrix-inverse-past-the-end", "word_matrix-float", "word_matrix-bool"])
+        "word_matrix-code-past-the-end", "word_matrix-inverse-past-the-end", "word_matrix-float", "word_matrix-bool",
+        "state_count_bound-mixed-size", "word_matrix-mixed-size", "presentation_for-mixed-size"])
 def test_an_empty_matrix_list_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -42,7 +42,8 @@ def test_digit_word_validation():
     bad = (2,)
     for letters in (((1,), bad, bad), ((1,), (2,), (2,)),  # a repeated bad letter, shared or not
                     (([0],),),  # an unhashable digit
-                    ((1,), (1.0,))):  # equal to a good letter, but not an int
+                    ((1,), (1.0,)),  # equal to a good letter, but not an int
+                    ((True,),), ((1,), (True,))):  # a bool, which format() would print as True
         with pytest.raises(ValueError, match="out of range"):
             DigitWord(letters, 2, 1)
 

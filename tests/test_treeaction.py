@@ -258,6 +258,15 @@ def test_component_out_of_range_is_a_word_error():
                 call()
     with pytest.raises(WordError, match="^no component 2 in this automaton$"):
         parse_word(aut, "t[1]@2")
+    # True == 1 and 1.5 passes a range check, so only a type check keeps them out
+    for mi in (True, 1.5, "0"):
+        for call in (lambda: translation_word(aut, mi, 1), lambda: verify_relation(aut, mi, 1)):
+            with pytest.raises(WordError, match=f"^no component {re.escape(repr(mi))} in this automaton$"):
+                call()
+    for axis in (1.5, True):
+        for call in (lambda: translation_word(aut, 0, axis), lambda: verify_relation(aut, 0, axis)):
+            with pytest.raises(WordError, match=f"^{re.escape(f'axis {axis} out of range 1..2')}$"):
+                call()
 
 
 def test_verify_relation_union_components():
