@@ -31,6 +31,7 @@ from operator import add, itemgetter, mul
 from .linalg import (
     Vector,
     all_letters,
+    bounded_int,
     det,
     format_letter,
     mat_vec,
@@ -56,10 +57,11 @@ class FormatError(ValueError):
 
 
 class Automaton:
-    """An immutable transducer over the alphabet {0..n-1}^d.
+    """A transducer over the alphabet {0..n-1}^d, immutable apart from the
+    inverse rows `row` builds on first use.
 
     State `sid` has the label `labels[sid]` = (matrix index, offset v) and the
-    table `tables[sid]` = (out, nxt): reading letter x it writes the letter
+    given table `rows[sid]` = (out, nxt): reading letter x it writes the letter
     with dense index out[x] and hands the rest of the word to state nxt[x].
     Labels must be grouped by ascending matrix index; `components[i]` is the
     half-open range of state ids whose matrix index is i.  A state or its
@@ -152,11 +154,10 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     """
     try:
         mats = matrix_family(Ms)
+        bounded_int(n, "base", 2)
     except ValueError as e:
         raise BuildError(str(e)) from None
     d = len(mats[0])
-    if not isinstance(n, int) or n < 2:
-        raise BuildError(f"base must be an integer >= 2, got {n!r}")
     if n ** d > alphabet_cap:
         raise AlphabetCapError(
             f"alphabet size {n}**{d} = {n ** d} exceeds the cap {alphabet_cap}; "
@@ -321,11 +322,10 @@ def from_json(text: str) -> Automaton:
     for key in ("n", "d", "matrices", "states"):
         if key not in obj:
             raise FormatError(f"missing key {key!r}")
-    n, d = obj["n"], obj["d"]
-    if type(n) is not int or n < 2:  # JSON true/false are bools, not 1/0
-        raise FormatError(f"n must be an integer >= 2, got {obj['n']!r}")
-    if type(d) is not int or d < 1:
-        raise FormatError(f"d must be an integer >= 1, got {obj['d']!r}")
+    try:  # JSON true/false are bools, not 1/0
+        n, d = bounded_int(obj["n"], "n", 2), bounded_int(obj["d"], "d", 1)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     mats = _matrices(obj["matrices"])
     if len(mats[0]) != d:  # _matrices gave every entry entry 0's size
         raise FormatError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {d}x{d}")

@@ -26,14 +26,8 @@ import sys
 from . import automaton as am
 from . import treeaction as ta
 from .constructions import verify_relation
+from .linalg import bounded_int
 from .nadic import AffineMap, DigitWord, affine_apply_prefix
-
-
-def _budget(args) -> int:
-    "The node budget from --budget (default DEFAULT_NODE_BUDGET); must be >= 1."
-    if args.budget < 1:
-        raise ValueError(f"--budget {args.budget}: the node budget must be at least 1")
-    return args.budget
 
 
 def _emit(args, text: str, obj: dict, file=None):
@@ -77,7 +71,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_wp(args) -> int:
-    budget = _budget(args)
+    budget = bounded_int(args.budget, "--budget", 1)
     aut = _read(args.automaton, am.from_json)
     w = ta.parse_word(aut, args.word)
     try:
@@ -92,7 +86,7 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    budget = _budget(args)
+    budget = bounded_int(args.budget, "--budget", 1)
     mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
     outcomes = set()
@@ -107,11 +101,8 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-    if args.depth > ta.MAX_WORD_CODES:
-        raise ValueError(f"--depth must be at most {ta.MAX_WORD_CODES}, got {args.depth}")
+    bounded_int(args.depth, "--depth", 1, ta.MAX_WORD_CODES)
+    bounded_int(args.samples, "--samples", 1)
     aut = _read(args.automaton, am.from_json)
     rng = random.Random(args.seed)
     letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]

@@ -5,6 +5,9 @@ Vectors are tuples of ints and matrices are tuples of row tuples, so every
 value is immutable, hashable, and arbitrary precision.  Nothing here uses
 floating point, and nothing can overflow.  `matrix_family` is the one check
 of every construction's input: a nonempty family of matrices of one size.
+`bounded_int` is the one check of every base, dimension, length and node
+budget: an int, never a float or a bool, within its bounds; `echo` shows the
+rejected value, cut so that no message grows with it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,33 @@ def matrix_family(Ms) -> tuple:
     return tuple(mats)
 
 
+def echo(x) -> str:
+    """A value as an error message shows it: an int by its digits, anything else by
+    its repr, cut to the first 40 characters and `...`.  A longer int is first cut
+    to its leading digits, as str() refuses one past the interpreter's conversion
+    limit: 0.30102999 < log10(2), so dividing by 10**(that times the bit length,
+    less 40) keeps at least 41 of them."""
+    if type(x) is not int:
+        text = repr(x)
+    elif -10 ** 39 < x < 10 ** 40:
+        return str(x)
+    else:
+        lead = abs(x) // 10 ** max(0, (abs(x).bit_length() - 1) * 30102999 // 10 ** 8 - 40)
+        text = ("-" if x < 0 else "") + str(lead)
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
+def bounded_int(x, name: str, low: int, high: int | None = None) -> int:
+    "x itself when it is an int, not a bool, in [low, high] (no upper end when high is None); else ValueError naming it."
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, got {echo(x)}")
+    if x < low:
+        raise ValueError(f"{name} must be at least {low}, got {echo(x)}")
+    if high is not None and x > high:
+        raise ValueError(f"{name} must be at most {high}, got {echo(x)}")
+    return x
+
+
 def identity(d: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
@@ -83,8 +113,7 @@ def mod_div(v: Vector, n: int):
     """Split v coordinatewise as v = r + n*q with every coordinate of r in
     [0, n).  Uses floored division, so remainders are never negative; the
     range constraint makes the pair (r, q) unique."""
-    if n < 2:
-        raise ValueError(f"base must be >= 2, got {n}")
+    bounded_int(n, "base", 2)
     rs = []
     qs = []
     for c in v:
@@ -118,8 +147,7 @@ def all_letters(n: int, d: int):
     """Digit tuples in {0..n-1}^d in dense order: the letter at index i has
     digits given by the base-n expansion of i, first coordinate least
     significant."""
-    if n < 2:
-        raise ValueError(f"base must be >= 2, got {n}")
+    bounded_int(n, "base", 2)
     return [t[::-1] for t in product(range(n), repeat=d)]
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .linalg import (
     Matrix,
     Vector,
+    bounded_int,
     format_letter,
     mat_mul,
     mat_vec,
@@ -42,10 +43,8 @@ class DigitWord:
     dim: int
 
     def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        bounded_int(self.base, "base", 2)
+        bounded_int(self.dim, "dimension", 1)
         letters = tuple(map(tuple, self.letters))
         # one letter object is checked once: the images `act` builds reuse the automaton's letter tuples
         for x in dict(zip(map(id, letters), letters)).values():
@@ -99,10 +98,8 @@ def compose(f: AffineMap, g: AffineMap) -> AffineMap:
 def encode(u: Vector, n: int, k: int) -> DigitWord:
     """Base-n digits of a nonnegative vector, least significant first, padded
     to exactly k letters.  Fails when a coordinate needs more than k digits."""
-    if n < 2:
-        raise ValueError(f"base must be >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"length must be >= 0, got {k}")
+    bounded_int(n, "base", 2)
+    bounded_int(k, "length", 0)
     for c in u:
         if c < 0:
             raise ValueError(f"coordinate {c} is negative; only vectors in [0, n**k)^d have digit expansions")

@@ -38,7 +38,7 @@ from itertools import groupby
 from operator import add
 
 from .automaton import Automaton
-from .linalg import format_letter
+from .linalg import bounded_int, echo, format_letter
 from .nadic import DigitWord
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -212,9 +212,8 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     """Decide whether `w` acts trivially, returning (answer, visited): the
     verdict and how many distinct words the closure under sections visited.
     Raises BudgetExceededError once more than `budget` words would be
-    visited, and ValueError for a budget below 1."""
-    if budget < 1:
-        raise ValueError(f"the node budget must be at least 1, got {budget}")
+    visited, and ValueError for a budget that is not an int of at least 1."""
+    bounded_int(budget, "the node budget", 1)
     idperm = tuple(range(w.aut.alphabet_size))
     queue = deque([w.codes[::-1]])  # words rightmost code first, as _sections takes and gives them
     visited = set(queue)
@@ -238,7 +237,7 @@ def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> Gr
     d = aut.d
     a = _state(aut, matrix_index, (0,) * d)
     if type(axis) is not int or not 1 <= axis <= d:  # 1.5 and True compare like ints
-        raise WordError(f"axis {_echo(axis)} out of range 1..{d}")
+        raise WordError(f"axis {echo(axis)} out of range 1..{d}")
     b = _state(aut, matrix_index, tuple(-1 if i == axis - 1 else 0 for i in range(d)))
     return _word(aut, (a, ~b))  # distinct states, so already reduced
 
@@ -266,10 +265,11 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
 
 
 def reduced_words(rank: int, max_length: int):
-    """All freely reduced words up to max_length >= 0 over `rank` generators
-    and their inverses, as tuples of signed codes (`i` and `~i`), shortest first."""
-    if max_length < 0:
-        raise ValueError(f"max_length must be at least 0, got {max_length}")
+    """All freely reduced words of at most `max_length` factors over `rank`
+    generators and their inverses, as tuples of signed codes (`i` and `~i`),
+    shortest first.  Both bounds are ints of at least 0."""
+    bounded_int(rank, "rank", 0)
+    bounded_int(max_length, "max_length", 0)
     gens = [c for i in range(rank) for c in (i, ~i)]
     for length in range(max_length + 1):
         # one lazy generator per factor: a level is never held whole
@@ -284,28 +284,12 @@ def _quote(tok: str, show=repr) -> str:
     return show(tok) if len(tok) <= 40 else f"{show(tok[:40])}..."
 
 
-def _number(k: int) -> str:
-    """An int as an error message echoes it, cut as `_quote` cuts a token.  A
-    longer int is first cut to its leading digits, as str() refuses one past the
-    interpreter's conversion limit: 0.30102999 < log10(2), so dividing by
-    10**(that times the bit length, less 40) keeps at least 41 of them."""
-    if -10 ** 39 < k < 10 ** 40:
-        return str(k)
-    lead = abs(k) // 10 ** max(0, (abs(k).bit_length() - 1) * 30102999 // 10 ** 8 - 40)
-    return _quote(("-" if k < 0 else "") + str(lead), str)
-
-
-def _echo(x) -> str:
-    "A component or axis as an error message echoes it: an int by `_number`, anything else by its cut repr."
-    return _number(x) if type(x) is int else _quote(repr(x), str)
-
-
 def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
     """The id of the state labeled (matrix_index, offset).  A missing label raises
     WordError naming the component outside the automaton (or not an int), else the
     offset's wrong length (quoting `token`, the word token naming it), else the absent state."""
     if type(matrix_index) is not int or not 0 <= matrix_index < len(aut.matrices):
-        raise WordError(f"no component {_echo(matrix_index)} in this automaton")
+        raise WordError(f"no component {echo(matrix_index)} in this automaton")
     if len(offset) != aut.d:
         raise WordError(f"state offset {_quote(token)} has {len(offset)} coordinates, expected {aut.d}")
     try:

@@ -105,6 +105,8 @@ def test_build_rejections():
         build_union([], 2)
     with pytest.raises(BuildError):
         build_union([[[1]]], 1)
+    with pytest.raises(BuildError, match=r"^base must be an int, got 3\.0$"):
+        build_union([[[1]]], 3.0)
     with pytest.raises(BuildError, match=r"^matrices\[0\]: vector coordinate 1\.5 is not an int$"):
         build_union([[[1.5]]], 2)
 
@@ -366,7 +368,7 @@ def test_json_rejects_booleans(doubling3):
     first = next(i for i, st in enumerate(union["states"]) if st["m"] == 1 and st["v"] == [1, 0])
     st = union["states"][first]
     cases = [
-        (json.loads(to_json(doubling3)), ("d",), "d must be an integer >= 1, got True"),
+        (json.loads(to_json(doubling3)), ("d",), "d must be an int, got True"),
         (union, ("states", first, "m"), rf"states\[{first}\].m = True is not a matrix index"),
         (union, ("states", first, "v", 0), rf"states\[{first}\].v must be a list of 2 integers"),
         (union, ("states", first, "out", st["out"].index(1)),

@@ -233,7 +233,7 @@ def test_wp_budget_flag_below_one_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"--budget {budget}" in captured.err
+        assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
 
 
 def test_relations_doubling(tmp_path, capsys):

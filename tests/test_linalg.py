@@ -8,6 +8,7 @@ from adicaut import (
     block_diag,
     coprime_to,
     det,
+    encode,
     identity,
     inverse_unimodular,
     is_unimodular,
@@ -31,6 +32,20 @@ def test_mod_div_examples():
 def test_mod_div_rejects_small_base():
     with pytest.raises(ValueError):
         mod_div((1,), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # a float base once gave float digits, or a TypeError from range()
+    (lambda: mod_div((3,), 2.5), "base must be an int, got 2.5"),
+    (lambda: all_letters(2.5, 1), "base must be an int, got 2.5"),
+    (lambda: encode((1,), 2, 1.5), "length must be an int, got 1.5"),
+    # the message echoes at most 40 characters of the value
+    (lambda: mod_div((3,), "9" * 10 ** 4), "base must be an int, got '" + "9" * 39 + "..."),
+], ids=["mod_div", "all_letters", "encode", "long_str"])
+def test_bases_and_lengths_must_be_ints(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_mod_div_round_trip_exhaustive():

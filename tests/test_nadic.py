@@ -46,6 +46,11 @@ def test_digit_word_validation():
                     ((True,),), ((1,), (True,))):  # a bool, which format() would print as True
         with pytest.raises(ValueError, match="out of range"):
             DigitWord(letters, 2, 1)
+    # a float base or dimension once made a word
+    with pytest.raises(ValueError, match="^base must be an int, got 2.5$"):
+        DigitWord(((1,),), 2.5, 1)
+    with pytest.raises(ValueError, match="^dimension must be an int, got 1.5$"):
+        DigitWord((), 2, 1.5)
 
 
 def test_digit_word_parse_format():

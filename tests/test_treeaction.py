@@ -333,6 +333,17 @@ def test_negative_max_length_is_rejected(doubling3):
         list(reduced_words(3, -5))
     with pytest.raises(ValueError, match="max_length must be at least 0, got -1"):
         conjugacy_search_bounded(tau, tau, -1)
+    # a bool or a float once ran as a bound, or raised a bare TypeError from range()
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match=f"^max_length must be an int, got {bad}$"):
+            list(reduced_words(3, bad))
+        with pytest.raises(ValueError, match=f"^max_length must be an int, got {bad}$"):
+            conjugacy_search_bounded(tau, tau, bad)
+    # the rank too: True once enumerated as rank 1 and -1 gave [()] without a word
+    for rank, message in ((True, "rank must be an int, got True"), (-1, "rank must be at least 0, got -1"),
+                          (2.5, "rank must be an int, got 2.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(reduced_words(rank, 1))
     assert list(reduced_words(3, 0)) == [()]
 
 
@@ -490,15 +501,21 @@ def test_closure_visited_counts(shear2):
 def test_budget_below_one_rejected(shear2):
     from adicaut import presentation_for, relator_check
     t1 = translation_word(shear2, 0, 1)
-    for budget in (0, -5):
+    # a float or a bool once ran as a budget: True as 1, 2.5 as room for 3 words
+    for budget, message in ((0, "at least 1"), (-5, "at least 1"),
+                            (2.5, "must be an int, got 2.5"), (True, "must be an int, got True")):
         for call in (lambda: decide_identity(t1, budget),
                      lambda: decide_identity(GroupWord(shear2), budget),
                      lambda: t1.is_identity(budget),
                      lambda: (t1 * ~t1).is_identity(budget),
                      lambda: verify_relation(shear2, 0, 1, budget=budget),
                      lambda: relator_check(shear2, presentation_for(shear2.matrices), budget)):
-            with pytest.raises(ValueError, match="at least 1"):
+            with pytest.raises(ValueError, match=message):
                 call()
+    # a budget past the interpreter's int-to-str limit is echoed cut, not refused by str()
+    with pytest.raises(ValueError, match="at least 1, got -1000") as exc:
+        decide_identity(t1, -10 ** 5000)
+    assert len(str(exc.value)) < 200
     assert decide_identity(t1, 1) == (False, 1)
 
 
