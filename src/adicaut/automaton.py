@@ -9,8 +9,11 @@ so the state count is exactly sum_i (2*||M_i||)**d.
 
 Each coordinate of v + M*x splits into digit and carry on its own, so
 build_union sums one digit row and one carry row per coordinate into each
-state's tables; well_definedness_check never divides, but recomposes
-digit_i(out[x]) + n*offset_i(nxt[x]) and compares it row by row with v_i + (M*x)_i.
+state's tables.  well_definedness_check never divides: it packs each vector
+into one int, in a base wide enough for the offset box, recomposes
+digit(out[x]) + n*offset(nxt[x]) for all of a component's transitions in one
+stream and compares it with v + M*x; only a component that fails is walked
+state by state.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels` and its table (out, nxt) in `Automaton.rows`, the one
@@ -25,8 +28,8 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import pairwise
-from operator import add, itemgetter, mul
+from itertools import chain, cycle, islice, pairwise, repeat
+from operator import add, eq, itemgetter, mul, sub
 
 from .linalg import (
     Vector,
@@ -38,7 +41,6 @@ from .linalg import (
     matrix_family,
     offset_box,
     row_sum_norm,
-    vec_add,
 )
 
 DEFAULT_ALPHABET_CAP = 4096
@@ -155,6 +157,7 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     try:
         mats = matrix_family(Ms)
         bounded_int(n, "base", 2)
+        bounded_int(alphabet_cap, "alphabet cap")  # a cap below 1 refuses every alphabet, as AlphabetCapError
     except ValueError as e:
         raise BuildError(str(e)) from None
     d = len(mats[0])
@@ -224,45 +227,86 @@ MAX_FAILURES = 100
 def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     """Recompose every transition from the stored tables, without dividing and
     independently of build_union: for a state with offset v in the component
-    of M, digit_i(out[x]) + n*offset_i(nxt[x]) must equal v_i + (M*x)_i for
-    every coordinate i and letter x, compared a whole row at a time.  Offsets
-    must lie in the offset box and label their own state, rows have one entry
-    per letter, next states lie in their own component.  Only failing rows are
-    walked letter by letter; at most MAX_FAILURES failures are kept.  Not for
-    deduplicated automata."""
+    of M, digit(out[x]) + n*offset(nxt[x]) must equal v + M*x for every letter
+    x.  Offsets must have d coordinates in the offset box and label their own
+    state, rows have one entry per letter, next states lie in their own
+    component.
+
+    Each vector w is packed into the int sum_i w_i*B**i, so a transition is one
+    int compare.  A component whose offsets, row lengths and entry ranges all
+    hold is compared in one lazy stream over all its transitions.  Any other
+    component is walked state by state: the label, then the row lengths, then
+    one packed compare per row, and only a failing row letter by letter.  At
+    most MAX_FAILURES failures are kept.  Not for deduplicated automata."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
     labels, rows = aut.labels, aut.rows  # rows[sid] for sid >= 0 are the tables as given; row() is never called
     letters = [aut.letter_digits(y) for y in range(A)]
-    digit = [[y[i] for y in letters] for i in range(d)]
-    n_offset = [[n * v[i] for _, v in labels] for i in range(d)]
+    n_packed = [0] * len(labels)  # n times the packed offset of each state, written a component at a time
     failures = []
     checked = 0
     for mi, M in enumerate(aut.matrices):
-        norm = row_sum_norm(M)
         start, end = aut.component_range(mi)
+        norm = row_sum_norm(M)
+        # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
+        # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
+        # below B/2 in absolute value, so packing in base B tells such vectors apart.
+        B = 2 * n * norm + 1
+        places = [B ** i for i in range(d)]
+
+        def pack(w):
+            return sum(map(mul, places, w))
+
+        def inside(v):
+            return len(v) == d and all(-norm <= c < norm for c in v)
+
+        def entries(k):  # every out (k=0) or next (k=1) entry of the component, in state order
+            return chain.from_iterable(map(itemgetter(k), islice(rows, start, end)))
+
+        def within(k, low, high):  # one pass, then min/max over the distinct entries only
+            seen = {*entries(k)}
+            return low <= min(seen) and max(seen) < high
+
+        def recomposed(outs, nxts):  # pack(digit(out[x]) + n*offset(nxt[x]) - M*x), x cycling through the letters
+            return map(sub, map(add, map(p_digit.__getitem__, outs), map(n_packed.__getitem__, nxts)), cycle(p_mx))
+
         mxs = [mat_vec(M, x) for x in letters]
-        expected = [{c: [c + mx[i] for mx in mxs] for c in range(-norm, norm)} for i in range(d)]
-        for sid in range(start, end):
-            v = labels[sid][1]
-            out, nxt = rows[sid]
+        p_digit, p_mx = list(map(pack, letters)), list(map(pack, mxs))
+        offsets = list(map(itemgetter(1), islice(labels, start, end)))
+        # all(map(inside, offsets)), a pass at a time; False for a component without states, which walks none
+        boxed = ({*map(len, offsets)} == {d} and -norm <= min(chain.from_iterable(offsets))
+                 and max(chain.from_iterable(offsets)) < norm)
+        # An offset that is not inside packs to far = B**d.  Every recomposed value of
+        # inside offsets stays below far, and n*far outweighs all other terms, so no
+        # transition into or out of such a state passes the packed compare: the letter
+        # walk decides those.
+        far = B ** d
+        p_v = list(map(pack, offsets)) if boxed else [pack(v) if inside(v) else far for v in offsets]
+        n_packed[start:end] = map(n.__mul__, p_v)
+        if (boxed and all(map(eq, map(aut.state_id, repeat(mi), offsets), range(start, end)))
+                and {*map(len, islice(rows, start, end))} == {2}
+                and {*map(len, chain.from_iterable(islice(rows, start, end)))} == {A}
+                and within(0, 0, A) and within(1, start, end)
+                and all(map(eq, recomposed(entries(0), entries(1)), chain.from_iterable(map(repeat, p_v, repeat(A)))))):
+            checked += (end - start) * A
+            continue
+        for sid, v, (out, nxt), pv in zip(range(start, end), offsets, islice(rows, start, end), p_v):
             checked += A
-            if not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
+            if not inside(v) or aut.state_id(mi, v) != sid:
                 failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
             if len(out) != A or len(nxt) != A:
                 failures += [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
                              for name, t in (("out", out), ("next", nxt)) if len(t) != A]
             elif (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
-                    and all(list(map(add, map(digit[i].__getitem__, out), map(n_offset[i].__getitem__, nxt)))
-                            == expected[i].get(v[i]) for i in range(d))):
+                    and all(map(eq, recomposed(out, nxt), repeat(pv)))):
                 continue
             else:
                 for x, (y, t) in enumerate(zip(out, nxt)):
                     if not (0 <= y < A and start <= t < end):
                         failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
                         continue
-                    got = tuple(a + n * b for a, b in zip(letters[y], labels[t][1]))
-                    if got != vec_add(v, mxs[x]):
-                        failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {vec_add(v, mxs[x])}"))
+                    got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
+                    if got != want:
+                        failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
             if len(failures) >= MAX_FAILURES:
                 return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
     return WellDefinednessReport(not failures, checked, failures)

@@ -73,11 +73,11 @@ def echo(x) -> str:
     return text if len(text) <= 40 else f"{text[:40]}..."
 
 
-def bounded_int(x, name: str, low: int, high: int | None = None) -> int:
-    "x itself when it is an int, not a bool, in [low, high] (no upper end when high is None); else ValueError naming it."
+def bounded_int(x, name: str, low: int | None = None, high: int | None = None) -> int:
+    "x itself when it is an int, not a bool, in [low, high] (no end where a bound is None); else ValueError naming it."
     if type(x) is not int:
         raise ValueError(f"{name} must be an int, got {echo(x)}")
-    if x < low:
+    if low is not None and x < low:
         raise ValueError(f"{name} must be at least {low}, got {echo(x)}")
     if high is not None and x > high:
         raise ValueError(f"{name} must be at most {high}, got {echo(x)}")
@@ -148,6 +148,7 @@ def all_letters(n: int, d: int):
     digits given by the base-n expansion of i, first coordinate least
     significant."""
     bounded_int(n, "base", 2)
+    bounded_int(d, "dimension", 1)
     return [t[::-1] for t in product(range(n), repeat=d)]
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,8 @@ from adicaut import (
     well_definedness_check,
 )
 
+from adicaut.automaton import MAX_FAILURES, CheckFailure, WellDefinednessReport
+from adicaut.linalg import mat_vec, row_sum_norm
 from conftest import random_digit_word
 
 
@@ -109,6 +112,19 @@ def test_build_rejections():
         build_union([[[1]]], 3.0)
     with pytest.raises(BuildError, match=r"^matrices\[0\]: vector coordinate 1\.5 is not an int$"):
         build_union([[[1.5]]], 2)
+
+
+@pytest.mark.parametrize("cap, error, message", [
+    # 2.5 once built, and True was compared as the cap 1
+    (2.5, BuildError, r"^alphabet cap must be an int, got 2\.5$"),
+    (True, BuildError, r"^alphabet cap must be an int, got True$"),
+    (0, AlphabetCapError, r"exceeds the cap 0;"),
+    (-1, AlphabetCapError, r"exceeds the cap -1;"),
+])
+def test_alphabet_cap_must_be_an_int(cap, error, message):
+    with pytest.raises(error, match=message) as exc:
+        build_union([identity(2)], 2, alphabet_cap=cap)
+    assert type(exc.value) is error
 
 
 def test_state_count_bound_needs_a_matrix():
@@ -239,6 +255,28 @@ def test_well_definedness_keeps_at_most_max_failures():
     assert str(rep).count("; ") == 2
 
 
+def test_well_definedness_passes_a_component_without_states(doubling3):
+    # the doubling states labelled as component 1 of two, then as component 0 of two
+    twice = [[[2]], [[2]]]
+    for labels in ([(1, v) for _, v in doubling3.labels], doubling3.labels):
+        aut = Automaton(doubling3.n, doubling3.d, twice, labels, tables(doubling3))
+        assert [e - s for s, e in aut.components] == ([0, 4] if labels[0][0] else [4, 0])
+        assert str(well_definedness_check(aut)) == "well-defined: 12 transitions checked"
+
+
+def test_well_definedness_names_labels_of_the_wrong_length(doubling3):
+    # a longer label was read by its first coordinate, so (v, 0) passed; an empty one raised IndexError
+    def failures(labels, rows=tables(doubling3)):
+        return well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, rows)).failures
+    for extra in ((0,), (7,)):
+        labels = [(m, v + extra) for m, v in doubling3.labels]
+        assert [(f.state, f.letter) for f in failures(labels)] == [(sid, None) for sid in range(4)]
+    assert failures([(0, ())] + list(doubling3.labels[1:]))[0] == CheckFailure(
+        0, None, "offset () outside [-2, 1]^d or not unique")
+    with pytest.raises(ValueError, match="too many values to unpack"):  # a row is a pair (out, next)
+        failures(doubling3.labels, [(out, nxt, out) for out, nxt in tables(doubling3)])
+
+
 def test_well_definedness_rejects_rows_of_the_wrong_length(doubling3):
     # rows cut to 2 of the 3 letters used to pass, as the letter walk saw only
     # the 2 correct letters; rows padded to 4 letters raised IndexError
@@ -253,6 +291,106 @@ def test_well_definedness_rejects_rows_of_the_wrong_length(doubling3):
     rows = tables(doubling3)
     rows[2] = rows[2][0], rows[2][1][:2]
     assert check(rows) == [(2, None, "next has 2 entries, expected 3")]
+
+
+def reference_failures(aut, sid):
+    """State sid's failures as well_definedness_check reports them, found the
+    plain way: every letter recomposed as a tuple and compared with v + M*x."""
+    n, A = aut.n, aut.alphabet_size
+    mi, v = aut.labels[sid]
+    M = aut.matrices[mi]
+    norm = row_sum_norm(M)
+    start, end = aut.component_range(mi)
+    out, nxt = aut.rows[sid]
+    found = []
+    if len(v) != aut.d or not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
+        found.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
+    if len(out) != A or len(nxt) != A:
+        return found + [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
+                        for name, t in (("out", out), ("next", nxt)) if len(t) != A]
+    for x in range(A):
+        y, t = out[x], nxt[x]
+        if not (0 <= y < A and start <= t < end):
+            found.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
+            continue
+        got = tuple(a + n * b for a, b in zip(aut.letter_digits(y), aut.labels[t][1]))
+        want = tuple(a + b for a, b in zip(v, mat_vec(M, aut.letter_digits(x))))
+        if got != want:
+            found.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
+    return found
+
+
+def reference_report(aut, per_state):
+    "The report for the failures of each state, in state order, cut after the state that reaches MAX_FAILURES."
+    failures, checked = [], 0
+    for found in per_state:
+        checked += aut.alphabet_size
+        failures += found
+        if len(failures) >= MAX_FAILURES:
+            return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
+    return WellDefinednessReport(not failures, checked, failures)
+
+
+def outcome(check, *args):
+    "The check's report, or the type of the exception it raised."
+    try:
+        return check(*args)
+    except Exception as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("name", ["doubling3", "shear2", "union"])
+def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(name, request):
+    # outs: every letter, plus -1, A and 1.0; nexts: every state of the component and the states
+    # just outside it (any state there is the same range failure), plus the state count and 1.0.
+    # doubling3 and shear2 set each transition to every (out, next) pair of these; the union sets
+    # one entry at a time and tries each value at one letter of each state, which keeps it to a
+    # few thousand checks.  Then every label coordinate one step outside the box, and every row
+    # cut by one.
+    if name == "union":
+        aut = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
+    else:
+        aut = request.getfixturevalue(name)
+    count, A = len(aut.labels), aut.alphabet_size
+    clean = [reference_failures(aut, sid) for sid in range(count)]
+    assert well_definedness_check(aut) == reference_report(aut, clean) and all(f == [] for f in clean)
+    mut = Automaton(aut.n, aut.d, aut.matrices, aut.labels, tables(aut))
+    outcomes = set()
+
+    def agree(sid, row):
+        mut.rows[sid] = row
+        # only state sid's row changed, and no other state's walk reads it
+        want = outcome(lambda: reference_report(mut, clean[:sid] + [reference_failures(mut, sid)] + clean[sid + 1:]))
+        assert outcome(well_definedness_check, mut) == want, (sid, row)
+        mut.rows[sid] = aut.rows[sid]
+        outcomes.add(want if isinstance(want, type) else want.ok)
+
+    for sid in range(count):
+        out, nxt = aut.rows[sid]
+        start, end = aut.component_range(aut.labels[sid][0])
+        ys, ts = [*range(A), -1, A, 1.0], [*range(start - 1, end + 1), count, 1.0]
+        for x in range(A):
+            if name == "union":
+                pairs = [*((y, nxt[x]) for y in ys[x % A::A]), *((out[x], t) for t in ts[x % A::A])]
+            else:
+                pairs = product(ys, ts)
+            for y, t in pairs:
+                if [y, t] != [out[x], nxt[x]] or {type(y), type(t)} != {int}:
+                    agree(sid, (out[:x] + (y,) + out[x + 1:], nxt[:x] + (t,) + nxt[x + 1:]))
+        agree(sid, (out[:-1], nxt))
+        agree(sid, (out, nxt[:-1]))
+    assert outcomes == {False, TypeError}  # each mutation fails the check, or raises as 1.0 cannot index a table
+
+    for sid in range(count):
+        mi, v = aut.labels[sid]
+        norm = row_sum_norm(aut.matrices[mi])
+        for i in range(aut.d):
+            for c in (-norm - 1, norm):
+                labels = list(aut.labels)
+                labels[sid] = mi, v[:i] + (c,) + v[i + 1:]
+                moved = Automaton(aut.n, aut.d, aut.matrices, labels, tables(aut))
+                want = reference_report(moved, [reference_failures(moved, s) for s in range(count)])
+                assert not want.ok and well_definedness_check(moved) == want, (sid, i, c)
 
 
 def test_to_json_digests_pinned():

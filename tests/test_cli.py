@@ -55,6 +55,8 @@ def test_build_cap_exit_3(tmp_path, capsys):
     mats = write_matrices(tmp_path, [[[1, 0], [0, 1]]])
     code = main(["build", "--matrices", mats, "--n", "3", "--alphabet-cap", "8"])
     assert code == 3
+    for cap in ("0", "-1"):  # a cap below 1 refuses every alphabet
+        assert main(["build", "--matrices", mats, "--n", "3", "--alphabet-cap", cap]) == 3
 
 
 def test_build_missing_file_exit_2(tmp_path, capsys):

@@ -41,7 +41,11 @@ def test_mod_div_rejects_small_base():
     (lambda: encode((1,), 2, 1.5), "length must be an int, got 1.5"),
     # the message echoes at most 40 characters of the value
     (lambda: mod_div((3,), "9" * 10 ** 4), "base must be an int, got '" + "9" * 39 + "..."),
-], ids=["mod_div", "all_letters", "encode", "long_str"])
+    # all_letters(2, True) once gave the d=1 letters, 1.5 a bare TypeError, -1 itertools' ValueError
+    (lambda: all_letters(2, True), "dimension must be an int, got True"),
+    (lambda: all_letters(2, 1.5), "dimension must be an int, got 1.5"),
+    (lambda: all_letters(2, -1), "dimension must be at least 1, got -1"),
+], ids=["mod_div", "all_letters", "encode", "long_str", "dimension_bool", "dimension_float", "dimension_negative"])
 def test_bases_and_lengths_must_be_ints(call, message):
     with pytest.raises(ValueError) as exc:
         call()
