@@ -296,10 +296,8 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
             if len(out) != A or len(nxt) != A:
                 failures += [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
                              for name, t in (("out", out), ("next", nxt)) if len(t) != A]
-            elif (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
-                    and all(map(eq, recomposed(out, nxt), repeat(pv)))):
-                continue
-            else:
+            elif not (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
+                      and all(map(eq, recomposed(out, nxt), repeat(pv)))):
                 for x, (y, t) in enumerate(zip(out, nxt)):
                     if not (0 <= y < A and start <= t < end):
                         failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
@@ -358,8 +356,33 @@ def read_matrices(text: str) -> tuple:
     return _matrices(_loads(text))
 
 
+def _columns(states: list, n_matrices: int, d: int, alphabet: int):
+    """(labels, tables) of a states list that passes every from_json check, made
+    as a fixed number of passes over whole columns; None if any pass fails."""
+    try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
+        ms, vs, outs, nxts = zip(*map(itemgetter("m", "v", "out", "next"), states))
+    except (TypeError, KeyError):
+        return None
+    total = len(states)
+    if not ({*map(type, vs), *map(type, outs), *map(type, nxts)} == {list}
+            # by type, never by value: True == 1 and 1.0 == 1 hash alike
+            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}
+            and 0 <= ms[0] and ms[-1] < n_matrices and ms == tuple(sorted(ms))
+            and {*map(len, vs)} == {d} and {*map(len, outs), *map(len, nxts)} == {alphabet}):
+        return None
+    seen_next = {*chain.from_iterable(nxts)}
+    labels, outs = list(zip(ms, map(tuple, vs))), list(map(tuple, outs))
+    # with every entry an int, equal out tables are equal entry by entry: each distinct one is checked once
+    if (0 <= min(seen_next) and max(seen_next) < total and len({*labels}) == total
+            and {*map(frozenset, {*outs})} == {frozenset(range(alphabet))}):
+        return labels, zip(outs, map(tuple, nxts))
+    return None
+
+
 def from_json(text: str) -> Automaton:
-    "Parse and validate the schema written by to_json; round-trips exactly."
+    """Parse and validate the schema written by to_json; round-trips exactly.
+    The states are checked in whole-list passes; only a document that fails
+    one is walked state by state, so an error names the first failing state."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -379,12 +402,16 @@ def from_json(text: str) -> Automaton:
     if d * (n.bit_length() - 1) > len(text).bit_length():
         raise FormatError(f"an alphabet of n**d letters (d = {d}) cannot fit in a {len(text)}-character document")
 
-    alphabet = n ** d
-    total = len(obj["states"])
+    states, alphabet = obj["states"], n ** d
+    columns = _columns(states, len(mats), d, alphabet)
+    if columns:
+        return Automaton(n, d, mats, *columns)
+    # a pass failed: the walk raises the first failure in document order
+    total = len(states)
     labels, tables = [], []
     seen_labels = set()
     last_m = 0
-    for si, entry in enumerate(obj["states"]):
+    for si, entry in enumerate(states):
         where = f"states[{si}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} must be an object")
@@ -444,7 +471,7 @@ def dedup(aut: Automaton) -> Automaton:
     sigs = {}
     cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]
     count = 0
-    while len(sigs) > count:  # a pass that splits no class has reached the fixed point
+    while count < len(sigs) < len(tables):  # no class split, or only singletons left: a fixed point
         count = len(sigs)
         sigs = {}
         cls = [sigs.setdefault((c, *map(cls.__getitem__, nxt)), len(sigs)) for c, (_, nxt) in zip(cls, tables)]

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -253,6 +254,13 @@ def test_well_definedness_keeps_at_most_max_failures():
     assert [(f.state, f.letter) for f in rep.failures[:3]] == [(0, 0), (0, 1), (0, 2)]
     assert str(rep).startswith("NOT well-defined (100 failures shown of 108 checked): state 0 letter 0: recomposed")
     assert str(rep).count("; ") == 2
+    # 150 extra copies of state 2: label failures of rows that still recompose count towards the cap too
+    doubling = build_union([[[2]]], 3)
+    copies = Automaton(3, 1, doubling.matrices, [*doubling.labels, *[doubling.labels[2]] * 150],
+                       [*tables(doubling), *[doubling.rows[2]] * 150])
+    rep = well_definedness_check(copies)
+    assert len(rep.failures) == MAX_FAILURES and rep.checked == 103 * 3
+    assert [f.state for f in rep.failures] == [2, *range(4, 103)]
 
 
 def test_well_definedness_passes_a_component_without_states(doubling3):
@@ -467,6 +475,30 @@ def test_json_structure_errors(doubling3):
     obj = json.loads(good)
     obj["states"][1]["v"] = obj["states"][0]["v"]
     cases.append((json.dumps(obj), r"states\[1\] duplicates the state label m\[0\]:\(-2\)"))
+
+    def edited(*edits):  # good with each (state, field, entry index or None, value) replaced
+        obj = json.loads(good)
+        for si, name, x, value in edits:
+            if x is None:
+                obj["states"][si][name] = value
+            else:
+                obj["states"][si][name][x] = value
+        return json.dumps(obj)
+    # every fault kind of each table entry, with the whole message pinned
+    for name, limit in (("out", 3), ("next", 4)):
+        for value in (1.5, None, [0], -1, limit):
+            cases.append((edited((1, name, 2, value)),
+                          re.escape(f"states[1].{name}[2] = {value!r} out of range [0, {limit})") + "$"))
+    for value in (1.5, None, [0]):
+        cases.append((edited((1, "v", 0, value)), re.escape("states[1].v must be a list of 1 integers") + "$"))
+    # offsets are labels, not checked against the box here: a negative one only fails as a repeated label
+    cases.append((edited((1, "v", 0, -2)), re.escape("states[1] duplicates the state label m[0]:(-2)") + "$"))
+    assert from_json(edited((1, "v", 0, 10 ** 30))).labels[1] == (0, (10 ** 30,))
+    # two faults: the earlier state's later field is named, not the later state's first field
+    cases.append((edited((2, "m", None, 5), (1, "next", None, [0, 0])),
+                  re.escape("states[1].next must be a list of 3 entries") + "$"))
+    cases.append((edited((2, "out", 0, True), (1, "next", 1, 1.5)),
+                  re.escape("states[1].next[1] = 1.5 out of range [0, 4)") + "$"))
     for text, message in cases:
         with pytest.raises(FormatError, match=message):
             from_json(text)
@@ -551,7 +583,10 @@ def test_dedup_merges_identical_components():
 
 
 def test_dedup_keeps_distinct_states(doubling3):
+    from adicaut import block_extend, sanov_pair
     assert len(dedup(doubling3).labels) == 4
+    union = build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)
+    assert dedup(union) == union
 
 
 def test_labels_and_tables_must_match_in_length(doubling3):

@@ -1,6 +1,7 @@
 """Property test of the JSON codec boundary: a valid `to_json` document with
 one node replaced by an arbitrary JSON value either loads as an Automaton
-(which then round-trips) or raises FormatError, never anything else."""
+(which then round-trips and meets the schema entry by entry) or raises
+FormatError, never anything else."""
 
 import copy
 import json
@@ -42,3 +43,22 @@ def test_one_replaced_node_loads_or_raises_format_error(doc, depth, data):
         return
     assert isinstance(aut, Automaton)
     assert from_json(to_json(aut)) == aut
+    assert_schema(root["doc"])
+
+
+def assert_schema(obj):
+    "The loaded document itself, entry by entry: a document that loads when it should not fails here."
+    n, d, states = obj["n"], obj["d"], obj["states"]
+    assert type(n) is int and n >= 2 and type(d) is int and d >= 1
+    alphabet = n ** d
+    for st in states:
+        assert type(st["m"]) is int and 0 <= st["m"] < len(obj["matrices"])
+        assert type(st["v"]) is list and len(st["v"]) == d and all(type(c) is int for c in st["v"])
+        for name, limit in (("out", alphabet), ("next", len(states))):
+            table = st[name]
+            assert type(table) is list and len(table) == alphabet
+            assert all(type(t) is int and 0 <= t < limit for t in table)
+        assert sorted(st["out"]) == list(range(alphabet))
+    labels = [(st["m"], tuple(st["v"])) for st in states]
+    assert len(set(labels)) == len(labels)
+    assert [m for m, _ in labels] == sorted(m for m, _ in labels)
