@@ -39,7 +39,6 @@ from .automaton import (
     from_json,
     read_matrices,
     state_count_bound,
-    to_dot,
     to_json,
     well_definedness_check,
 )

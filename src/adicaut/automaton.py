@@ -381,8 +381,9 @@ def _columns(states: list, n_matrices: int, d: int, alphabet: int):
 
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The states are checked in whole-list passes; only a document that fails
-    one is walked state by state, so an error names the first failing state."""
+    The states are checked, and loaded, in whole-list passes.  A document
+    that fails one is walked state by state only to name the first failing
+    state; the walk loads nothing."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -407,10 +408,7 @@ def from_json(text: str) -> Automaton:
     if columns:
         return Automaton(n, d, mats, *columns)
     # a pass failed: the walk raises the first failure in document order
-    total = len(states)
-    labels, tables = [], []
-    seen_labels = set()
-    last_m = 0
+    total, seen_labels, last_m = len(states), set(), 0
     for si, entry in enumerate(states):
         where = f"states[{si}]"
         if not isinstance(entry, dict):
@@ -440,24 +438,7 @@ def from_json(text: str) -> Automaton:
                     raise FormatError(f"{where}.{name}[{x}] = {t!r} out of range [0, {limit})")
         if len(set(out)) != alphabet:
             raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")
-        labels.append(label)
-        tables.append((tuple(out), tuple(nxt)))
-    return Automaton(n, d, mats, labels, tables)
-
-
-def to_dot(aut: Automaton) -> str:
-    """GraphViz digraph: one node per state labeled `m[i]:(v)`, one edge per
-    (state, letter) labeled `x|y` (input|output) in digit-tuple syntax."""
-    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];"]
-    for sid, (m, v) in enumerate(aut.labels):
-        lines.append(f'  s{sid} [label="m[{m}]:({format_letter(v)})"];')
-    for sid, (out, nxt) in enumerate(aut.rows[:len(aut.labels)]):
-        for li in range(aut.alphabet_size):
-            x = format_letter(aut.letter_digits(li))
-            y = format_letter(aut.letter_digits(out[li]))
-            lines.append(f'  s{sid} -> s{nxt[li]} [label="{x}|{y}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")
 
 
 def dedup(aut: Automaton) -> Automaton:

@@ -5,9 +5,9 @@ Vectors are tuples of ints and matrices are tuples of row tuples, so every
 value is immutable, hashable, and arbitrary precision.  Nothing here uses
 floating point, and nothing can overflow.  `matrix_family` is the one check
 of every construction's input: a nonempty family of matrices of one size.
-`bounded_int` is the one check of every base, dimension, length and node
-budget: an int, never a float or a bool, within its bounds; `echo` shows the
-rejected value, cut so that no message grows with it.
+`bounded_int` is the one check of every base, dimension, length, exponent
+and node budget: an int, never a float or a bool, within its bounds;
+`echo` shows the rejected value, cut so that no message grows with it.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ class DigitWord:
         return len(self.letters)
 
     def prefix(self, k: int) -> "DigitWord":
-        return DigitWord(self.letters[:k], self.base, self.dim)
+        return DigitWord(self.letters[:bounded_int(k, "length", 0)], self.base, self.dim)
 
     def format(self) -> str:
         return " ".join(format_letter(x) for x in self.letters)

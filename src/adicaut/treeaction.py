@@ -111,6 +111,7 @@ class GroupWord:
 
     def __pow__(self, k: int) -> "GroupWord":
         "The k-th power; WordError if it expands past MAX_WORD_CODES codes before free reduction."
+        bounded_int(k, "exponent")
         if not self.codes:
             return self
         if len(self.codes) * abs(k) > MAX_WORD_CODES:

@@ -17,7 +17,6 @@ from adicaut import (
     matrix,
     offset_box,
     state_count_bound,
-    to_dot,
     to_json,
     well_definedness_check,
 )
@@ -558,14 +557,6 @@ def test_json_rejects_booleans(doubling3):
         with pytest.raises(FormatError, match=message):
             from_json(json.dumps(obj))
         parent[last] = original
-
-
-def test_dot_export(odometer2):
-    dot = to_dot(odometer2)
-    assert dot.count("label=\"m[") == 2
-    assert dot.count("->") == 4
-    assert 'm[0]:(-1)' in dot and 'm[0]:(0)' in dot
-    assert '"0|1"' in dot  # decrement writes 1 on reading 0
 
 
 def test_dedup_merges_identical_components():

@@ -75,8 +75,9 @@ def test_build_missing_file_exit_2(tmp_path, capsys):
     ("[]", "matrices must be a nonempty list"),
     (b"\xff", "'utf-8' codec can't decode byte 0xff"),
     ("[[[1]], [[1, 0], [0, 1]]]", "matrices[1] is 2x2, expected 1x1"),
+    ("[[]]", "matrices[0]: matrices must have dimension >= 1"),
 ], ids=["int-entry", "str-coordinate", "bool-coordinate", "float-coordinate", "deep-nesting", "object", "empty",
-        "not-utf-8", "mixed-size"])
+        "not-utf-8", "mixed-size", "no-rows"])
 def test_malformed_matrices_exit_2(tmp_path, capsys, command, text, message):
     p = tmp_path / "mats.json"
     if isinstance(text, bytes):

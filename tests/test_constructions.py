@@ -215,6 +215,11 @@ def test_relator_check_validates_shape():
     aut = build_union([[[2]]], 3)
     with pytest.raises(ValueError):
         relator_check(aut, presentation_for([identity(2)]))
+    with pytest.raises(ValueError, match="^presentation has 2 stable letters, automaton has 1 components$"):
+        relator_check(aut, presentation_for([[[2]], [[2]]]))
+    # an exponent of True once decided the relator as if it were 1
+    with pytest.raises(ValueError, match="^exponent must be an int, got True$"):
+        relator_check(aut, Presentation(("a1",), ("t",), ((("t", True),),), False))
 
 
 def test_relator_check_unknown_generator():

@@ -51,6 +51,12 @@ def test_digit_word_validation():
         DigitWord(((1,),), 2.5, 1)
     with pytest.raises(ValueError, match="^dimension must be an int, got 1.5$"):
         DigitWord((), 2, 1.5)
+    # prefix(True) once cut one letter, prefix(-1) dropped the last letter and prefix(1.5) raised a bare TypeError
+    w = DigitWord(((1,), (0,)), 2, 1)
+    for k, message in ((True, "an int, got True"), (1.5, "an int, got 1.5"), (-1, "at least 0, got -1")):
+        with pytest.raises(ValueError, match=f"^length must be {message}$"):
+            w.prefix(k)
+    assert w.prefix(0) == DigitWord((), 2, 1) and w.prefix(1).letters == ((1,),) and w.prefix(3) == w
 
 
 def test_digit_word_parse_format():
@@ -129,5 +135,6 @@ def test_affine_map_validation():
         AffineMap(((1, 0), (0, 1)), (0,))
     f = AffineMap([[2]], [3])
     assert f((4,)) == (11,)
-    with pytest.raises(ValueError):
-        affine_apply_prefix(AffineMap(((1,),), (0,)), DigitWord(((0, 0),), 2, 2))
+    for route in (affine_apply_prefix, affine_apply_digitwise):
+        with pytest.raises(ValueError, match="^map of dimension 1 cannot act on a word of dimension 2$"):
+            route(AffineMap(((1,),), (0,)), DigitWord(((0, 0),), 2, 2))

@@ -455,6 +455,11 @@ def test_powers_past_the_code_cap_are_refused(doubling3):
         with pytest.raises(WordError, match=f"expands past {MAX_WORD_CODES} codes"):
             t ** k
     assert (GroupWord(doubling3) ** 10 ** 19).codes == ()
+    # True once ran as 1, and 2.5 or "2" raised a bare TypeError; the empty word returned itself for all three
+    for w in (t, GroupWord(doubling3)):
+        for k in (True, 2.5, "2"):
+            with pytest.raises(ValueError, match=f"^exponent must be an int, got {k!r}$"):
+                w ** k
     assert len((t ** (MAX_WORD_CODES // 2)).codes) == MAX_WORD_CODES
     assert len((t ** -(MAX_WORD_CODES // 2)).codes) == MAX_WORD_CODES
 
@@ -463,7 +468,8 @@ def test_format_parse_round_trip(shear2):
     rng = random.Random(38)
     for _ in range(100):
         w = random_group_word(rng, shear2, 6)
-        assert parse_word(shear2, w.format()) == w
+        w2 = parse_word(shear2, w.format())
+        assert w2 == w and hash(w2) == hash(w)
 
 
 def test_words_are_tied_to_their_automaton(doubling3):
