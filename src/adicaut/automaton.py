@@ -17,9 +17,13 @@ state by state.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels` and its table (out, nxt) in `Automaton.rows`, the one
-transition store every reader goes through.  Letters are stored as dense
-indices (base-n expansion of the index, first coordinate least significant);
-digit tuples appear only at I/O boundaries.
+transition store every reader goes through.  A state's out table depends on
+its offset mod n only, so build_union and from_json keep each distinct out
+tuple once and the states share it: 16 tuples for the 2592 states of the d=4
+Sanov union.  to_json writes the JSON text itself, the text of each int and
+of each distinct out table made once.  Letters are stored as dense indices
+(base-n expansion of the index, first coordinate least significant); digit
+tuples appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ class Automaton:
     (letter map, row of next codes): `rows[sid]` is the table as given,
     `rows[~sid]` maps y to the x with out[x] = y and goes on to ~nxt[x], and
     is None until `row` builds it.  Equality compares the labels and the given
-    tables, never the inverse rows.
+    tables, never the inverse rows.  States may share one out tuple, as
+    build_union and from_json make them do for equal out tables.
     """
 
     __slots__ = ("n", "d", "matrices", "labels", "components", "rows",
@@ -176,6 +181,11 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     letters = all_letters(n, d)
     ids = list(range(state_count_bound(mats)))  # shared int objects keep the big tables lean
 
+    outs = {}  # out depends on v mod n only, so a component has at most n**d distinct out rows: each is kept once
+
+    def shared(out):
+        return outs.setdefault(out, out)
+
     labels, tables = [], []
     base = 0
     for mi, M in enumerate(mats):
@@ -193,7 +203,7 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         for per_v in rows[:0:-1]:
             level = [(list(map(add, o, dr)), [ids[t] for t in map(add, c, cr)]) for o, c in level for dr, cr in per_v]
         # a tuple made from a list is allocated once at its size; tuple(map(...)) resizes as it grows
-        tables +=[(tuple([*map(add, o, dr)]), tuple([ids[t] for t in map(add, c, cr)]))
+        tables += [(shared(tuple([*map(add, o, dr)])), tuple([ids[t] for t in map(add, c, cr)]))
                    for o, c in level for dr, cr in rows[0]]
         labels += [(mi, v) for v in box]
         base += len(box)
@@ -310,20 +320,47 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     return WellDefinednessReport(not failures, checked, failures)
 
 
+class _Memo(dict):
+    "self[key] is fn(key), computed on first use and kept: right for every key, negative or large ints included."
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def json_pieces(aut: Automaton):
+    """The text of to_json(aut) in pieces: the head, one piece per state (each
+    after the first led by its separator), then the tail.  Writing them one
+    by one never holds the whole document.
+
+    The text is json.dumps of the schema object with sorted keys, written
+    directly: each int's text is made once, and so is the text of each
+    distinct out table.  Every table entry, label and matrix entry must be
+    an int."""
+    ints = _Memo(str)
+
+    def items(t):
+        return ", ".join(map(ints.__getitem__, t))
+    outs = _Memo(items)
+    yield f'{{"d": {aut.d}, "matrices": {json.dumps(aut.matrices)}, "n": {aut.n}, "states": ['
+    sep = ""
+    for (m, v), (out, nxt) in zip(aut.labels, aut.rows):
+        yield f'{sep}{{"m": {ints[m]}, "next": [{items(nxt)}], "out": [{outs[out]}], "v": [{items(v)}]}}'
+        sep = ", "
+    yield "]}"
+
+
 def to_json(aut: Automaton) -> str:
     """Serialize to the documented schema:
     {"n":int, "d":int, "matrices":[[[int]]], "states":[{"m","v","out","next"}]}
     with out/next indexed by dense letter index.  Component boundaries are the
-    runs of equal "m".  The stored tuples go to json as they are, which
-    writes them as arrays."""
-    obj = {
-        "n": aut.n,
-        "d": aut.d,
-        "matrices": aut.matrices,
-        "states": [{"m": m, "v": v, "out": out, "next": nxt}
-                   for (m, v), (out, nxt) in zip(aut.labels, aut.rows)],
-    }
-    return json.dumps(obj, sort_keys=True)
+    runs of equal "m".  The text is json.dumps(obj, sort_keys=True) of that
+    object, byte for byte, joined from json_pieces."""
+    return "".join(json_pieces(aut))
 
 
 def _loads(text: str):
@@ -371,10 +408,11 @@ def _columns(states: list, n_matrices: int, d: int, alphabet: int):
             and {*map(len, vs)} == {d} and {*map(len, outs), *map(len, nxts)} == {alphabet}):
         return None
     seen_next = {*chain.from_iterable(nxts)}
-    labels, outs = list(zip(ms, map(tuple, vs))), list(map(tuple, outs))
+    shared = {}  # each distinct out table once, as build_union keeps it
+    labels, outs = list(zip(ms, map(tuple, vs))), [shared.setdefault(out, out) for out in map(tuple, outs)]
     # with every entry an int, equal out tables are equal entry by entry: each distinct one is checked once
     if (0 <= min(seen_next) and max(seen_next) < total and len({*labels}) == total
-            and {*map(frozenset, {*outs})} == {frozenset(range(alphabet))}):
+            and {*map(frozenset, shared)} == {frozenset(range(alphabet))}):
         return labels, zip(outs, map(tuple, nxts))
     return None
 

@@ -48,15 +48,15 @@ def _cmd_build(args) -> int:
     mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
     bound = am.state_count_bound(mats)
-    payload = am.to_json(aut)
     text = f"states={len(aut.labels)}, bound=2^d*sum||Mi||^d={bound}"
     stats = {"states": len(aut.labels), "bound": bound}
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(payload + "\n")
+        with open(args.output, "w", encoding="utf-8") as f:  # a state at a time: the text is never held whole
+            f.writelines(am.json_pieces(aut))
+            f.write("\n")
         _emit(args, text, {**stats, "output": args.output})
     else:
-        print(payload)
+        print(am.to_json(aut))
         _emit(args, text, stats, sys.stderr)
     return 0
 

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import re
 from itertools import product
@@ -10,18 +12,21 @@ from adicaut import (
     BuildError,
     FormatError,
     GroupWord,
+    block_extend,
     build_union,
     dedup,
+    det,
     from_json,
     identity,
     matrix,
     offset_box,
+    sanov_pair,
     state_count_bound,
     to_json,
     well_definedness_check,
 )
 
-from adicaut.automaton import MAX_FAILURES, CheckFailure, WellDefinednessReport
+from adicaut.automaton import MAX_FAILURES, CheckFailure, WellDefinednessReport, json_pieces
 from adicaut.linalg import mat_vec, row_sum_norm
 from conftest import random_digit_word
 
@@ -415,6 +420,66 @@ def test_to_json_digests_pinned():
         (sanov(5), 2, "e93c4a96e5d2696c317af4b832ed42249f482f2a7fadd17d036537319ae6a69c"),
     ]:
         assert hashlib.sha256(to_json(build_union(Ms, n)).encode()).hexdigest() == digest
+
+
+def reference_json(aut):
+    "The encoder to_json replaced, kept as its oracle: json.dumps of the schema object with sorted keys."
+    return json.dumps({"n": aut.n, "d": aut.d, "matrices": aut.matrices,
+                       "states": [{"m": m, "v": v, "out": out, "next": nxt}
+                                  for (m, v), (out, nxt) in zip(aut.labels, aut.rows)]}, sort_keys=True)
+
+
+def out_objects(aut):
+    "(distinct out table objects, distinct out tables) among the given tables."
+    outs = [out for out, _ in tables(aut)]
+    return len({*map(id, outs)}), len({*outs})
+
+
+def random_union(rng, d, n, transitions=60_000):
+    """1-3 matrices, each a signed permutation with entries +-1 or +-2 plus up
+    to two more +-1 entries, with determinant coprime to n and at most
+    `transitions` transitions in all."""
+    while True:
+        Ms = []
+        for _ in range(rng.randint(1, 3)):
+            M = [[0] * d for _ in range(d)]
+            for i, j in enumerate(rng.sample(range(d), d)):
+                M[i][j] = rng.choice((-2, -1, 1, 2))
+            for _ in range(rng.randint(0, 2)):
+                M[rng.randrange(d)][rng.randrange(d)] = rng.choice((-1, 1))
+            Ms.append(M)
+        if all(math.gcd(det(M), n) == 1 for M in Ms) and state_count_bound(Ms) * n ** d <= transitions:
+            return build_union(Ms, n)
+
+
+def test_to_json_matches_the_json_dumps_encoder():
+    rng = random.Random(20261019)
+    for d, n in product(range(1, 5), range(2, 6)):
+        aut = random_union(rng, d, n)
+        assert min(v for _, label in aut.labels for v in label) < 0 and len(aut.matrices) in (1, 2, 3)
+        back = from_json(to_json(aut))
+        for a in (aut, dedup(aut), back):
+            assert to_json(a) == reference_json(a) == "".join(json_pieces(a)), (d, n)
+        assert out_objects(aut)[0] == out_objects(aut)[1] == out_objects(back)[0] <= len(aut.matrices) * n ** d
+
+
+def test_to_json_writes_any_int_entry_as_json_dumps_does():
+    # entries from -10**25 up to 10**30: a text cache indexed by value would misplace -1 and fail past its end
+    aut = Automaton(3, 1, [[[2]], [[-4]]], [(0, (-2,)), (1, (10**30,))],
+                    [((-1, 7, 0), (0, -1, 2)), ((10**20, 0, -5), (1, 1, -10**25))])
+    for extra in ([], [(1, (3,))]):
+        hand = Automaton(aut.n, aut.d, aut.matrices, [*aut.labels, *extra],
+                         [*tables(aut), *[(tuple([-1, 7, 0]), (2, 3, 4))] * len(extra)])  # an equal out, a new tuple
+        assert to_json(hand) == reference_json(hand)
+    empty = Automaton(2, 1, [[[1]]], [], [])
+    assert to_json(empty) == reference_json(empty)
+
+
+@pytest.mark.parametrize("d, distinct", [(3, 8), (4, 16), (5, 32)])
+def test_each_distinct_out_table_is_kept_once(d, distinct):
+    aut = build_union(block_extend([identity(d - 2), identity(d - 2)], list(sanov_pair())), 2)
+    assert len(aut.labels) == {3: 432, 4: 2592, 5: 15552}[d]
+    assert out_objects(aut) == out_objects(from_json(to_json(aut))) == (distinct, distinct)
 
 
 def test_json_round_trip(doubling3, shear2):
