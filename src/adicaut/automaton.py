@@ -40,6 +40,7 @@ from .linalg import (
     all_letters,
     bounded_int,
     det,
+    echo,
     format_letter,
     mat_vec,
     matrix_family,
@@ -123,8 +124,9 @@ class Automaton:
         if row is None:
             out, nxt = self.rows[~c]
             inv = [-1] * len(out)
-            for x, y in enumerate(out):
-                inv[y] = x
+            if out and 0 <= min(out) and max(out) < len(out):  # else a negative entry would index inv from its end
+                for x, y in enumerate(out):
+                    inv[y] = x
             if -1 in inv:
                 raise ValueError(f"output table of state {~c} is not a permutation")
             row = self.rows[c] = tuple(inv), tuple([~nxt[x] for x in inv])
@@ -167,9 +169,8 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         raise BuildError(str(e)) from None
     d = len(mats[0])
     if n ** d > alphabet_cap:
-        raise AlphabetCapError(
-            f"alphabet size {n}**{d} = {n ** d} exceeds the cap {alphabet_cap}; "
-            f"raise the cap explicitly if this size is intended")
+        raise AlphabetCapError(f"alphabet size {echo(n)}**{d} = {echo(n ** d)} exceeds the cap {echo(alphabet_cap)}; "
+                               "raise the cap explicitly if this size is intended")
     for i, M in enumerate(mats):
         D = det(M)
         if D == 0:

@@ -18,6 +18,7 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -47,17 +48,14 @@ def _read(path: str, parse):
 def _cmd_build(args) -> int:
     mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    bound = am.state_count_bound(mats)
-    text = f"states={len(aut.labels)}, bound=2^d*sum||Mi||^d={bound}"
-    stats = {"states": len(aut.labels), "bound": bound}
+    stats = {"states": len(aut.labels), "bound": am.state_count_bound(mats)}
+    text = "states={states}, bound=2^d*sum||Mi||^d={bound}".format(**stats)
+    with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as f:
+        f.writelines(am.json_pieces(aut))  # a state at a time: the text is never held whole
+        f.write("\n")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:  # a state at a time: the text is never held whole
-            f.writelines(am.json_pieces(aut))
-            f.write("\n")
-        _emit(args, text, {**stats, "output": args.output})
-    else:
-        print(am.to_json(aut))
-        _emit(args, text, stats, sys.stderr)
+        stats["output"] = args.output
+    _emit(args, text, stats, sys.stdout if args.output else sys.stderr)  # the stream the document is not on
     return 0
 
 

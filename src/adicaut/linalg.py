@@ -221,5 +221,5 @@ def parse_letter(text: str) -> Vector:
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"cannot parse letter {text!r}") from None
+        raise ValueError(f"cannot parse letter {echo(text)}") from None
 

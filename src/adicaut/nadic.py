@@ -18,6 +18,7 @@ from .linalg import (
     Matrix,
     Vector,
     bounded_int,
+    echo,
     format_letter,
     mat_mul,
     mat_vec,
@@ -49,10 +50,10 @@ class DigitWord:
         # one letter object is checked once: the images `act` builds reuse the automaton's letter tuples
         for x in dict(zip(map(id, letters), letters)).values():
             if len(x) != self.dim:
-                raise ValueError(f"letter {x} does not have dimension {self.dim}")
+                raise ValueError(f"letter {echo(x)} does not have dimension {self.dim}")
             for c in x:
                 if type(c) is not int or not 0 <= c < self.base:
-                    raise ValueError(f"digit {c!r} out of range for base {self.base}")
+                    raise ValueError(f"digit {echo(c)} out of range for base {self.base}")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self):

@@ -107,6 +107,11 @@ def test_build_rejections():
         build_union([[[1]], [[3]]], 3)
     with pytest.raises(AlphabetCapError):
         build_union([identity(2)], 3, alphabet_cap=8)
+    # a base past 4300 digits: formatting n**d in full once raised Python's digit-limit ValueError instead
+    message = r"^alphabet size 10{39}\.\.\.\*\*2 = 10{39}\.\.\. exceeds the cap 4096; raise the cap explicitly"
+    with pytest.raises(AlphabetCapError, match=message) as exc:
+        build_union([identity(2)], 10 ** 3000)
+    assert type(exc.value) is AlphabetCapError and len(str(exc.value)) < 200
     with pytest.raises(BuildError):
         build_union([identity(2), identity(3)], 2)
     with pytest.raises(BuildError):

@@ -2,7 +2,19 @@ import json
 
 import pytest
 
-from adicaut import AffineMap, DigitWord, affine_apply_prefix, build_union, from_json, parse_word, to_json
+from adicaut import (
+    AffineMap,
+    DigitWord,
+    affine_apply_prefix,
+    block_extend,
+    build_union,
+    from_json,
+    identity,
+    parse_word,
+    sanov_pair,
+    state_count_bound,
+    to_json,
+)
 from adicaut.cli import main
 
 
@@ -43,6 +55,35 @@ def test_build_to_stdout(tmp_path, capsys):
     assert json.loads(captured.err) == {"states": 2, "bound": 2}
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("mats, n", [
+    ([[[2]]], 3),
+    ([[[1, 1], [0, 1]]], 2),
+    (block_extend([identity(1), identity(1)], list(sanov_pair())), 2),
+], ids=["doubling", "shear", "sanov-d3"])
+def test_build_writes_stdout_and_file_through_one_path(tmp_path, capsys, monkeypatch, mats, n, flags):
+    "stdout gets the pieces -o gets, and nothing joins the whole document (stdout printed to_json before)"
+    aut = build_union(mats, n)
+    document = to_json(aut) + "\n"
+
+    def refuse(*_):
+        raise AssertionError("build joined the whole document")
+    monkeypatch.setattr("adicaut.automaton.to_json", refuse)
+    path, out = write_matrices(tmp_path, mats), tmp_path / "out.json"
+    assert main(["build", "--matrices", path, "--n", str(n), *flags]) == 0
+    to_stdout = capsys.readouterr()
+    assert main(["build", "--matrices", path, "--n", str(n), "-o", str(out), *flags]) == 0
+    to_file = capsys.readouterr()
+    assert to_stdout.out.encode() == out.read_bytes() == document.encode()
+    stats = {"states": len(aut.labels), "bound": state_count_bound(mats)}
+    assert to_file.err == ""
+    if flags:
+        assert json.loads(to_stdout.err) == stats
+        assert json.loads(to_file.out) == {**stats, "output": str(out)}
+    else:
+        assert to_stdout.err == to_file.out == "states={states}, bound=2^d*sum||Mi||^d={bound}\n".format(**stats)
+
+
 def test_build_non_coprime_exit_2(tmp_path, capsys):
     mats = write_matrices(tmp_path, [[[2]]])
     code = main(["build", "--matrices", mats, "--n", "2"])
@@ -57,6 +98,14 @@ def test_build_cap_exit_3(tmp_path, capsys):
     assert code == 3
     for cap in ("0", "-1"):  # a cap below 1 refuses every alphabet
         assert main(["build", "--matrices", mats, "--n", "3", "--alphabet-cap", cap]) == 3
+    capsys.readouterr()
+    # a base past 4300 digits once exited 2: formatting n**d raised Python's digit-limit error
+    for command in ("build", "relations"):
+        assert main([command, "--matrices", mats, "--n", "1" + "0" * 3000]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alphabet size 1" + "0" * 39 + "...**2 = ")
+        assert len(captured.err.encode()) < 200
 
 
 def test_build_missing_file_exit_2(tmp_path, capsys):
@@ -173,6 +222,14 @@ def test_act_parse_error_exit_2(tmp_path, capsys):
     aut = write_automaton(tmp_path, build_union([[[2]]], 3))
     assert main(["act", "--automaton", aut, "--word", "xyz", "--input", "0"]) == 2
     assert main(["act", "--automaton", aut, "--word", "t[1]", "--input", "9"]) == 2
+    capsys.readouterr()
+    # a long bad letter or digit is echoed cut to 40 characters; both were echoed whole, 4-5 kB to stderr
+    for text, prefix in (("9" * 5000, "error: cannot parse letter '999"), ("9" * 4000, "error: digit 999")):
+        assert main(["act", "--automaton", aut, "--word", "t[1]", "--input", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix)
+        assert len(captured.err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv, token, reason", [

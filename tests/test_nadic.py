@@ -46,6 +46,13 @@ def test_digit_word_validation():
                     ((True,),), ((1,), (True,))):  # a bool, which format() would print as True
         with pytest.raises(ValueError, match="out of range"):
             DigitWord(letters, 2, 1)
+    # a long bad letter or digit is cut to its first 40 characters; both were echoed whole
+    for text, message in (("9" * 5000, "cannot parse letter '" + "9" * 39 + "..."),
+                          ("9" * 4000 + ",0", "digit " + "9" * 40 + "... out of range for base 2"),
+                          ("9" * 4000, "letter (" + "9" * 39 + "... does not have dimension 2")):
+        with pytest.raises(ValueError) as exc:
+            DigitWord.parse(text, 2, 2)
+        assert str(exc.value) == message
     # a float base or dimension once made a word
     with pytest.raises(ValueError, match="^base must be an int, got 2.5$"):
         DigitWord(((1,),), 2.5, 1)

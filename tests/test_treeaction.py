@@ -732,3 +732,8 @@ def test_inverting_a_non_permutation_state_raises():
             w.act(u)
         with pytest.raises(ValueError, match="state 0 is not a permutation"):
             decide_identity(w)
+    # an entry out of range: -1 once wrapped round to the inverse row ((0, 1), (-1, -1)), 2 raised a bare IndexError
+    for out in ((0, -1), (0, 2)):
+        bad = Automaton(2, 1, [((1,),)], [(0, (0,))], [(out, (0, 0))])
+        with pytest.raises(ValueError, match="^output table of state 0 is not a permutation$"):
+            bad.row(~0)
