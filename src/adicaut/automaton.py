@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, pairwise, repeat
@@ -41,7 +42,6 @@ from .linalg import (
     bounded_int,
     det,
     echo,
-    format_letter,
     mat_vec,
     matrix_family,
     offset_box,
@@ -177,10 +177,13 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
             raise BuildError(f"matrix {i} has determinant 0")
         g = math.gcd(abs(D), n)
         if g != 1:
-            raise BuildError(f"determinant {D} of matrix {i} is not coprime to base {n} (gcd={g})")
+            raise BuildError(f"determinant {echo(D)} of matrix {i} is not coprime to base {echo(n)} (gcd={echo(g)})")
 
     letters = all_letters(n, d)
-    ids = list(range(state_count_bound(mats)))  # shared int objects keep the big tables lean
+    bound = state_count_bound(mats)
+    if bound > sys.maxsize:  # past what range() takes, long before what memory holds
+        raise BuildError(f"the state count bound {echo(bound)} exceeds {sys.maxsize}")
+    ids = list(range(bound))  # shared int objects keep the big tables lean
 
     outs = {}  # out depends on v mod n only, so a component has at most n**d distinct out rows: each is kept once
 
@@ -435,12 +438,12 @@ def from_json(text: str) -> Automaton:
         raise FormatError(str(e)) from None
     mats = _matrices(obj["matrices"])
     if len(mats[0]) != d:  # _matrices gave every entry entry 0's size
-        raise FormatError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {d}x{d}")
+        raise FormatError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {echo(d)}x{echo(d)}")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise FormatError("states must be a nonempty list")
     # each state lists all n**d letters, so n**d <= len(text); decided without forming n**d
     if d * (n.bit_length() - 1) > len(text).bit_length():
-        raise FormatError(f"an alphabet of n**d letters (d = {d}) cannot fit in a {len(text)}-character document")
+        raise FormatError(f"an alphabet of n**d letters (d = {echo(d)}) cannot fit in a {len(text)}-character document")
 
     states, alphabet = obj["states"], n ** d
     columns = _columns(states, len(mats), d, alphabet)
@@ -457,7 +460,7 @@ def from_json(text: str) -> Automaton:
                 raise FormatError(f"{where} missing key {key!r}")
         m = entry["m"]
         if type(m) is not int or not 0 <= m < len(mats):
-            raise FormatError(f"{where}.m = {m!r} is not a matrix index")
+            raise FormatError(f"{where}.m = {echo(m)} is not a matrix index")
         if m < last_m:
             raise FormatError(f"{where}.m = {m} breaks the component grouping (states must be grouped by matrix)")
         last_m = m
@@ -466,7 +469,7 @@ def from_json(text: str) -> Automaton:
             raise FormatError(f"{where}.v must be a list of {d} integers")
         label = (m, tuple(v))
         if label in seen_labels:
-            raise FormatError(f"{where} duplicates the state label m[{m}]:({format_letter(tuple(v))})")
+            raise FormatError(f"{where} duplicates the state label m[{m}]:({','.join(map(echo, v))})")
         seen_labels.add(label)
         out, nxt = entry["out"], entry["next"]
         for name, table, limit in (("out", out, alphabet), ("next", nxt, total)):
@@ -474,7 +477,7 @@ def from_json(text: str) -> Automaton:
                 raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
             for x, t in enumerate(table):
                 if type(t) is not int or not 0 <= t < limit:
-                    raise FormatError(f"{where}.{name}[{x}] = {t!r} out of range [0, {limit})")
+                    raise FormatError(f"{where}.{name}[{x}] = {echo(t)} out of range [0, {limit})")
         if len(set(out)) != alphabet:
             raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")
     raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")

@@ -27,7 +27,7 @@ import sys
 from . import automaton as am
 from . import treeaction as ta
 from .constructions import verify_relation
-from .linalg import bounded_int
+from .linalg import bounded_int, echo
 from .nadic import AffineMap, DigitWord, affine_apply_prefix
 
 
@@ -130,6 +130,14 @@ def _cmd_verify(args) -> int:
     return 5 if mismatches else 0
 
 
+def _int(text: str) -> int:
+    "argparse's int type, echoing a bad value as every other error message does."
+    try:
+        return int(text)
+    except ValueError:  # also a digit string past the interpreter's conversion limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 @functools.cache  # built once per process; parsing leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -139,13 +147,13 @@ def _parser() -> argparse.ArgumentParser:
 
     shared = {  # the arguments more than one command takes, each with its one help text
         "--matrices": dict(required=True, help="JSON file: list of square integer matrices (row-major)"),
-        "--n": dict(required=True, type=int, help="base, >= 2, coprime to every determinant"),
-        "--alphabet-cap": dict(type=int, default=am.DEFAULT_ALPHABET_CAP,
+        "--n": dict(required=True, type=_int, help="base, >= 2, coprime to every determinant"),
+        "--alphabet-cap": dict(type=_int, default=am.DEFAULT_ALPHABET_CAP,
                                help="refuse alphabets larger than this (default %(default)s)"),
         "--automaton": dict(required=True, help="automaton JSON file"),
         "--word": dict(required=True, help="word grammar: m[i]:(v1,...,vd), t[j], t[j]@i, with optional ^k; "
                                            "separated by * or spaces"),
-        "--budget": dict(type=int, default=ta.DEFAULT_NODE_BUDGET,
+        "--budget": dict(type=_int, default=ta.DEFAULT_NODE_BUDGET,
                          help="node budget for the closure search (default %(default)s)"),
         "--json": dict(action="store_true", help="machine-readable output, one JSON object per line"),
     }
@@ -177,9 +185,9 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="sample-check the action against the big-integer affine oracle")
     add(v, "--automaton")
-    v.add_argument("--depth", required=True, type=int, help="maximum prefix length")
-    v.add_argument("--samples", required=True, type=int, help="random prefixes per state")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--depth", required=True, type=_int, help="maximum prefix length")
+    v.add_argument("--samples", required=True, type=_int, help="random prefixes per state")
+    v.add_argument("--seed", type=_int, default=0)
     add(v, "--json")
     v.set_defaults(func=_cmd_verify)
     return p

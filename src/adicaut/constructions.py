@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .automaton import Automaton
-from .linalg import Matrix, block_diag, is_unimodular, mat_mul, matrix_family, identity, inverse_unimodular
+from .linalg import Matrix, block_diag, echo, is_unimodular, mat_mul, matrix_family, identity, inverse_unimodular
 from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
@@ -60,7 +60,7 @@ def word_matrix(word, mats) -> Matrix:
     result = identity(len(ms[0]))
     for c in word:
         if type(c) is not int or not -len(ms) <= c < len(ms):
-            raise ValueError(f"code {c!r} is not an int in range (got {len(ms)} matrices)")
+            raise ValueError(f"code {echo(c)} is not an int in range (got {len(ms)} matrices)")
         if c not in factors:
             factors[c] = ms[c] if c >= 0 else inverse_unimodular(ms[~c])
         result = mat_mul(result, factors[c])
@@ -167,7 +167,7 @@ def relator_check(aut: Automaton, pres: Presentation,
             elif name in axes:
                 g = translation_word(aut, k, axes[name])
             else:
-                raise ValueError(f"relator uses unknown generator {name!r}")
+                raise ValueError(f"relator uses unknown generator {echo(name)}")
             w = w * g ** e
         text = Presentation.format_relator(relator)
         try:

@@ -6,8 +6,9 @@ value is immutable, hashable, and arbitrary precision.  Nothing here uses
 floating point, and nothing can overflow.  `matrix_family` is the one check
 of every construction's input: a nonempty family of matrices of one size.
 `bounded_int` is the one check of every base, dimension, length, exponent
-and node budget: an int, never a float or a bool, within its bounds;
-`echo` shows the rejected value, cut so that no message grows with it.
+and node budget: an int, never a float or a bool, within its bounds.  `echo`
+is the only way any module puts an outside value into an error message, cut
+to 40 characters so that no file, word or flag can make a message grow.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def vector(coords) -> Vector:
         raise ValueError("vectors must have dimension >= 1")
     for c in v:
         if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError(f"vector coordinate {c!r} is not an int")
+            raise TypeError(f"vector coordinate {echo(c)} is not an int")
     return v
 
 
@@ -62,14 +63,16 @@ def echo(x) -> str:
     its repr, cut to the first 40 characters and `...`.  A longer int is first cut
     to its leading digits, as str() refuses one past the interpreter's conversion
     limit: 0.30102999 < log10(2), so dividing by 10**(that times the bit length,
-    less 40) keeps at least 41 of them."""
-    if type(x) is not int:
-        text = repr(x)
-    elif -10 ** 39 < x < 10 ** 40:
-        return str(x)
-    else:
+    less 40) keeps at least 41 of them.  echo never raises: a value whose repr
+    fails, such as a tuple holding an int past that limit, shows as its type."""
+    if type(x) is int and not -10 ** 39 < x < 10 ** 40:
         lead = abs(x) // 10 ** max(0, (abs(x).bit_length() - 1) * 30102999 // 10 ** 8 - 40)
         text = ("-" if x < 0 else "") + str(lead)
+    else:
+        try:
+            text = repr(x)
+        except Exception:  # showing the value must not lose the message it is part of
+            text = f"<{type(x).__name__}>"
     return text if len(text) <= 40 else f"{text[:40]}..."
 
 
@@ -194,7 +197,7 @@ def inverse_unimodular(M: Matrix) -> Matrix:
     "Integer inverse of a matrix with determinant +-1, via the adjugate."
     D = det(M)
     if D not in (1, -1):
-        raise ValueError(f"matrix with determinant {D} has no integer inverse")
+        raise ValueError(f"matrix with determinant {echo(D)} has no integer inverse")
     d = len(M)
     if d == 1:
         return ((D,),)

@@ -50,10 +50,10 @@ class DigitWord:
         # one letter object is checked once: the images `act` builds reuse the automaton's letter tuples
         for x in dict(zip(map(id, letters), letters)).values():
             if len(x) != self.dim:
-                raise ValueError(f"letter {echo(x)} does not have dimension {self.dim}")
+                raise ValueError(f"letter {echo(x)} does not have dimension {echo(self.dim)}")
             for c in x:
                 if type(c) is not int or not 0 <= c < self.base:
-                    raise ValueError(f"digit {echo(c)} out of range for base {self.base}")
+                    raise ValueError(f"digit {echo(c)} out of range for base {echo(self.base)}")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self):
@@ -103,9 +103,9 @@ def encode(u: Vector, n: int, k: int) -> DigitWord:
     bounded_int(k, "length", 0)
     for c in u:
         if c < 0:
-            raise ValueError(f"coordinate {c} is negative; only vectors in [0, n**k)^d have digit expansions")
+            raise ValueError(f"coordinate {echo(c)} is negative; only vectors in [0, n**k)^d have digit expansions")
         if c >= n ** k:
-            raise ValueError(f"coordinate {c} does not fit in {k} base-{n} digits")
+            raise ValueError(f"coordinate {echo(c)} does not fit in {echo(k)} base-{echo(n)} digits")
     letters = []
     rest = tuple(u)
     for _ in range(k):
@@ -130,7 +130,7 @@ def affine_apply_prefix(f: AffineMap, w: DigitWord) -> DigitWord:
     f(decode(w)).  Computed entirely with big integers: decode, apply the
     map, reduce each coordinate mod n**k, re-encode."""
     if len(f.offset) != w.dim:
-        raise ValueError(f"map of dimension {len(f.offset)} cannot act on a word of dimension {w.dim}")
+        raise ValueError(f"map of dimension {len(f.offset)} cannot act on a word of dimension {echo(w.dim)}")
     k = len(w)
     modulus = w.base ** k
     image = tuple(c % modulus for c in f(decode(w)))
@@ -142,7 +142,7 @@ def affine_apply_digitwise(f: AffineMap, w: DigitWord) -> DigitWord:
     splits offset + matrix*x into an output letter and a carry offset for the
     rest of the word.  Kept as a second, independently coded route."""
     if len(f.offset) != w.dim:
-        raise ValueError(f"map of dimension {len(f.offset)} cannot act on a word of dimension {w.dim}")
+        raise ValueError(f"map of dimension {len(f.offset)} cannot act on a word of dimension {echo(w.dim)}")
     out = []
     v = f.offset
     for x in w.letters:

@@ -26,8 +26,8 @@ words rightmost code first, the order the letters walk them in.
 `translation_word` builds the axis translations `t[j]@i` that `parse_word`
 reads; the relators of a presentation are built from them and decided in
 `constructions`.  Both resolve a state label through one lookup, which names
-a missing component or state, and error messages cut an echoed token, label
-or number to its first 40 characters.
+a missing component or state; error messages show a token, label coordinate
+or number through `echo`.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class GroupWord:
         codes = tuple(codes)
         for c in codes:
             if type(c) is not int or not -nstates <= c < nstates:
-                raise WordError(f"code {c!r} is not an int in range (automaton has {nstates} states)")
+                raise WordError(f"code {echo(c)} is not an int in range (automaton has {nstates} states)")
         self.aut = aut
         self.codes = _cancel(codes)
 
@@ -140,7 +140,7 @@ class GroupWord:
         reduced on a stack, so the cost is the sum of the reduced section lengths."""
         aut = self.aut
         if u.base != aut.n or u.dim != aut.d:
-            raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {u.base} dim {u.dim}")
+            raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {echo(u.base)} dim {echo(u.dim)}")
         rows, build = aut.rows, aut.row
         word = self.codes[::-1]  # a section is kept rightmost code first
         image = []
@@ -280,11 +280,6 @@ def reduced_words(rank: int, max_length: int):
         yield from words
 
 
-def _quote(tok: str, show=repr) -> str:
-    "A token as an error message quotes it: show() of its first 40 characters, then `...` if it is longer."
-    return show(tok) if len(tok) <= 40 else f"{show(tok[:40])}..."
-
-
 def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
     """The id of the state labeled (matrix_index, offset).  A missing label raises
     WordError naming the component outside the automaton (or not an int), else the
@@ -292,11 +287,11 @@ def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
     if type(matrix_index) is not int or not 0 <= matrix_index < len(aut.matrices):
         raise WordError(f"no component {echo(matrix_index)} in this automaton")
     if len(offset) != aut.d:
-        raise WordError(f"state offset {_quote(token)} has {len(offset)} coordinates, expected {aut.d}")
+        raise WordError(f"state offset {echo(token)} has {len(offset)} coordinates, expected {aut.d}")
     try:
         return aut.state_id(matrix_index, offset)
     except KeyError:
-        raise WordError(f"no state {_quote(f'm[{matrix_index}]:({format_letter(offset)})', str)} in this automaton") from None
+        raise WordError(f"no state m[{matrix_index}]:({','.join(map(echo, offset))}) in this automaton") from None
 
 
 _STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$")
@@ -313,19 +308,19 @@ def parse_word(aut: Automaton, text: str) -> GroupWord:
     for tok in text.replace("*", " ").split():
         m = _STATE_TOKEN.match(tok) or _TRANS_TOKEN.match(tok)
         if not m:
-            raise WordError(f"cannot parse word token {_quote(tok)}")
+            raise WordError(f"cannot parse word token {echo(tok)}")
         # m[i]:(rest) is component i at offset rest; t[i]@rest[0] is axis i of component rest[0]
         try:  # int() fails only on a digit group past the interpreter's conversion limit
             i = int(m.group(1))
             rest = tuple(int(p) for p in (m.group(2) or "0").split(","))
             k = int(m.group(3) or 1)
         except ValueError:
-            raise WordError(f"word token {_quote(tok)} has a number too long to convert") from None
+            raise WordError(f"word token {echo(tok)} has a number too long to convert") from None
         if m.re is _STATE_TOKEN:
             base = _word(aut, (_state(aut, i, rest, tok),))
         else:
             base = translation_word(aut, rest[0], i)
         if len(codes) + len(base.codes) * abs(k) > MAX_WORD_CODES:
-            raise WordError(f"word token {_quote(tok)} expands the word past {MAX_WORD_CODES} codes")
+            raise WordError(f"word token {echo(tok)} expands the word past {MAX_WORD_CODES} codes")
         codes += (base ** k).codes
     return _word(aut, _cancel(tuple(codes)))

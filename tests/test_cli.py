@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import pytest
 
@@ -237,7 +239,7 @@ def test_act_parse_error_exit_2(tmp_path, capsys):
      "expands the word past 1000000 codes"),
     (["act", "--word", "m[0]:(0)^-10000000000000000000", "--input", "0"], "'m[0]:(0)^-10000000000000000000'",
      "expands the word past 1000000 codes"),
-    (["wp", "--word", "t[1]^" + "9" * 5000], "'t[1]^" + "9" * 35 + "'...", "has a number too long to convert"),
+    (["wp", "--word", "t[1]^" + "9" * 5000], "'t[1]^" + "9" * 34 + "...", "has a number too long to convert"),
 ], ids=["wp", "act", "wp-too-long-to-convert"])
 def test_huge_powers_exit_2(tmp_path, capsys, argv, token, reason):
     aut = write_automaton(tmp_path, build_union([[[2]]], 3))
@@ -247,6 +249,55 @@ def test_huge_powers_exit_2(tmp_path, capsys, argv, token, reason):
     assert captured.out == ""
     assert captured.err == f"error: word token {token} {reason}\n"
     assert len(captured.err) < 200
+
+
+DOC = json.loads(to_json(build_union([[[2]]], 3)))
+BIG = "1" + "0" * 5000  # past the interpreter's int-to-str limit
+
+
+def edited(edit):
+    doc = copy.deepcopy(DOC)
+    edit(doc)
+    return doc
+
+
+WP = ["wp", "--automaton", "a.json", "--word", "t[1]"]
+BUILD = ["build", "--matrices", "m.json", "--n", "3"]
+VERIFY = ["verify", "--automaton", "a.json", "--depth", "1", "--samples", "1"]
+
+
+@pytest.mark.parametrize("files, argv, limit", [
+    ({"a.json": edited(lambda o: o["states"][1].update(m="x" * 100000))}, WP, 200),
+    ({"a.json": edited(lambda o: o["states"][0]["out"].__setitem__(0, list(range(50000))))}, WP, 200),
+    ({"a.json": edited(lambda o: [s.update(v=[10 ** 4000]) for s in o["states"][:2]])}, WP, 200),
+    ({"a.json": edited(lambda o: o.update(d=10 ** 4000))}, WP, 200),
+    ({"m.json": [[["x" * 100000]]]}, BUILD, 200),
+    ({"m.json": [[[10 ** 3000, 0], [0, 1]]]}, BUILD, 200),
+    ({"m.json": [[[10 ** 3000, 0], [0, 1]]]}, ["relations", *BUILD[1:]], 200),
+    # argparse adds its usage line to these
+    ({"m.json": [[[2]]]}, [*BUILD[:-1], BIG], 300),
+    ({"m.json": [[[2]]]}, [*BUILD[:-1], "x" * 5000], 300),
+    ({"m.json": [[[2]]]}, [*BUILD, "--alphabet-cap", BIG], 300),
+    ({"m.json": [[[2]]]}, ["relations", *BUILD[1:], "--budget", BIG], 300),
+    ({"a.json": DOC}, [*WP, "--budget", BIG], 300),
+    ({"a.json": DOC}, [*VERIFY[:4], BIG, *VERIFY[5:]], 300),
+    ({"a.json": DOC}, [*VERIFY[:-1], BIG], 300),
+    ({"a.json": DOC}, [*VERIFY, "--seed", BIG], 300),
+], ids=["json-m", "json-out", "json-label", "json-d", "matrix-entry", "build-state-count", "relations-state-count",
+        "n", "n-text", "alphabet-cap", "relations-budget", "wp-budget", "depth", "samples", "seed"])
+def test_every_echo_keeps_stderr_short(tmp_path, capsys, monkeypatch, files, argv, limit):
+    # each run once wrote kilobytes to stderr, or exited 1 with a traceback
+    monkeypatch.chdir(tmp_path)  # relative names keep the path out of the byte count
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's own exit
+        code = e.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.encode()) < limit and re.search(r"(.)\1{40}", captured.err) is None
 
 
 def test_wp_identity(tmp_path, capsys):

@@ -3,7 +3,8 @@ one node replaced by an arbitrary JSON value either loads as an Automaton
 (which then round-trips and meets the schema entry by entry) or raises
 FormatError, never anything else.  The FormatError is never the loader's
 internal error, which is raised only when the whole-list passes refuse a
-document that the per-state walk finds no fault in."""
+document that the per-state walk finds no fault in, and its message stays
+under 200 characters, however long the value it names."""
 
 import copy
 import json
@@ -22,7 +23,9 @@ DOCUMENTS = [json.loads(to_json(build_union(Ms, n))) for Ms, n in (
 )]
 
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
-JSON_VALUES = SCALARS | st.recursive(
+# a value far past the 40 characters an error message may show of it
+LONG = st.integers(1000, 5000).map(lambda k: "x" * k) | st.integers(1000, 5000).map(lambda k: list(range(k)))
+JSON_VALUES = SCALARS | LONG | st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8)
 
@@ -43,6 +46,7 @@ def test_one_replaced_node_loads_or_raises_format_error(doc, depth, data):
         aut = from_json(json.dumps(root["doc"]))
     except FormatError as e:
         assert not str(e).startswith("internal error"), str(e)
+        assert len(str(e)) < 200, str(e)[:300]
         return
     assert isinstance(aut, Automaton)
     assert from_json(to_json(aut)) == aut

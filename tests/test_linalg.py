@@ -1,14 +1,26 @@
+import json
 import random
+import re
+from dataclasses import replace
 from itertools import product, repeat
 from operator import eq
 
 import pytest
 
 from adicaut import (
+    AffineMap,
+    BuildError,
+    DigitWord,
+    FormatError,
+    GroupWord,
+    WordError,
+    affine_apply_prefix,
     block_diag,
+    build_union,
     coprime_to,
     det,
     encode,
+    from_json,
     identity,
     inverse_unimodular,
     is_unimodular,
@@ -17,10 +29,15 @@ from adicaut import (
     matrix,
     mod_div,
     offset_box,
+    parse_word,
+    presentation_for,
+    relator_check,
     row_sum_norm,
+    to_json,
     vector,
+    word_matrix,
 )
-from adicaut.linalg import all_letters, format_letter, parse_letter
+from adicaut.linalg import all_letters, echo, format_letter, parse_letter
 
 
 def test_mod_div_examples():
@@ -184,3 +201,67 @@ def test_letter_text_round_trip():
     assert parse_letter("7") == (7,)
     with pytest.raises(ValueError):
         parse_letter("a,b")
+
+
+def test_echo_keeps_a_short_value_and_never_raises():
+    for x in (0, -7, 10 ** 39, -(10 ** 38), 1.5, True, None, "ab", (1, 2), [0]):
+        assert echo(x) == repr(x)
+    assert echo(10 ** 5000) == "1" + "0" * 39 + "..."
+    assert echo("x" * 41) == "'" + "x" * 39 + "..."
+    # repr of a container holding an int past the interpreter's conversion limit raises
+    assert echo((10 ** 5000, 0)) == "<tuple>"
+
+
+HUGE, LONG = 10 ** 5000, "x" * 100000
+DOUBLING = build_union([[[2]]], 3)
+
+
+def edited(edit) -> str:
+    "The JSON text of DOUBLING (base 3, d=1, 4 states) after edit(document)."
+    doc = json.loads(to_json(DOUBLING))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: DigitWord(((HUGE, 0),), 2, 1), ValueError, "letter <tuple> does not have dimension 1"),
+    (lambda: DigitWord(((0, 0),), 2, HUGE), ValueError, "letter (0, 0) does not have dimension 1000"),
+    (lambda: DigitWord(((-1,),), HUGE, 1), ValueError, "digit -1 out of range for base 1000"),
+    (lambda: vector((LONG,)), TypeError, "vector coordinate 'xxx"),
+    (lambda: build_union([[[10 ** 3000, 1], [0, 10 ** 3000]]], 2), BuildError, "determinant 1000"),
+    (lambda: build_union([[[2]]], 2 * HUGE, alphabet_cap=HUGE ** 2), BuildError,
+     "determinant 2 of matrix 0 is not coprime to base 2000"),
+    (lambda: build_union([[[HUGE]]], 2 * HUGE, alphabet_cap=HUGE ** 2), BuildError, "determinant 1000"),
+    (lambda: build_union([[[10 ** 3000, 0], [0, 1]]], 3), BuildError, "the state count bound 4000"),
+    (lambda: inverse_unimodular(((HUGE,),)), ValueError, "matrix with determinant 1000"),
+    (lambda: encode((HUGE,), 10 ** 4500, 1), ValueError, "coordinate 1000"),
+    (lambda: encode((-HUGE,), 2, 1), ValueError, "coordinate -1000"),
+    (lambda: affine_apply_prefix(AffineMap(((1,),), (0,)), DigitWord((), 2, HUGE)), ValueError,
+     "map of dimension 1 cannot act on a word of dimension 1000"),
+    (lambda: GroupWord(DOUBLING, (HUGE,)), WordError, "code 1000"),
+    (lambda: GroupWord(DOUBLING, (LONG,)), WordError, "code 'xxx"),
+    (lambda: GroupWord(DOUBLING).act(DigitWord((), HUGE, 1)), WordError,
+     "word over base 3 dim 1 cannot act on a digit word of base 1000"),
+    (lambda: word_matrix((LONG,), [[[1]]]), ValueError, "code 'xxx"),
+    (lambda: relator_check(DOUBLING, replace(presentation_for([[[2]]]), relators=(((LONG, 1),),))), ValueError,
+     "relator uses unknown generator 'xxx"),
+    (lambda: parse_word(build_union([[[1, 0], [0, 1]]], 2), "m[0]:(" + "9" * 4000 + ",0)"), WordError,
+     "no state m[0]:(" + "9" * 40 + "...,0) in this automaton"),
+    (lambda: from_json(edited(lambda o: o["states"][1].update(m=LONG))), FormatError, "states[1].m = 'xxx"),
+    (lambda: from_json(edited(lambda o: o["states"][0]["out"].__setitem__(0, list(range(50000))))), FormatError,
+     "states[0].out[0] = [0, 1, 2"),
+    (lambda: from_json(edited(lambda o: o["states"][0]["next"].__setitem__(0, LONG))), FormatError,
+     "states[0].next[0] = 'xxx"),
+    (lambda: from_json(edited(lambda o: [s.update(v=[10 ** 4000]) for s in o["states"][:2]])), FormatError,
+     "states[1] duplicates the state label m[0]:(1000"),
+    (lambda: from_json(edited(lambda o: o.update(d=10 ** 4000))), FormatError, "matrices[0] is 1x1, expected 1000"),
+], ids=["letter", "dimension", "base", "vector", "det", "coprime-base", "gcd", "state-count", "inverse", "encode",
+        "encode-negative", "affine-dim", "code-int", "code-str", "act-base", "word-matrix", "relator", "state-label",
+        "json-m", "json-out", "json-next", "json-label", "json-d"])
+def test_every_echo_cuts_the_value_it_shows(call, error, start):
+    # one case per message that shows a value from outside: each was echoed whole, or failed in str()
+    with pytest.raises(error) as e:
+        call()
+    message = str(e.value)
+    assert type(e.value) is error and message.startswith(start) and len(message) < 200
+    assert re.search(r"(.)\1{40}", message) is None
