@@ -17,13 +17,12 @@ state by state.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels` and its table (out, nxt) in `Automaton.rows`, the one
-transition store every reader goes through.  A state's out table depends on
-its offset mod n only, so build_union and from_json keep each distinct out
-tuple once and the states share it: 16 tuples for the 2592 states of the d=4
-Sanov union.  to_json writes the JSON text itself, the text of each int and
-of each distinct out table made once.  Letters are stored as dense indices
-(base-n expansion of the index, first coordinate least significant); digit
-tuples appear only at I/O boundaries.
+transition store every reader goes through; `Automaton` alone pools equal
+out tables (`outs`) and holds the letter table (`letters`).  to_json writes
+the JSON text itself, the text of each int and of each distinct out table
+made once.  Letters are stored as dense indices (base-n expansion of the
+index, first coordinate least significant); digit tuples appear only at I/O
+boundaries.
 """
 
 from __future__ import annotations
@@ -68,36 +67,42 @@ class Automaton:
     inverse rows `row` builds on first use.
 
     State `sid` has the label `labels[sid]` = (matrix index, offset v) and the
-    given table `rows[sid]` = (out, nxt): reading letter x it writes the letter
-    with dense index out[x] and hands the rest of the word to state nxt[x].
-    Labels must be grouped by ascending matrix index; `components[i]` is the
-    half-open range of state ids whose matrix index is i.  A state or its
-    inverse is coded as the int `sid` or `~sid`, and `rows[c]` is the code's
-    (letter map, row of next codes): `rows[sid]` is the table as given,
-    `rows[~sid]` maps y to the x with out[x] = y and goes on to ~nxt[x], and
-    is None until `row` builds it.  Equality compares the labels and the given
-    tables, never the inverse rows.  States may share one out tuple, as
-    build_union and from_json make them do for equal out tables.
+    given table `rows[sid]` = (out, nxt): reading the letter with dense index
+    x (digits `letters[x]`) it writes out[x] and hands the rest of the word to
+    state nxt[x].  Equal out tables share the first one's tuple, and `outs`
+    holds each distinct one once.  Labels must be grouped by ascending matrix
+    index, each in range(len(matrices)); `components[i]` is the half-open
+    range of state ids whose matrix index is i.  A state or its inverse is
+    coded as the int `sid` or `~sid`, and `rows[c]` is the code's (letter map,
+    row of next codes): `rows[sid]` is the table as given, `rows[~sid]` maps y
+    to the x with out[x] = y and goes on to ~nxt[x], and is None until `row`
+    builds it.  Equality compares the labels and the given tables, never the
+    inverse rows.
     """
 
-    __slots__ = ("n", "d", "matrices", "labels", "components", "rows",
-                 "_index", "_state_ids", "_letters")
+    __slots__ = ("n", "d", "matrices", "labels", "components", "rows", "outs", "letters",
+                 "_index", "_state_ids")
 
     def __init__(self, n, d, matrices, labels, tables):
         self.n = n
         self.d = d
         self.matrices = tuple(matrices)
         self.labels = tuple(labels)
-        self.rows = [*tables, *[None] * len(self.labels)]
+        pool = {}  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
+        self.rows = [(pool.setdefault(out, out), nxt) for out, nxt in tables] + [None] * len(self.labels)
+        self.outs = tuple(pool)
         if len(self.rows) != 2 * len(self.labels):
             raise ValueError(f"{len(self.labels)} labels but {len(self.rows) - len(self.labels)} tables")
         if any(a[0] > b[0] for a, b in pairwise(self.labels)):
             raise ValueError("states must be grouped by ascending matrix index")
+        for m in (self.labels[0][0], self.labels[-1][0]) if self.labels else ():  # grouped: these bound every index
+            if not 0 <= m < len(self.matrices):
+                raise ValueError(f"matrix index {echo(m)} of a state is not in range({len(self.matrices)})")
         key = itemgetter(0)  # a temporary list of all keys fragments the heap over rebuilds
         self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
-        self._letters = all_letters(n, d)
-        self._index = {x: i for i, x in enumerate(self._letters)}
+        self.letters = tuple(all_letters(n, d))
+        self._index = {x: i for i, x in enumerate(self.letters)}
         self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
 
     @property
@@ -107,9 +112,6 @@ class Automaton:
     def letter_index(self, x: Vector) -> int:
         "Dense index of a digit tuple (first coordinate least significant)."
         return self._index[x]
-
-    def letter_digits(self, i: int) -> Vector:
-        return self._letters[i]
 
     def state_id(self, matrix_index: int, offset) -> int:
         "Global id of the state labeled (matrix_index, offset); KeyError if absent."
@@ -185,10 +187,10 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         raise BuildError(f"the state count bound {echo(bound)} exceeds {sys.maxsize}")
     ids = list(range(bound))  # shared int objects keep the big tables lean
 
-    outs = {}  # out depends on v mod n only, so a component has at most n**d distinct out rows: each is kept once
-
-    def shared(out):
-        return outs.setdefault(out, out)
+    def tables_of(level, row0):  # arguments, as a generator in the loop would read the last component's rows
+        # lazy, so Automaton pools each out as it is made; tuple([...]) is allocated once, tuple(map(...)) resizes
+        return ((tuple([*map(add, o, dr)]), tuple([ids[t] for t in map(add, c, cr)]))
+                for o, c in level for dr, cr in row0)
 
     labels, tables = [], []
     base = 0
@@ -206,12 +208,10 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         level = [([0] * len(letters), [ids[base]] * len(letters))]
         for per_v in rows[:0:-1]:
             level = [(list(map(add, o, dr)), [ids[t] for t in map(add, c, cr)]) for o, c in level for dr, cr in per_v]
-        # a tuple made from a list is allocated once at its size; tuple(map(...)) resizes as it grows
-        tables += [(shared(tuple([*map(add, o, dr)])), tuple([ids[t] for t in map(add, c, cr)]))
-                   for o, c in level for dr, cr in rows[0]]
+        tables.append(tables_of(level, rows[0]))
         labels += [(mi, v) for v in box]
         base += len(box)
-    return Automaton(n, d, mats, labels, tables)
+    return Automaton(n, d, mats, labels, chain.from_iterable(tables))
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,7 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     one packed compare per row, and only a failing row letter by letter.  At
     most MAX_FAILURES failures are kept.  Not for deduplicated automata."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
-    labels, rows = aut.labels, aut.rows  # rows[sid] for sid >= 0 are the tables as given; row() is never called
-    letters = [aut.letter_digits(y) for y in range(A)]
+    labels, rows, letters = aut.labels, aut.rows, aut.letters  # rows[sid] for sid >= 0 only: row() is never called
     n_packed = [0] * len(labels)  # n times the packed offset of each state, written a component at a time
     failures = []
     checked = 0
@@ -397,35 +396,30 @@ def read_matrices(text: str) -> tuple:
     return _matrices(_loads(text))
 
 
-def _columns(states: list, n_matrices: int, d: int, alphabet: int):
-    """(labels, tables) of a states list that passes every from_json check, made
-    as a fixed number of passes over whole columns; None if any pass fails."""
+def _columns(states: list, d: int, alphabet: int):
+    """(labels, tables) of a states list whose field types and lengths and next
+    entries pass, in a fixed number of passes over whole columns; else None."""
     try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
         ms, vs, outs, nxts = zip(*map(itemgetter("m", "v", "out", "next"), states))
     except (TypeError, KeyError):
         return None
-    total = len(states)
     if not ({*map(type, vs), *map(type, outs), *map(type, nxts)} == {list}
             # by type, never by value: True == 1 and 1.0 == 1 hash alike
             and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}
-            and 0 <= ms[0] and ms[-1] < n_matrices and ms == tuple(sorted(ms))
             and {*map(len, vs)} == {d} and {*map(len, outs), *map(len, nxts)} == {alphabet}):
         return None
     seen_next = {*chain.from_iterable(nxts)}
-    shared = {}  # each distinct out table once, as build_union keeps it
-    labels, outs = list(zip(ms, map(tuple, vs))), [shared.setdefault(out, out) for out in map(tuple, outs)]
-    # with every entry an int, equal out tables are equal entry by entry: each distinct one is checked once
-    if (0 <= min(seen_next) and max(seen_next) < total and len({*labels}) == total
-            and {*map(frozenset, shared)} == {frozenset(range(alphabet))}):
-        return labels, zip(outs, map(tuple, nxts))
+    if 0 <= min(seen_next) and max(seen_next) < len(states):
+        return zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts))
     return None
 
 
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The states are checked, and loaded, in whole-list passes.  A document
-    that fails one is walked state by state only to name the first failing
-    state; the walk loads nothing."""
+    The states are checked, and loaded, in whole-list passes and one Automaton
+    construction, whose labels must then be unique and whose distinct out
+    tables must be permutations.  A document that fails any step is walked
+    state by state only to name the first failing state; it loads nothing."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -446,9 +440,14 @@ def from_json(text: str) -> Automaton:
         raise FormatError(f"an alphabet of n**d letters (d = {echo(d)}) cannot fit in a {len(text)}-character document")
 
     states, alphabet = obj["states"], n ** d
-    columns = _columns(states, len(mats), d, alphabet)
-    if columns:
-        return Automaton(n, d, mats, *columns)
+    columns = _columns(states, d, alphabet)
+    try:
+        aut = columns and Automaton(n, d, mats, *columns)
+    except ValueError:  # labels out of range or not grouped
+        aut = None
+    # with every entry an int, equal out tables are equal entry by entry: each distinct one is checked once
+    if aut and len(aut._state_ids) == len(states) and {*map(frozenset, aut.outs)} == {frozenset(range(alphabet))}:
+        return aut
     # a pass failed: the walk raises the first failure in document order
     total, seen_labels, last_m = len(states), set(), 0
     for si, entry in enumerate(states):

@@ -103,7 +103,6 @@ def _cmd_verify(args) -> int:
     bounded_int(args.samples, "--samples", 1)
     aut = _read(args.automaton, am.from_json)
     rng = random.Random(args.seed)
-    letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
     mismatches = 0
     checked = 0
     first = None
@@ -112,7 +111,7 @@ def _cmd_verify(args) -> int:
         w = ta.GroupWord(aut, (sid,))
         for _ in range(args.samples):
             k = rng.randint(1, args.depth)
-            u = DigitWord(tuple(rng.choice(letters) for _ in range(k)), aut.n, aut.d)
+            u = DigitWord(tuple(rng.choice(aut.letters) for _ in range(k)), aut.n, aut.d)
             checked += 1
             image, expected = w.act(u), affine_apply_prefix(f, u)
             if image != expected:
@@ -200,8 +199,9 @@ def main(argv=None) -> int:
     except am.AlphabetCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError) as e:  # an OSError's own text repeats the whole file name
+        text = f"[Errno {e.errno}] {e.strerror}: {echo(e.filename)}" if getattr(e, "filename", None) is not None else e
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

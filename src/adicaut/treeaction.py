@@ -141,7 +141,7 @@ class GroupWord:
         aut = self.aut
         if u.base != aut.n or u.dim != aut.d:
             raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {echo(u.base)} dim {echo(u.dim)}")
-        rows, build = aut.rows, aut.row
+        rows, build, letters = aut.rows, aut.row, aut.letters
         word = self.codes[::-1]  # a section is kept rightmost code first
         image = []
         for x in map(aut.letter_index, u.letters):
@@ -155,7 +155,7 @@ class GroupWord:
                 else:
                     section.append(c)
                     top = c
-            image.append(aut.letter_digits(x))
+            image.append(letters[x])
             word = section
         return DigitWord(tuple(image), u.base, u.dim)
 

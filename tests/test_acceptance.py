@@ -101,7 +101,7 @@ def test_criterion_3_oracle_semantics():
         exhaustive = [[[1]], [[3]], [[-1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]]
         for M in exhaustive:
             aut = build_union([M], 2)
-            letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
+            letters = [aut.letters[i] for i in range(aut.alphabet_size)]
             words = [DigitWord(ls, 2, aut.d)
                      for k in range(7) for ls in product(letters, repeat=k)]
             for sid, (_, v) in enumerate(aut.labels):

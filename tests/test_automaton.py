@@ -9,6 +9,7 @@ import pytest
 from adicaut import (
     AlphabetCapError,
     Automaton,
+    all_letters,
     BuildError,
     FormatError,
     GroupWord,
@@ -330,8 +331,8 @@ def reference_failures(aut, sid):
         if not (0 <= y < A and start <= t < end):
             found.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
             continue
-        got = tuple(a + n * b for a, b in zip(aut.letter_digits(y), aut.labels[t][1]))
-        want = tuple(a + b for a, b in zip(v, mat_vec(M, aut.letter_digits(x))))
+        got = tuple(a + n * b for a, b in zip(aut.letters[y], aut.labels[t][1]))
+        want = tuple(a + b for a, b in zip(v, mat_vec(M, aut.letters[x])))
         if got != want:
             found.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
     return found
@@ -673,4 +674,60 @@ def test_inverse_rows_do_not_change_codec_equality_or_dedup(shear2):
 def test_letter_codec(doubling3):
     aut = build_union([identity(2)], 3)
     for i in range(aut.alphabet_size):
-        assert aut.letter_index(aut.letter_digits(i)) == i
+        assert aut.letter_index(aut.letters[i]) == i
+
+
+def test_a_matrix_index_outside_the_family_is_refused(doubling3):
+    # the check walks the components 0..len(matrices)-1, so such a state was never checked:
+    # doubling3 plus (5, (99,)) reported "well-defined: 12 transitions checked" for its 15 transitions
+    extra = ((0, 0, 0), (7, 7, 7))
+    for labels, rows, m in (([*doubling3.labels, (5, (99,))], [*tables(doubling3), extra], "5"),
+                            ([(-1, (0,)), *doubling3.labels], [extra, *tables(doubling3)], "-1"),
+                            ([*doubling3.labels, (1, (0,))], [*tables(doubling3), extra], "1"),
+                            ([*doubling3.labels, (10 ** 100, (0,))], [*tables(doubling3), extra], "1" + "0" * 39 + "...")):
+        with pytest.raises(ValueError, match=re.escape(f"matrix index {m} of a state is not in range(1)") + "$"):
+            Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, rows)
+    empty = Automaton(doubling3.n, doubling3.d, doubling3.matrices, [], [])
+    assert empty.components == ((0, 0),) and empty.outs == ()
+    assert str(well_definedness_check(empty)) == "well-defined: 0 transitions checked"
+
+
+def test_every_route_shares_equal_out_tables_through_outs(doubling3):
+    def pooled(aut):
+        "The number of distinct out tables, after checking that every state's out is the one tuple in outs."
+        assert {id(out) for out, _ in tables(aut)} == {*map(id, aut.outs)}
+        assert len({*aut.outs}) == len(aut.outs)
+        return len(aut.outs)
+    union = build_union(block_extend([identity(2), identity(2)], list(sanov_pair())), 2)
+    assert pooled(union) == pooled(from_json(to_json(union))) == pooled(dedup(union)) == 16
+    # equal tables given as distinct tuples: doubling by 3 has one out table per offset mod 3
+    fresh = [(tuple([*out]), nxt) for out, nxt in tables(doubling3)]
+    assert len({*map(id, fresh)}) == 4
+    hand = Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, fresh)
+    assert pooled(hand) == 3 and hand == doubling3
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (2, 4)])
+def test_letters_is_the_dense_letter_table(n, d):
+    aut = build_union([identity(d)], n)
+    assert aut.letters == tuple(all_letters(n, d))
+    assert [*map(aut.letter_index, aut.letters)] == list(range(n ** d))
+
+
+def test_from_json_names_the_first_fault_the_constructor_also_sees():
+    # the grouping and matrix-range checks moved into the constructor; the walk still names the earliest fault
+    good = json.loads(to_json(build_union([[[2]], [[2]]], 3)))
+
+    def message(*edits):
+        obj = json.loads(json.dumps(good))
+        for si, name, value in edits:
+            obj["states"][si][name] = value
+        with pytest.raises(FormatError) as info:
+            from_json(json.dumps(obj))
+        return str(info.value)
+    # a duplicate label at states[1], and states[2].m = 1 makes states[3] break the grouping
+    assert message((1, "v", [-2]), (2, "m", 1)) == "states[1] duplicates the state label m[0]:(-2)"
+    assert message((2, "m", 1)) == ("states[3].m = 0 breaks the component grouping "
+                                    "(states must be grouped by matrix)")
+    assert message((7, "m", 2)) == "states[7].m = 2 is not a matrix index"
+    assert message((0, "m", -1)) == "states[0].m = -1 is not a matrix index"

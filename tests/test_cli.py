@@ -150,6 +150,24 @@ def test_build_rejects_the_removed_dedup_flag(tmp_path, capsys):
     assert "unrecognized arguments: --dedup" in capsys.readouterr().err
 
 
+def test_a_long_file_name_is_echoed_short(tmp_path, capsys, monkeypatch):
+    # OSError's own text repeats the whole name: 100041 bytes of stderr for the --automaton one
+    mats = write_matrices(tmp_path, [[[2]]])
+    for argv in (["wp", "--automaton", "y" * 100000, "--word", "t[1]"],
+                 ["build", "--matrices", "y" * 100000, "--n", "3"],
+                 ["build", "--matrices", mats, "--n", "3", "-o", str(tmp_path / ("z" * 6000))]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ") and captured.err.endswith("...\n")
+        assert len(captured.err.encode()) < 200
+    # a short name prints as OSError's own text, byte for byte
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as info:
+        open("nope.json", encoding="utf-8")
+    assert main(["wp", "--automaton", "nope.json", "--word", "t[1]"]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 def test_act_translation(tmp_path, capsys):
     aut = write_automaton(tmp_path, build_union([[[1]]], 3))
     code = main(["act", "--automaton", aut, "--word", "t[1]", "--input", "0 0"])

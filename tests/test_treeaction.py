@@ -140,7 +140,7 @@ def test_is_identity_agrees_with_finite_action():
             build_union([[[1, 1], [0, 1]]], 2)]
     from itertools import product
     for aut in auts:
-        letters = [aut.letter_digits(i) for i in range(aut.alphabet_size)]
+        letters = [aut.letters[i] for i in range(aut.alphabet_size)]
         words = [DigitWord(ls, aut.n, aut.d) for k in range(7)
                  for ls in product(letters, repeat=k)]
         for _ in range(60):
@@ -677,7 +677,7 @@ def reference_act(aut, factors, u):
                 x = out.index(y)
                 seq[i] = x
                 cur = nxt[x]
-    return DigitWord(tuple(aut.letter_digits(i) for i in seq), u.base, u.dim)
+    return DigitWord(tuple(aut.letters[i] for i in seq), u.base, u.dim)
 
 
 def test_act_agrees_with_per_letter_reference(doubling3, shear2):
