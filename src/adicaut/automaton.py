@@ -13,7 +13,7 @@ state's tables.  well_definedness_check never divides: it packs each vector
 into one int, in a base wide enough for the offset box, recomposes
 digit(out[x]) + n*offset(nxt[x]) for all of a component's transitions in one
 stream and compares it with v + M*x; only a component that fails is walked
-state by state.
+state by state and letter by letter.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels` and its table (out, nxt) in `Automaton.rows`, the one
@@ -86,7 +86,9 @@ class Automaton:
     def __init__(self, n, d, matrices, labels, tables):
         self.n = n
         self.d = d
-        self.matrices = tuple(matrices)
+        self.matrices = mats = matrix_family(matrices)
+        if len(mats[0]) != d:  # matrix_family gave every entry entry 0's size
+            raise ValueError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {echo(d)}x{echo(d)}")
         self.labels = tuple(labels)
         pool = {}  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
         self.rows = [(pool.setdefault(out, out), nxt) for out, nxt in tables] + [None] * len(self.labels)
@@ -246,31 +248,20 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     state, rows have one entry per letter, next states lie in their own
     component.
 
-    Each vector w is packed into the int sum_i w_i*B**i, so a transition is one
-    int compare.  A component whose offsets, row lengths and entry ranges all
-    hold is compared in one lazy stream over all its transitions.  Any other
-    component is walked state by state: the label, then the row lengths, then
-    one packed compare per row, and only a failing row letter by letter.  At
-    most MAX_FAILURES failures are kept.  Not for deduplicated automata."""
+    A component whose offsets, row lengths and entry ranges all hold packs
+    each vector w into the int sum_i w_i*B**i and compares all its
+    transitions in one lazy stream, one int compare each.  Any other
+    component, or one whose stream finds a mismatch, is walked state by state:
+    the label, then the row lengths, then letter by letter.  At most
+    MAX_FAILURES failures are kept.  dedup(build_union(...)) passes too: equal
+    maps have equal v and M, so a merge only empties a later twin component."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
     labels, rows, letters = aut.labels, aut.rows, aut.letters  # rows[sid] for sid >= 0 only: row() is never called
     n_packed = [0] * len(labels)  # n times the packed offset of each state, written a component at a time
-    failures = []
-    checked = 0
+    failures, checked = [], 0
     for mi, M in enumerate(aut.matrices):
         start, end = aut.component_range(mi)
         norm = row_sum_norm(M)
-        # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
-        # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
-        # below B/2 in absolute value, so packing in base B tells such vectors apart.
-        B = 2 * n * norm + 1
-        places = [B ** i for i in range(d)]
-
-        def pack(w):
-            return sum(map(mul, places, w))
-
-        def inside(v):
-            return len(v) == d and all(-norm <= c < norm for c in v)
 
         def entries(k):  # every out (k=0) or next (k=1) entry of the component, in state order
             return chain.from_iterable(map(itemgetter(k), islice(rows, start, end)))
@@ -279,38 +270,37 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
             seen = {*entries(k)}
             return low <= min(seen) and max(seen) < high
 
-        def recomposed(outs, nxts):  # pack(digit(out[x]) + n*offset(nxt[x]) - M*x), x cycling through the letters
-            return map(sub, map(add, map(p_digit.__getitem__, outs), map(n_packed.__getitem__, nxts)), cycle(p_mx))
-
         mxs = [mat_vec(M, x) for x in letters]
-        p_digit, p_mx = list(map(pack, letters)), list(map(pack, mxs))
         offsets = list(map(itemgetter(1), islice(labels, start, end)))
-        # all(map(inside, offsets)), a pass at a time; False for a component without states, which walks none
-        boxed = ({*map(len, offsets)} == {d} and -norm <= min(chain.from_iterable(offsets))
-                 and max(chain.from_iterable(offsets)) < norm)
-        # An offset that is not inside packs to far = B**d.  Every recomposed value of
-        # inside offsets stays below far, and n*far outweighs all other terms, so no
-        # transition into or out of such a state passes the packed compare: the letter
-        # walk decides those.
-        far = B ** d
-        p_v = list(map(pack, offsets)) if boxed else [pack(v) if inside(v) else far for v in offsets]
-        n_packed[start:end] = map(n.__mul__, p_v)
-        if (boxed and all(map(eq, map(aut.state_id, repeat(mi), offsets), range(start, end)))
-                and {*map(len, islice(rows, start, end))} == {2}
+        # every offset inside the box, a pass at a time; False for a component without states, which walks none
+        if ({*map(len, offsets)} == {d} and -norm <= min(chain.from_iterable(offsets))
+                and max(chain.from_iterable(offsets)) < norm
+                and all(map(eq, map(aut.state_id, repeat(mi), offsets), range(start, end)))
                 and {*map(len, chain.from_iterable(islice(rows, start, end)))} == {A}
-                and within(0, 0, A) and within(1, start, end)
-                and all(map(eq, recomposed(entries(0), entries(1)), chain.from_iterable(map(repeat, p_v, repeat(A)))))):
-            checked += (end - start) * A
-            continue
-        for sid, v, (out, nxt), pv in zip(range(start, end), offsets, islice(rows, start, end), p_v):
+                and within(0, 0, A) and within(1, start, end)):
+            # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
+            # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
+            # below B/2 in absolute value, so packing in base B tells such vectors apart.
+            places = [(2 * n * norm + 1) ** i for i in range(d)]
+
+            def pack(w):
+                return sum(map(mul, places, w))
+            p_v, p_digit, p_mx = list(map(pack, offsets)), list(map(pack, letters)), list(map(pack, mxs))
+            n_packed[start:end] = map(n.__mul__, p_v)
+            # pack(digit(out[x]) + n*offset(nxt[x]) - M*x), x cycling through the letters, against pack(v)
+            recomposed = map(sub, map(add, map(p_digit.__getitem__, entries(0)), map(n_packed.__getitem__, entries(1))),
+                             cycle(p_mx))
+            if all(map(eq, recomposed, chain.from_iterable(map(repeat, p_v, repeat(A))))):
+                checked += (end - start) * A
+                continue
+        for sid, v, (out, nxt) in zip(range(start, end), offsets, islice(rows, start, end)):
             checked += A
-            if not inside(v) or aut.state_id(mi, v) != sid:
+            if len(v) != d or not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
                 failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
             if len(out) != A or len(nxt) != A:
                 failures += [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
                              for name, t in (("out", out), ("next", nxt)) if len(t) != A]
-            elif not (0 <= min(out) and max(out) < A and start <= min(nxt) and max(nxt) < end
-                      and all(map(eq, recomposed(out, nxt), repeat(pv)))):
+            else:
                 for x, (y, t) in enumerate(zip(out, nxt)):
                     if not (0 <= y < A and start <= t < end):
                         failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
@@ -344,7 +334,7 @@ def json_pieces(aut: Automaton):
     directly: each int's text is made once, and so is the text of each
     distinct out table.  Every table entry, label and matrix entry must be
     an int."""
-    ints = _Memo(str)
+    ints = _Memo(int.__repr__)  # True == 1 shares its key, so each int is written as the JSON int it acts as
 
     def items(t):
         return ", ".join(map(ints.__getitem__, t))
@@ -487,8 +477,9 @@ def dedup(aut: Automaton) -> Automaton:
     output tables, then equal successor classes, iterated to a fixed point).
     Library only, with no CLI flag: it stays while the benchmark still times
     it.  The plain construction always keeps components disjoint.  Merged
-    automata keep one representative label per class, so label lookups and
-    the structural well-definedness check no longer apply to them."""
+    automata keep one label per class; in a build_union automaton a component
+    equal to an earlier one merges whole, so the check still passes but the
+    emptied component's labels name no state (`no state m[1]:(0,0) ...`)."""
     labels, tables = aut.labels, aut.rows[:len(aut.labels)]
     sigs = {}
     cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]

@@ -231,7 +231,7 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
     return True, len(visited)
 
 
-def translation_word(aut: Automaton, matrix_index: int = 0, axis: int = 1) -> GroupWord:
+def translation_word(aut: Automaton, matrix_index: int, axis: int) -> GroupWord:
     """The two-factor word m_0 * m_{-e_axis}^-1 from the given component; it
     acts on digit words as +1 on coordinate `axis` (1-based), carries
     included.  Both states exist in every component of a `build_union` automaton."""

@@ -21,10 +21,12 @@ from adicaut import (
     identity,
     matrix,
     offset_box,
+    parse_word,
     sanov_pair,
     state_count_bound,
     to_json,
     well_definedness_check,
+    WordError,
 )
 
 from adicaut.automaton import MAX_FAILURES, CheckFailure, WellDefinednessReport, json_pieces
@@ -411,6 +413,34 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
                 assert not want.ok and well_definedness_check(moved) == want, (sid, i, c)
 
 
+def test_well_definedness_length_failures_reach_the_cut():
+    # every row cut by one letter: two length failures per state, so the cut falls after state 49
+    union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
+    rows = [(out[:-1], nxt[:-1]) for out, nxt in tables(union)]
+    rep = well_definedness_check(Automaton(union.n, union.d, union.matrices, union.labels, rows))
+    assert len(union.labels) == 52 and len(rep.failures) == MAX_FAILURES == 100 and rep.checked == 50 * 9 == 450
+    assert rep.failures[-2:] == [CheckFailure(49, None, "out has 8 entries, expected 9"),
+                                 CheckFailure(49, None, "next has 8 entries, expected 9")]
+
+
+@pytest.mark.parametrize("corruption", ["swapped-out", "label-outside", "short-row"])
+def test_well_definedness_walks_a_failing_component_of_the_d4_sanov_union(corruption):
+    aut = build_union(block_extend([identity(2), identity(2)], list(sanov_pair())), 2)
+    last = aut.components[0][1] - 1  # the last state of component 0
+    labels, rows = list(aut.labels), tables(aut)
+    out, nxt = rows[last]
+    if corruption == "swapped-out":
+        rows[last] = (out[1], out[0], *out[2:]), nxt
+    elif corruption == "label-outside":
+        mi, v = labels[last]
+        labels[last] = mi, (row_sum_norm(aut.matrices[mi]), *v[1:])
+    else:
+        rows[last] = out, nxt[:-1]
+    bad = Automaton(aut.n, aut.d, aut.matrices, labels, rows)
+    want = reference_report(bad, [reference_failures(bad, sid) for sid in range(len(labels))])
+    assert len(labels) == 2592 and not want.ok and well_definedness_check(bad) == want
+
+
 def test_to_json_digests_pinned():
     import hashlib
     from adicaut import block_extend, sanov_pair
@@ -479,6 +509,19 @@ def test_to_json_writes_any_int_entry_as_json_dumps_does():
         assert to_json(hand) == reference_json(hand)
     empty = Automaton(2, 1, [[[1]]], [], [])
     assert to_json(empty) == reference_json(empty)
+
+
+def test_to_json_writes_a_bool_entry_as_the_int_it_acts_as():
+    # an int text cache keyed by value once wrote "True" for every later 1, which from_json refused
+    clean = build_union([[[2]]], 3)
+    rows = tables(clean)
+    out, nxt = rows[0]
+    assert nxt[0] == 1
+    rows[0] = out, (True, *nxt[1:])
+    hand = Automaton(clean.n, clean.d, clean.matrices, clean.labels, rows)
+    assert str(well_definedness_check(hand)) == "well-defined: 12 transitions checked"
+    assert to_json(hand) == to_json(clean)
+    assert from_json(to_json(hand)) == hand
 
 
 @pytest.mark.parametrize("d, distinct", [(3, 8), (4, 16), (5, 32)])
@@ -634,6 +677,12 @@ def test_dedup_merges_identical_components():
     aut = build_union([identity(1), identity(1)], 2)
     small = dedup(aut)
     assert len(small.labels) == 2
+    # the check still applies; a label of the emptied component names no state
+    S = ((1, 1), (0, 1))
+    merged = dedup(build_union([S, S], 2))
+    assert str(well_definedness_check(merged)) == "well-defined: 64 transitions checked"
+    with pytest.raises(WordError, match=re.escape("no state m[1]:(0,0) in this automaton")):
+        parse_word(merged, "m[1]:(0,0)")
     # same behavior on sample words
     rng = random.Random(22)
     for _ in range(50):
@@ -690,6 +739,22 @@ def test_a_matrix_index_outside_the_family_is_refused(doubling3):
     empty = Automaton(doubling3.n, doubling3.d, doubling3.matrices, [], [])
     assert empty.components == ((0, 0),) and empty.outs == ()
     assert str(well_definedness_check(empty)) == "well-defined: 0 transitions checked"
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ([[[2.0]]], "matrices[0]: vector coordinate 2.0 is not an int"),  # the check raised a bare TypeError
+    ([[[2, 0], [0, 2]]], "matrices[0] is 2x2, expected 1x1"),  # the check raised zip()'s ValueError
+    ([], "need at least one matrix"),  # to_json wrote a document from_json refuses
+], ids=["float-entry", "wrong-size", "empty"])
+def test_the_constructor_refuses_matrices_the_codec_refuses(doubling3, matrices, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Automaton(doubling3.n, doubling3.d, matrices, doubling3.labels, tables(doubling3))
+
+
+def test_the_constructor_freezes_matrices_given_as_lists(doubling3):
+    lists = Automaton(doubling3.n, doubling3.d, [[[2]]], doubling3.labels, tables(doubling3))
+    assert lists.matrices == (((2,),),) and lists == doubling3
+    assert Automaton(2, 1, [[[1]]], [], []).matrices == (((1,),),)
 
 
 def test_every_route_shares_equal_out_tables_through_outs(doubling3):

@@ -450,7 +450,7 @@ def test_word_errors_cut_a_long_number_to_40_characters(doubling3, call, start):
 
 
 def test_powers_past_the_code_cap_are_refused(doubling3):
-    t = translation_word(doubling3)  # 2 codes
+    t = translation_word(doubling3, 0, 1)  # 2 codes
     for k in (10 ** 19, -(10 ** 19), MAX_WORD_CODES // 2 + 1):
         with pytest.raises(WordError, match=f"expands past {MAX_WORD_CODES} codes"):
             t ** k
