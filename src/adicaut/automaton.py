@@ -7,32 +7,32 @@ digit part of v + M*x and hands the carry part to the next state.  For a
 family of matrices the automata are glued as a disjoint union, never merged,
 so the state count is exactly sum_i (2*||M_i||)**d.
 
-Each coordinate of v + M*x splits into digit and carry on its own, so
-build_union sums one digit row and one carry row per coordinate into each
-state's tables.  well_definedness_check never divides: it packs each vector
-into one int, in a base wide enough for the offset box, recomposes
-digit(out[x]) + n*offset(nxt[x]) for all of a component's transitions in one
-stream and compares it with v + M*x; only a component that fails is walked
-state by state and letter by letter.
+Each coordinate of v + M*x splits into digit and carry on its own, and the
+digit depends on v only mod n: build_union makes one out table per class of v
+mod n, shared by its states, and sums one carry row per coordinate into each
+next row.  It, from_json and dedup pause the cyclic collector; their tables
+hold no cycles.  well_definedness_check never divides: it packs vectors into
+ints in a base wide enough for the offset box, recomposes digit(out[x]) +
+n*offset(nxt[x]) for a whole component in one stream, compares it with v +
+M*x, and walks only a failing component state by state and letter by letter.
 
 Each state is stored once: its label (matrix index, offset) in
-`Automaton.labels` and its table (out, nxt) in `Automaton.rows`, the one
-transition store every reader goes through; `Automaton` alone pools equal
-out tables (`outs`) and holds the letter table (`letters`).  to_json writes
-the JSON text itself, the text of each int and of each distinct out table
-made once.  Letters are stored as dense indices (base-n expansion of the
-index, first coordinate least significant); digit tuples appear only at I/O
-boundaries.
-"""
+`Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
+reader goes through.  `Automaton` alone pools equal out tables (`outs`) and
+holds the letter table (`letters`) of dense indices (base-n, first coordinate
+least significant); digit tuples appear only at I/O boundaries.  to_json
+writes the text of each int and of each distinct out table once."""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, cycle, islice, pairwise, repeat
+from itertools import chain, cycle, islice, pairwise, product, repeat
 from operator import add, eq, itemgetter, mul, sub
 
 from .linalg import (
@@ -150,6 +150,19 @@ class Automaton:
                 f"{len(self.matrices)} matrices, {len(self.labels)} states)")
 
 
+@contextmanager
+def _gc_paused():
+    "No cyclic collection inside, as a table set holds no cycles; after it, the deferred young pass, if gc was on."
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(0)  # the deferred pass, always inside the call, where the caller's timer sees it
+
+
 def state_count_bound(Ms) -> int:
     "The guaranteed ceiling 2**d * sum_i ||M_i||**d on the union's state count."
     mats = matrix_family(Ms)
@@ -157,14 +170,15 @@ def state_count_bound(Ms) -> int:
     return 2 ** d * sum(row_sum_norm(M) ** d for M in mats)
 
 
+@_gc_paused()
 def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automaton:
     """Disjoint union of the transducers for each matrix, in the given order.
     Identical matrices yield identical but separate components.
 
     Each matrix must have nonzero determinant coprime to n (otherwise the
     output tables would not permute the alphabet).  The alphabet size n**d is
-    capped to keep accidental huge builds from exhausting memory.
-    """
+    capped to keep accidental huge builds from exhausting memory.  The states
+    whose offsets agree mod n share one out tuple; the collector is paused."""
     try:
         mats = matrix_family(Ms)
         bounded_int(n, "base", 2)
@@ -189,30 +203,29 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         raise BuildError(f"the state count bound {echo(bound)} exceeds {sys.maxsize}")
     ids = list(range(bound))  # shared int objects keep the big tables lean
 
-    def tables_of(level, row0):  # arguments, as a generator in the loop would read the last component's rows
-        # lazy, so Automaton pools each out as it is made; tuple([...]) is allocated once, tuple(map(...)) resizes
-        return ((tuple([*map(add, o, dr)]), tuple([ids[t] for t in map(add, c, cr)]))
-                for o, c in level for dr, cr in row0)
+    def tables_of(outs, level, row0):  # arguments, as a generator in the loop would read the last component's rows
+        # lazy, so each (out, next) pair is freed once pooled; tuple([...]) is allocated once, tuple(map(...)) resizes
+        return ((outs[key + r], tuple([ids[t] for t in map(add, nx, cr)])) for key, nx in level for r, cr in row0)
 
     labels, tables = [], []
-    base = 0
     for mi, M in enumerate(mats):
-        box = offset_box(M)
         norm = row_sum_norm(M)
-        side = range(-norm, norm)
-        # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = side[k]
-        splits = [[[divmod(v + sum(map(mul, Mi, x)), n) for x in letters] for v in side] for Mi in M]
+        # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = k - norm
+        splits = [[[divmod(v + sum(map(mul, Mi, x)), n) for x in letters] for v in range(-norm, norm)] for Mi in M]
         if not all(-norm <= q < norm for per_v in splits for row in per_v for q, _ in row):
             raise BuildError("internal error: a carry left the offset box")
-        rows = [[([r * n ** i for _, r in row], [(q + norm) * (2 * norm) ** i for q, _ in row])
-                 for row in per_v] for i, per_v in enumerate(splits)]
-        # (out, next) sums over coordinates d-1 down to 1, the last varying slowest as in box
-        level = [([0] * len(letters), [ids[base]] * len(letters))]
+        c = min(n, 2 * norm)  # a digit depends on v_i mod n only: k - norm and k % n - norm agree mod n, k % n < c
+        digits = [[[r * n ** i for _, r in row] for row in per_v[:c]] for i, per_v in enumerate(splits)]
+        # outs[sum_i k_i * c**i] is the one out table of every offset v with v_i = k_i - norm mod n
+        outs = [tuple(map(sum, zip(*drs))) for drs in product(*digits[::-1])]
+        rows = [[(k % n * c ** i, [(q + norm) * (2 * norm) ** i for q, _ in row]) for k, row in enumerate(per_v)]
+                for i, per_v in enumerate(splits)]
+        # (class key, next) sums over coordinates d-1 down to 1, the last varying slowest as in offset_box
+        level = [(0, [ids[len(labels)]] * len(letters))]
         for per_v in rows[:0:-1]:
-            level = [(list(map(add, o, dr)), [ids[t] for t in map(add, c, cr)]) for o, c in level for dr, cr in per_v]
-        tables.append(tables_of(level, rows[0]))
-        labels += [(mi, v) for v in box]
-        base += len(box)
+            level = [(key + r, [ids[t] for t in map(add, nx, cr)]) for key, nx in level for r, cr in per_v]
+        tables.append(tables_of(outs, level, rows[0]))
+        labels += [(mi, v) for v in offset_box(M)]
     return Automaton(n, d, mats, labels, chain.from_iterable(tables))
 
 
@@ -404,6 +417,7 @@ def _columns(states: list, d: int, alphabet: int):
     return None
 
 
+@_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
     The states are checked, and loaded, in whole-list passes and one Automaton
@@ -472,6 +486,7 @@ def from_json(text: str) -> Automaton:
     raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")
 
 
+@_gc_paused()
 def dedup(aut: Automaton) -> Automaton:
     """Merge behaviorally equivalent states by partition refinement (equal
     output tables, then equal successor classes, iterated to a fixed point).

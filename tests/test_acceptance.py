@@ -7,6 +7,7 @@ and re-runs the structural, semantic, and relation checks on it, asserting
 the whole pipeline stays under five minutes.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -36,6 +37,7 @@ from adicaut import (
     well_definedness_check,
     word_matrix,
 )
+from adicaut.automaton import json_pieces
 from conftest import random_digit_word, random_group_word, random_matrix
 
 
@@ -237,6 +239,12 @@ def test_criterion_9_end_to_end_d6():
             s, e = aut.component_range(mi)
             assert e - s == (2 * row_sum_norm(M)) ** 6 == 46656
         assert len(aut.labels) == 93312 <= state_count_bound(Ms)
+
+        # the to_json bytes, hashed piece by piece so that the 70 MB text is never joined
+        digest = hashlib.sha256()
+        for piece in json_pieces(aut):
+            digest.update(piece.encode())
+        assert digest.hexdigest() == "aeead460f2e8c496b25d36890704b64b1bb960333dc7e3131b9f86948ff5372a"
 
         # criterion 2 on the full automaton
         rep = well_definedness_check(aut)

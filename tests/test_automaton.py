@@ -1,8 +1,9 @@
+import gc
 import json
 import math
 import random
 import re
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -770,6 +771,55 @@ def test_every_route_shares_equal_out_tables_through_outs(doubling3):
     assert len({*map(id, fresh)}) == 4
     hand = Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, fresh)
     assert pooled(hand) == 3 and hand == doubling3
+
+
+def test_build_union_makes_one_out_table_per_residue_class():
+    # a state's out depends only on its offset mod n; [[1]] with n=5 has fewer offsets per coordinate than n
+    rng = random.Random(20261027)
+    auts = [random_union(rng, d, n) for d, n in product(range(1, 5), range(2, 6))]
+    auts += [build_union([[[1, 1], [0, 1]]], 3), build_union([[[1]]], 5)]
+    for aut in auts:
+        n = aut.n
+        for start, end in aut.components:
+            classes = {}  # residue class of the offset -> ids of the out tuples of its states
+            for (_, v), (out, _) in zip(aut.labels[start:end], aut.rows[start:end]):
+                classes.setdefault(tuple(c % n for c in v), set()).add(id(out))
+            assert {*map(len, classes.values())} == {1}
+            assert len({*chain.from_iterable(classes.values())}) == len(classes)
+        assert len(aut.outs) <= sum(min(n, 2 * row_sum_norm(M)) ** aut.d for M in aut.matrices)
+
+
+def test_table_builders_leave_the_collector_as_the_caller_set_it():
+    # on the d=4 Sanov union an unpaused collector runs about 9 passes in build_union, 26 in from_json, 9 in dedup
+    Ms = block_extend([identity(2), identity(2)], list(sanov_pair()))
+    good = build_union(Ms, 2)
+    text = to_json(good)
+    broken = Automaton(3, 1, [[[2]]], [(0, (0,))], [((0, 1, 2), (5, 5, 5))])  # a next entry past the one state
+    calls = [(lambda: build_union(Ms, 2), None), (lambda: from_json(text), None), (lambda: dedup(good), None),
+             (lambda: build_union([[[1, 1], [1, 1]]], 3), BuildError), (lambda: from_json('{"n": 3}'), FormatError),
+             (lambda: dedup(broken), IndexError)]
+    starts = []
+
+    def count(phase, info):
+        starts.append(phase == "start")
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for call, error in calls:
+                gc.collect(0)  # an empty young generation, so no pass starts before the call pauses the collector
+                starts.clear()
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert gc.isenabled() is enabled
+                assert sum(starts) == enabled  # none inside; the one young pass on the way out, if the collector is on
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (2, 4)])
