@@ -18,10 +18,10 @@ M*x, and walks only a failing component state by state and letter by letter.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
-reader goes through.  `Automaton` alone pools equal out tables (`outs`) and
-holds the letter table (`letters`) of dense indices (base-n, first coordinate
-least significant); digit tuples appear only at I/O boundaries.  to_json
-writes the text of each int and of each distinct out table once."""
+reader goes through.  `Automaton` alone checks each state's shape, pools equal
+out tables (`outs`) and holds the letter table (`letters`) of dense indices
+(base-n, first coordinate least significant); digit tuples appear only at I/O
+boundaries.  to_json writes each int's text and each distinct out table's once."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, pairwise, product, repeat
 from operator import add, eq, itemgetter, mul, sub
@@ -63,8 +63,8 @@ class FormatError(ValueError):
 
 
 class Automaton:
-    """A transducer over the alphabet {0..n-1}^d, immutable apart from the
-    inverse rows `row` builds on first use.
+    """An invertible transducer over the alphabet {0..n-1}^d, immutable apart
+    from the inverse rows `row` builds on first use.
 
     State `sid` has the label `labels[sid]` = (matrix index, offset v) and the
     given table `rows[sid]` = (out, nxt): reading the letter with dense index
@@ -72,11 +72,14 @@ class Automaton:
     state nxt[x].  Equal out tables share the first one's tuple, and `outs`
     holds each distinct one once.  Labels must be grouped by ascending matrix
     index, each in range(len(matrices)); `components[i]` is the half-open
-    range of state ids whose matrix index is i.  A state or its inverse is
-    coded as the int `sid` or `~sid`, and `rows[c]` is the code's (letter map,
-    row of next codes): `rows[sid]` is the table as given, `rows[~sid]` maps y
-    to the x with out[x] = y and goes on to ~nxt[x], and is None until `row`
-    builds it.  Equality compares the labels and the given tables, never the
+    range of state ids whose matrix index is i.  A repeated label, an offset
+    without d coordinates, a row without n**d entries or an out table that
+    does not permute range(n**d) in ints (bools act as ints) raises ValueError
+    naming the first such state.  A state or its inverse is coded as the int
+    `sid` or `~sid`, and `rows[c]` is the code's (letter map, row of next
+    codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to the x
+    with out[x] = y and goes on to ~nxt[x], and is None until `row` builds
+    it.  Equality compares the labels and the given tables, never the
     inverse rows.
     """
 
@@ -100,12 +103,27 @@ class Automaton:
         for m in (self.labels[0][0], self.labels[-1][0]) if self.labels else ():  # grouped: these bound every index
             if not 0 <= m < len(self.matrices):
                 raise ValueError(f"matrix index {echo(m)} of a state is not in range({len(self.matrices)})")
+        self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
+        A, N = n ** d, len(self.labels)
+        # whole passes, each distinct out table once: an equal table given later shares the first one's tuple
+        if not (len(self._state_ids) == N and {*map(len, map(itemgetter(1), self.labels))} <= {d}
+                and {*map(len, self.outs), *map(len, map(itemgetter(1), islice(self.rows, N)))} <= {A}
+                and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
+                and {*map(frozenset, self.outs)} <= {frozenset(range(A))}):
+            first = {}  # a pass failed: name the first state that breaks a rule
+            for sid, (label, (out, nxt)) in enumerate(zip(self.labels, self.rows)):
+                if first.setdefault(label, sid) != sid:
+                    raise ValueError(f"state {sid} repeats the label of state {first[label]}")
+                for name, size, want in (("offset", len(label[1]), d), ("out", len(out), A), ("next", len(nxt), A)):
+                    if size != want:
+                        raise ValueError(f"state {sid}: {name} has length {size}, expected {echo(want)}")
+                if {*map(type, out)} - {int, bool} or {*out} != {*range(A)}:
+                    raise ValueError(f"state {sid}: out is not a permutation of range({echo(A)})")
         key = itemgetter(0)  # a temporary list of all keys fragments the heap over rebuilds
         self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
         self.letters = tuple(all_letters(n, d))
         self._index = {x: i for i, x in enumerate(self.letters)}
-        self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
 
     @property
     def alphabet_size(self) -> int:
@@ -123,16 +141,11 @@ class Automaton:
         return self.components[matrix_index]
 
     def row(self, c: int) -> tuple:
-        "rows[c], built on first use for an inverse code; ValueError if its state's out is not a permutation."
+        "rows[c], built on first use for an inverse code."
         row = self.rows[c]
         if row is None:
             out, nxt = self.rows[~c]
-            inv = [-1] * len(out)
-            if out and 0 <= min(out) and max(out) < len(out):  # else a negative entry would index inv from its end
-                for x, y in enumerate(out):
-                    inv[y] = x
-            if -1 in inv:
-                raise ValueError(f"output table of state {~c} is not a permutation")
+            inv = sorted(range(len(out)), key=out.__getitem__)  # out is a permutation: inv[y] is the x with out[x] = y
             row = self.rows[c] = tuple(inv), tuple([~nxt[x] for x in inv])
         return row
 
@@ -232,7 +245,7 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
 @dataclass(frozen=True)
 class CheckFailure:
     state: int
-    letter: int | None  # None when the state's label or the length of its row is bad
+    letter: int | None  # None when the state's offset is outside the box
     reason: str
 
 
@@ -257,17 +270,16 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     """Recompose every transition from the stored tables, without dividing and
     independently of build_union: for a state with offset v in the component
     of M, digit(out[x]) + n*offset(nxt[x]) must equal v + M*x for every letter
-    x.  Offsets must have d coordinates in the offset box and label their own
-    state, rows have one entry per letter, next states lie in their own
-    component.
+    x.  Offsets lie in the offset box and next states are ints of their own
+    component; the constructor already holds the rest of the shape.
 
-    A component whose offsets, row lengths and entry ranges all hold packs
-    each vector w into the int sum_i w_i*B**i and compares all its
-    transitions in one lazy stream, one int compare each.  Any other
-    component, or one whose stream finds a mismatch, is walked state by state:
-    the label, then the row lengths, then letter by letter.  At most
-    MAX_FAILURES failures are kept.  dedup(build_union(...)) passes too: equal
-    maps have equal v and M, so a merge only empties a later twin component."""
+    A component whose offsets and next entries all hold packs each vector w
+    into the int sum_i w_i*B**i and compares all its transitions in one lazy
+    stream, one int compare each.  Any other component, or one whose stream
+    finds a mismatch, is walked state by state: the offset, then letter by
+    letter.  At most MAX_FAILURES failures are kept.  dedup(build_union(...))
+    passes too: equal maps have equal v and M, so a merge only empties a
+    later twin component."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
     labels, rows, letters = aut.labels, aut.rows, aut.letters  # rows[sid] for sid >= 0 only: row() is never called
     n_packed = [0] * len(labels)  # n times the packed offset of each state, written a component at a time
@@ -279,18 +291,15 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
         def entries(k):  # every out (k=0) or next (k=1) entry of the component, in state order
             return chain.from_iterable(map(itemgetter(k), islice(rows, start, end)))
 
-        def within(k, low, high):  # one pass, then min/max over the distinct entries only
-            seen = {*entries(k)}
+        def within(low, high):  # every next entry: one pass, then min/max over the distinct entries only
+            seen = {*entries(1)}
             return low <= min(seen) and max(seen) < high
 
         mxs = [mat_vec(M, x) for x in letters]
         offsets = list(map(itemgetter(1), islice(labels, start, end)))
-        # every offset inside the box, a pass at a time; False for a component without states, which walks none
-        if ({*map(len, offsets)} == {d} and -norm <= min(chain.from_iterable(offsets))
-                and max(chain.from_iterable(offsets)) < norm
-                and all(map(eq, map(aut.state_id, repeat(mi), offsets), range(start, end)))
-                and {*map(len, chain.from_iterable(islice(rows, start, end)))} == {A}
-                and within(0, 0, A) and within(1, start, end)):
+        # offsets in the box, next entries ints of the component: every entry's type, as a set hides 1.0 behind 1
+        if (start < end and -norm <= min(chain.from_iterable(offsets)) and max(chain.from_iterable(offsets)) < norm
+                and {*map(type, entries(1))} <= {int, bool} and within(start, end)):
             # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
             # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
             # below B/2 in absolute value, so packing in base B tells such vectors apart.
@@ -308,19 +317,15 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
                 continue
         for sid, v, (out, nxt) in zip(range(start, end), offsets, islice(rows, start, end)):
             checked += A
-            if len(v) != d or not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
-                failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
-            if len(out) != A or len(nxt) != A:
-                failures += [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
-                             for name, t in (("out", out), ("next", nxt)) if len(t) != A]
-            else:
-                for x, (y, t) in enumerate(zip(out, nxt)):
-                    if not (0 <= y < A and start <= t < end):
-                        failures.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
-                        continue
-                    got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
-                    if got != want:
-                        failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
+            if not all(-norm <= c < norm for c in v):
+                failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d"))
+            for x, (y, t) in enumerate(zip(out, nxt)):
+                if not (isinstance(t, int) and start <= t < end):
+                    failures.append(CheckFailure(sid, x, f"next state {t!r} is not an int in {start}..{end - 1}"))
+                    continue
+                got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
+                if got != want:
+                    failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
             if len(failures) >= MAX_FAILURES:
                 return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
     return WellDefinednessReport(not failures, checked, failures)
@@ -399,20 +404,19 @@ def read_matrices(text: str) -> tuple:
     return _matrices(_loads(text))
 
 
-def _columns(states: list, d: int, alphabet: int):
-    """(labels, tables) of a states list whose field types and lengths and next
-    entries pass, in a fixed number of passes over whole columns; else None."""
+def _columns(states: list):
+    """(labels, tables) of a states list whose field types and next entries
+    pass, in a fixed number of passes over whole columns; else None."""
     try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
         ms, vs, outs, nxts = zip(*map(itemgetter("m", "v", "out", "next"), states))
     except (TypeError, KeyError):
         return None
     if not ({*map(type, vs), *map(type, outs), *map(type, nxts)} == {list}
             # by type, never by value: True == 1 and 1.0 == 1 hash alike
-            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}
-            and {*map(len, vs)} == {d} and {*map(len, outs), *map(len, nxts)} == {alphabet}):
+            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}):
         return None
     seen_next = {*chain.from_iterable(nxts)}
-    if 0 <= min(seen_next) and max(seen_next) < len(states):
+    if 0 <= min(seen_next, default=0) and max(seen_next, default=0) < len(states):
         return zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts))
     return None
 
@@ -420,10 +424,10 @@ def _columns(states: list, d: int, alphabet: int):
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The states are checked, and loaded, in whole-list passes and one Automaton
-    construction, whose labels must then be unique and whose distinct out
-    tables must be permutations.  A document that fails any step is walked
-    state by state only to name the first failing state; it loads nothing."""
+    The states are checked, and loaded, in whole-list passes (_columns) and
+    one Automaton construction, which checks labels, lengths and out tables.
+    A document that fails any step is walked state by state only to name the
+    first failing state; it loads nothing."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -444,14 +448,9 @@ def from_json(text: str) -> Automaton:
         raise FormatError(f"an alphabet of n**d letters (d = {echo(d)}) cannot fit in a {len(text)}-character document")
 
     states, alphabet = obj["states"], n ** d
-    columns = _columns(states, d, alphabet)
-    try:
-        aut = columns and Automaton(n, d, mats, *columns)
-    except ValueError:  # labels out of range or not grouped
-        aut = None
-    # with every entry an int, equal out tables are equal entry by entry: each distinct one is checked once
-    if aut and len(aut._state_ids) == len(states) and {*map(frozenset, aut.outs)} == {frozenset(range(alphabet))}:
-        return aut
+    if columns := _columns(states):
+        with suppress(ValueError):  # a rule the constructor refuses: the walk names it in the document's terms
+            return Automaton(n, d, mats, *columns)
     # a pass failed: the walk raises the first failure in document order
     total, seen_labels, last_m = len(states), set(), 0
     for si, entry in enumerate(states):

@@ -12,6 +12,7 @@ from adicaut import (
     Automaton,
     all_letters,
     BuildError,
+    DigitWord,
     FormatError,
     GroupWord,
     block_extend,
@@ -217,10 +218,11 @@ def test_well_definedness_rejects_every_single_corruption(doubling3, shear2):
         count, A = len(aut.labels), aut.alphabet_size
         for kind in ("out", "nxt", "offset") * 20:
             sid, x = rng.randrange(count), rng.randrange(A)
+            x2 = rng.choice([y for y in range(A) if y != x])
             labels, rows = list(aut.labels), tables(aut)
             out, nxt = map(list, rows[sid])
-            if kind == "out":
-                out[x] = rng.choice([y for y in range(A) if y != out[x]])
+            if kind == "out":  # a swap: any other change to one entry leaves no permutation, which is not built
+                out[x], out[x2] = out[x2], out[x]
             elif kind == "nxt":
                 nxt[x] = rng.choice([t for t in range(count) if t != nxt[x]])
             else:
@@ -229,13 +231,19 @@ def test_well_definedness_rejects_every_single_corruption(doubling3, shear2):
                 v[rng.randrange(aut.d)] += rng.choice([-1, 1]) * rng.randint(1, 5)
                 labels[sid] = mi, tuple(v)
             rows[sid] = tuple(out), tuple(nxt)
+            if kind == "offset" and labels[sid] in aut.labels:
+                # the box is full, so the new label is outside it or taken, and a taken one is not built
+                first, second = sorted((sid, aut.state_id(*labels[sid])))
+                with pytest.raises(ValueError, match=f"^state {second} repeats the label of state {first}$"):
+                    Automaton(aut.n, aut.d, aut.matrices, labels, rows)
+                continue
             rep = well_definedness_check(Automaton(aut.n, aut.d, aut.matrices, labels, rows))
             assert not rep.ok, (kind, sid, x)
             if kind == "offset":
-                # the box is full, so the new label is outside it or taken
                 assert any(f.letter is None for f in rep.failures), str(rep)
             else:
-                assert {(f.state, f.letter) for f in rep.failures} == {(sid, x)}, (kind, str(rep))
+                want = {(sid, x), (sid, x2)} if kind == "out" else {(sid, x)}  # a swap fails at both letters
+                assert {(f.state, f.letter) for f in rep.failures} == want, (kind, str(rep))
     # a next state in the other copy of the same matrix recomposes exactly
     twins = build_union([[[2]], [[2]]], 3)
     rows = tables(twins)
@@ -254,7 +262,13 @@ def test_well_definedness_report_text(doubling3):
     assert str(rep) == ("NOT well-defined (6 failures shown of 12 checked): "
                         "state 1 letter 2: recomposed (300,), expected v+Mx = (3,); "
                         "state 2 letter 2: recomposed (301,), expected v+Mx = (4,); "
-                        "state 3: offset (100,) outside [-2, 1]^d or not unique")
+                        "state 3: offset (100,) outside [-2, 1]^d")
+    # a next entry outside the component, or one that is no int though it equals one, is reported at its letter
+    for t, text in ((7, "7"), (1.0, "1.0"), (None, "None")):
+        rows = tables(doubling3)
+        rows[0] = rows[0][0], (t, *rows[0][1][1:])
+        rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows))
+        assert rep.failures == [CheckFailure(0, 0, f"next state {text} is not an int in 0..3")]
 
 
 def test_well_definedness_keeps_at_most_max_failures():
@@ -267,13 +281,16 @@ def test_well_definedness_keeps_at_most_max_failures():
     assert [(f.state, f.letter) for f in rep.failures[:3]] == [(0, 0), (0, 1), (0, 2)]
     assert str(rep).startswith("NOT well-defined (100 failures shown of 108 checked): state 0 letter 0: recomposed")
     assert str(rep).count("; ") == 2
-    # 150 extra copies of state 2: label failures of rows that still recompose count towards the cap too
-    doubling = build_union([[[2]]], 3)
-    copies = Automaton(3, 1, doubling.matrices, [*doubling.labels, *[doubling.labels[2]] * 150],
-                       [*tables(doubling), *[doubling.rows[2]] * 150])
-    rep = well_definedness_check(copies)
-    assert len(rep.failures) == MAX_FAILURES and rep.checked == 103 * 3
-    assert [f.state for f in rep.failures] == [2, *range(4, 103)]
+    # 150 extra states past the box whose rows still recompose, as the carries of v + 2x stay among the
+    # offsets: the offset failures of such rows count towards the cap too
+    offsets = [*range(-2, 152)]
+    rows = [(tuple((v + 2 * x) % 3 for x in range(3)), tuple((v + 2 * x) // 3 + 2 for x in range(3))) for v in offsets]
+    far = Automaton(3, 1, [[[2]]], [(0, (v,)) for v in offsets], rows)
+    assert far.labels[:4] == build_union([[[2]]], 3).labels and far.rows[:4] == tables(build_union([[[2]]], 3))
+    rep = well_definedness_check(far)
+    assert len(rep.failures) == MAX_FAILURES and rep.checked == 104 * 3
+    assert rep.failures[0] == CheckFailure(4, None, "offset (2,) outside [-2, 1]^d")
+    assert [(f.state, f.letter) for f in rep.failures] == [(sid, None) for sid in range(4, 104)]
 
 
 def test_well_definedness_passes_a_component_without_states(doubling3):
@@ -286,37 +303,43 @@ def test_well_definedness_passes_a_component_without_states(doubling3):
 
 
 def test_well_definedness_names_labels_of_the_wrong_length(doubling3):
-    # a longer label was read by its first coordinate, so (v, 0) passed; an empty one raised IndexError
-    def failures(labels, rows=tables(doubling3)):
-        return well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, rows)).failures
+    # the check once read a longer label by its first coordinate, so (v, 0) passed, and raised IndexError on
+    # an empty one; the constructor refuses both, so the check never sees such a label
+    def build(labels, rows=tables(doubling3)):
+        return Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, rows)
     for extra in ((0,), (7,)):
-        labels = [(m, v + extra) for m, v in doubling3.labels]
-        assert [(f.state, f.letter) for f in failures(labels)] == [(sid, None) for sid in range(4)]
-    assert failures([(0, ())] + list(doubling3.labels[1:]))[0] == CheckFailure(
-        0, None, "offset () outside [-2, 1]^d or not unique")
+        with pytest.raises(ValueError, match=re.escape("state 0: offset has length 2, expected 1") + "$"):
+            build([(m, v + extra) for m, v in doubling3.labels])
+    with pytest.raises(ValueError, match=re.escape("state 2: offset has length 0, expected 1") + "$"):
+        build([*doubling3.labels[:2], (0, ()), doubling3.labels[3]])
     with pytest.raises(ValueError, match="too many values to unpack"):  # a row is a pair (out, next)
-        failures(doubling3.labels, [(out, nxt, out) for out, nxt in tables(doubling3)])
+        build(doubling3.labels, [(out, nxt, out) for out, nxt in tables(doubling3)])
 
 
 def test_well_definedness_rejects_rows_of_the_wrong_length(doubling3):
-    # rows cut to 2 of the 3 letters used to pass, as the letter walk saw only
-    # the 2 correct letters; rows padded to 4 letters raised IndexError
-    def check(rows):
-        rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows))
-        assert not rep.ok and rep.checked == 12
-        return [(f.state, f.letter, f.reason) for f in rep.failures]
-    for k, rows in ((2, [(out[:2], nxt[:2]) for out, nxt in tables(doubling3)]),
-                    (4, [(out + (0,), nxt + (0,)) for out, nxt in tables(doubling3)])):
-        assert check(rows) == [(sid, None, f"{name} has {k} entries, expected 3")
-                               for sid in range(4) for name in ("out", "next")]
-    rows = tables(doubling3)
-    rows[2] = rows[2][0], rows[2][1][:2]
-    assert check(rows) == [(2, None, "next has 2 entries, expected 3")]
+    # rows cut to 2 of the 3 letters once passed the check, as the letter walk saw only
+    # the 2 correct letters, and rows padded to 4 letters raised IndexError; now no such
+    # automaton is built, and the constructor names the first state and its first bad row
+    def message(rows):
+        with pytest.raises(ValueError) as info:
+            Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows)
+        return str(info.value)
+    assert message([(out[:2], nxt[:2]) for out, nxt in tables(doubling3)]) == "state 0: out has length 2, expected 3"
+    assert message([(out, nxt + (0,)) for out, nxt in tables(doubling3)]) == "state 0: next has length 4, expected 3"
+    for sid in range(4):
+        rows = tables(doubling3)
+        rows[sid] = rows[sid][0], rows[sid][1][:2]
+        assert message(rows) == f"state {sid}: next has length 2, expected 3"
+    union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
+    rows = [(out, nxt[:-1]) if sid >= 49 else (out, nxt) for sid, (out, nxt) in enumerate(tables(union))]
+    with pytest.raises(ValueError, match=re.escape("state 49: next has length 8, expected 9") + "$"):
+        Automaton(union.n, union.d, union.matrices, union.labels, rows)
 
 
 def reference_failures(aut, sid):
     """State sid's failures as well_definedness_check reports them, found the
-    plain way: every letter recomposed as a tuple and compared with v + M*x."""
+    plain way: every letter recomposed as a tuple and compared with v + M*x.
+    The constructor already refused a bad label length, row length or out."""
     n, A = aut.n, aut.alphabet_size
     mi, v = aut.labels[sid]
     M = aut.matrices[mi]
@@ -324,15 +347,12 @@ def reference_failures(aut, sid):
     start, end = aut.component_range(mi)
     out, nxt = aut.rows[sid]
     found = []
-    if len(v) != aut.d or not all(-norm <= c < norm for c in v) or aut.state_id(mi, v) != sid:
-        found.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d or not unique"))
-    if len(out) != A or len(nxt) != A:
-        return found + [CheckFailure(sid, None, f"{name} has {len(t)} entries, expected {A}")
-                        for name, t in (("out", out), ("next", nxt)) if len(t) != A]
+    if not all(-norm <= c < norm for c in v):
+        found.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d"))
     for x in range(A):
         y, t = out[x], nxt[x]
-        if not (0 <= y < A and start <= t < end):
-            found.append(CheckFailure(sid, x, f"output {y} or next state {t} outside {start}..{end - 1}"))
+        if not (isinstance(t, int) and start <= t < end):
+            found.append(CheckFailure(sid, x, f"next state {t!r} is not an int in {start}..{end - 1}"))
             continue
         got = tuple(a + n * b for a, b in zip(aut.letters[y], aut.labels[t][1]))
         want = tuple(a + b for a, b in zip(v, mat_vec(M, aut.letters[x])))
@@ -352,12 +372,9 @@ def reference_report(aut, per_state):
     return WellDefinednessReport(not failures, checked, failures)
 
 
-def outcome(check, *args):
-    "The check's report, or the type of the exception it raised."
-    try:
-        return check(*args)
-    except Exception as e:
-        return type(e)
+def is_permutation(out, A):
+    "out permutes range(A) in ints, found the plain way."
+    return all(type(y) is int for y in out) and sorted(out) == list(range(A))
 
 
 @pytest.mark.parametrize("name", ["doubling3", "shear2", "union"])
@@ -366,8 +383,11 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
     # just outside it (any state there is the same range failure), plus the state count and 1.0.
     # doubling3 and shear2 set each transition to every (out, next) pair of these; the union sets
     # one entry at a time and tries each value at one letter of each state, which keeps it to a
-    # few thousand checks.  Then every label coordinate one step outside the box, and every row
-    # cut by one.
+    # few thousand checks.  Then every swap of two out entries (the union: each entry with the
+    # next), every row cut by one, and every label coordinate one step outside the box.  Each
+    # mutation builds a fresh Automaton: one whose out no longer permutes the letters, or whose
+    # row is cut, is refused by the constructor naming that state; the check must report every
+    # other one as the walk does.
     if name == "union":
         aut = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
     else:
@@ -375,16 +395,23 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
     count, A = len(aut.labels), aut.alphabet_size
     clean = [reference_failures(aut, sid) for sid in range(count)]
     assert well_definedness_check(aut) == reference_report(aut, clean) and all(f == [] for f in clean)
-    mut = Automaton(aut.n, aut.d, aut.matrices, aut.labels, tables(aut))
     outcomes = set()
 
     def agree(sid, row):
-        mut.rows[sid] = row
+        rows = tables(aut)
+        rows[sid] = row
+        # an out equal to an earlier state's table is stored as that tuple, so 1.0 for 1 there is the int table
+        stored = next(out for out, _ in rows if out == row[0])
+        if len(row[0]) != A or len(row[1]) != A or not is_permutation(stored, A):
+            with pytest.raises(ValueError, match=f"^state {sid}: "):
+                Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
+            return
+        mut = Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
         # only state sid's row changed, and no other state's walk reads it
-        want = outcome(lambda: reference_report(mut, clean[:sid] + [reference_failures(mut, sid)] + clean[sid + 1:]))
-        assert outcome(well_definedness_check, mut) == want, (sid, row)
-        mut.rows[sid] = aut.rows[sid]
-        outcomes.add(want if isinstance(want, type) else want.ok)
+        want = reference_report(mut, clean[:sid] + [reference_failures(mut, sid)] + clean[sid + 1:])
+        assert well_definedness_check(mut) == want, (sid, row)
+        if repr(mut.rows[sid]) != repr(aut.rows[sid]):  # repr tells 1.0 from 1
+            outcomes.add(want.ok)
 
     for sid in range(count):
         out, nxt = aut.rows[sid]
@@ -398,9 +425,13 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
             for y, t in pairs:
                 if [y, t] != [out[x], nxt[x]] or {type(y), type(t)} != {int}:
                     agree(sid, (out[:x] + (y,) + out[x + 1:], nxt[:x] + (t,) + nxt[x + 1:]))
+            for x2 in [(x + 1) % A] if name == "union" else range(x + 1, A):  # a swap keeps out a permutation
+                swapped = list(out)
+                swapped[x], swapped[x2] = out[x2], out[x]
+                agree(sid, (tuple(swapped), nxt))
         agree(sid, (out[:-1], nxt))
         agree(sid, (out, nxt[:-1]))
-    assert outcomes == {False, TypeError}  # each mutation fails the check, or raises as 1.0 cannot index a table
+    assert outcomes == {False}  # each mutation the constructor accepts fails the check; 1.0 is reported, not raised
 
     for sid in range(count):
         mi, v = aut.labels[sid]
@@ -414,17 +445,16 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
                 assert not want.ok and well_definedness_check(moved) == want, (sid, i, c)
 
 
-def test_well_definedness_length_failures_reach_the_cut():
-    # every row cut by one letter: two length failures per state, so the cut falls after state 49
+def test_well_definedness_swap_failures_reach_the_cut():
+    # out[0] and out[1] swapped in every state: two failures per state, so the cut falls after state 49
     union = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
-    rows = [(out[:-1], nxt[:-1]) for out, nxt in tables(union)]
+    rows = [((out[1], out[0], *out[2:]), nxt) for out, nxt in tables(union)]
     rep = well_definedness_check(Automaton(union.n, union.d, union.matrices, union.labels, rows))
     assert len(union.labels) == 52 and len(rep.failures) == MAX_FAILURES == 100 and rep.checked == 50 * 9 == 450
-    assert rep.failures[-2:] == [CheckFailure(49, None, "out has 8 entries, expected 9"),
-                                 CheckFailure(49, None, "next has 8 entries, expected 9")]
+    assert [(f.state, f.letter) for f in rep.failures[-2:]] == [(49, 0), (49, 1)]
 
 
-@pytest.mark.parametrize("corruption", ["swapped-out", "label-outside", "short-row"])
+@pytest.mark.parametrize("corruption", ["swapped-out", "label-outside", "short-row", "next-outside"])
 def test_well_definedness_walks_a_failing_component_of_the_d4_sanov_union(corruption):
     aut = build_union(block_extend([identity(2), identity(2)], list(sanov_pair())), 2)
     last = aut.components[0][1] - 1  # the last state of component 0
@@ -435,8 +465,13 @@ def test_well_definedness_walks_a_failing_component_of_the_d4_sanov_union(corrup
     elif corruption == "label-outside":
         mi, v = labels[last]
         labels[last] = mi, (row_sum_norm(aut.matrices[mi]), *v[1:])
-    else:
+    elif corruption == "next-outside":
+        rows[last] = out, (len(labels) - 1, *nxt[1:])
+    else:  # the constructor walks the box to name the state
         rows[last] = out, nxt[:-1]
+        with pytest.raises(ValueError, match=re.escape(f"state {last}: next has length 15, expected 16") + "$"):
+            Automaton(aut.n, aut.d, aut.matrices, labels, rows)
+        return
     bad = Automaton(aut.n, aut.d, aut.matrices, labels, rows)
     want = reference_report(bad, [reference_failures(bad, sid) for sid in range(len(labels))])
     assert len(labels) == 2592 and not want.ok and well_definedness_check(bad) == want
@@ -501,12 +536,13 @@ def test_to_json_matches_the_json_dumps_encoder():
 
 
 def test_to_json_writes_any_int_entry_as_json_dumps_does():
-    # entries from -10**25 up to 10**30: a text cache indexed by value would misplace -1 and fail past its end
+    # next and offset entries from -10**25 up to 10**30: a text cache indexed by value would misplace -1
+    # and fail past its end; out tables are permutations, so only next and v hold such ints
     aut = Automaton(3, 1, [[[2]], [[-4]]], [(0, (-2,)), (1, (10**30,))],
-                    [((-1, 7, 0), (0, -1, 2)), ((10**20, 0, -5), (1, 1, -10**25))])
+                    [((2, 0, 1), (0, -1, -5)), ((0, 1, 2), (10**20, 1, -10**25))])
     for extra in ([], [(1, (3,))]):
         hand = Automaton(aut.n, aut.d, aut.matrices, [*aut.labels, *extra],
-                         [*tables(aut), *[(tuple([-1, 7, 0]), (2, 3, 4))] * len(extra)])  # an equal out, a new tuple
+                         [*tables(aut), *[(tuple([2, 0, 1]), (2, 3, 4))] * len(extra)])  # an equal out, a new tuple
         assert to_json(hand) == reference_json(hand)
     empty = Automaton(2, 1, [[[1]]], [], [])
     assert to_json(empty) == reference_json(empty)
@@ -846,3 +882,74 @@ def test_from_json_names_the_first_fault_the_constructor_also_sees():
                                     "(states must be grouped by matrix)")
     assert message((7, "m", 2)) == "states[7].m = 2 is not a matrix index"
     assert message((0, "m", -1)) == "states[0].m = -1 is not a matrix index"
+
+
+def edit_label(sid, offset):
+    def edit(labels, rows):
+        labels[sid] = labels[sid][0], offset(labels[sid][1])
+    return edit
+
+
+def edit_row(sid, k, table):
+    def edit(labels, rows):
+        rows[sid] = (table(rows[sid][0]), rows[sid][1]) if k == 0 else (rows[sid][0], table(rows[sid][1]))
+    return edit
+
+
+def set_entry(x, value):
+    return lambda t: (*t[:x], value, *t[x + 1:])
+
+
+@pytest.mark.parametrize("edits, message, format_message", [
+    ([edit_label(9, lambda v: (-2, -2))], "state 9 repeats the label of state 0",
+     "states[9] duplicates the state label m[0]:(-2,-2)"),
+    ([edit_label(5, lambda v: v[:1])], "state 5: offset has length 1, expected 2",
+     "states[5].v must be a list of 2 integers"),
+    ([edit_label(5, lambda v: (*v, 0))], "state 5: offset has length 3, expected 2",
+     "states[5].v must be a list of 2 integers"),
+    ([edit_row(6, 0, lambda t: t[:-1])], "state 6: out has length 3, expected 4", "states[6].out must be a list of 4 entries"),
+    ([edit_row(6, 0, lambda t: (*t, 0))], "state 6: out has length 5, expected 4", "states[6].out must be a list of 4 entries"),
+    ([edit_row(6, 1, lambda t: t[:-1])], "state 6: next has length 3, expected 4", "states[6].next must be a list of 4 entries"),
+    ([edit_row(6, 1, lambda t: (*t, 0))], "state 6: next has length 5, expected 4", "states[6].next must be a list of 4 entries"),
+    ([edit_row(6, 0, set_entry(2, -1))], "state 6: out is not a permutation of range(4)",
+     "states[6].out[2] = -1 out of range [0, 4)"),
+    ([edit_row(6, 0, set_entry(2, 4))], "state 6: out is not a permutation of range(4)",
+     "states[6].out[2] = 4 out of range [0, 4)"),
+    # state 0 comes first, so its table is not stored as an earlier equal int one
+    ([edit_row(0, 0, set_entry(1, 1.0))], "state 0: out is not a permutation of range(4)",
+     "states[0].out[1] = 1.0 out of range [0, 4)"),
+    ([edit_row(6, 0, set_entry(2, 0))], "state 6: out is not a permutation of range(4)",
+     "states[6].out is not a permutation of the 4 letters"),
+    ([edit_label(10, lambda v: (-2, -2)), edit_row(7, 0, lambda t: t[:-1])], "state 7: out has length 3, expected 4",
+     "states[7].out must be a list of 4 entries"),
+    ([edit_row(4, 0, set_entry(0, 3)), edit_label(12, lambda v: (*v, 0))], "state 4: out is not a permutation of range(4)",
+     "states[4].out is not a permutation of the 4 letters"),
+], ids=["repeated-label", "offset-d-1", "offset-d+1", "out-short", "out-long", "next-short", "next-long",
+        "out-minus-1", "out-n**d", "out-float", "out-repeated-letter", "earlier-length-fault", "earlier-out-fault"])
+def test_the_constructor_refuses_each_shape_fault(shear2, edits, message, format_message):
+    labels, rows = list(shear2.labels), tables(shear2)
+    for edit in edits:
+        edit(labels, rows)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Automaton(shear2.n, shear2.d, shear2.matrices, labels, rows)
+    # the same document: from_json names the fault in its own words, as before the constructor checked it
+    text = json.dumps({"n": shear2.n, "d": shear2.d, "matrices": shear2.matrices,
+                       "states": [{"m": m, "v": v, "out": out, "next": nxt} for (m, v), (out, nxt) in zip(labels, rows)]})
+    with pytest.raises(FormatError, match=re.escape(format_message) + "$"):
+        from_json(text)
+
+
+def test_a_repeated_label_is_refused_so_no_word_resolves_to_a_copy():
+    # state_id once picked the last of two states with one label, so m[0]:(-2) acted by the copy's table
+    doubling = build_union([[[2]]], 3)
+    assert parse_word(doubling, "m[0]:(-2)").act(DigitWord.parse("0 0", 3, 1)).format() == "1 2"
+    with pytest.raises(ValueError, match=re.escape("state 4 repeats the label of state 0") + "$"):
+        Automaton(3, 1, doubling.matrices, [*doubling.labels, (0, (-2,))], [*tables(doubling), ((1, 2, 0), (4, 4, 4))])
+
+
+def test_an_out_table_equal_to_an_earlier_one_is_stored_as_that_one(shear2):
+    # state 2's out equals state 0's, so 1.0 for its 1 is stored as state 0's int tuple: the automaton is the clean one
+    rows = tables(shear2)
+    rows[2] = (0, 1.0, 3, 2), rows[2][1]
+    aut = Automaton(shear2.n, shear2.d, shear2.matrices, shear2.labels, rows)
+    assert aut.rows[2][0] is aut.rows[0][0] and repr(tables(aut)) == repr(tables(shear2))

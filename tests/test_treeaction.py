@@ -720,20 +720,16 @@ def test_act_with_shrinking_sections():
                 assert image.letters[16:] == u.letters[16:]
 
 
-def test_inverting_a_non_permutation_state_raises():
+def test_a_state_without_an_inverse_cannot_be_built():
     from adicaut import Automaton
-    # state 0 writes 0 on both letters: fine forwards, no inverse
-    aut = Automaton(2, 1, [((1,),)], [(0, (0,)), (0, (-1,))], [((0, 0), (0, 0)), ((1, 0), (1, 0))])
+    # state 0 writing 0 on both letters once acted forwards and raised only when inverted; an entry
+    # out of range once wrapped round to the inverse row ((0, 1), (-1, -1)) or raised a bare IndexError
+    for out in ((0, 0), (0, -1), (0, 2), (0, 1.0)):
+        with pytest.raises(ValueError, match=r"^state 0: out is not a permutation of range\(2\)$"):
+            Automaton(2, 1, [((1,),)], [(0, (0,)), (0, (-1,))], [(out, (0, 0)), ((1, 0), (1, 0))])
+    # so every state inverts: the odometer and its inverse undo each other
+    aut = Automaton(2, 1, [((1,),)], [(0, (0,)), (0, (-1,))], [((0, 1), (0, 0)), ((1, 0), (1, 0))])
+    assert aut.row(~1) == ((1, 0), (~0, ~1)) and aut.row(~0) == ((0, 1), (~0, ~0))
     u = DigitWord.parse("1 0", 2, 1)
-    assert GroupWord(aut, (0,)).act(u).format() == "0 0"
-    assert decide_identity(GroupWord(aut, (0,))) == (False, 1)
-    for w in (~GroupWord(aut, (0,)), GroupWord(aut, [~1, ~0])):
-        with pytest.raises(ValueError, match="state 0 is not a permutation"):
-            w.act(u)
-        with pytest.raises(ValueError, match="state 0 is not a permutation"):
-            decide_identity(w)
-    # an entry out of range: -1 once wrapped round to the inverse row ((0, 1), (-1, -1)), 2 raised a bare IndexError
-    for out in ((0, -1), (0, 2)):
-        bad = Automaton(2, 1, [((1,),)], [(0, (0,))], [(out, (0, 0))])
-        with pytest.raises(ValueError, match="^output table of state 0 is not a permutation$"):
-            bad.row(~0)
+    for w in (GroupWord(aut, [1, ~1]), GroupWord(aut, [~1, 1])):
+        assert w.act(u) == u
