@@ -593,15 +593,18 @@ def reference_root_and_sections(aut, factors):
     return tuple(perm), sections
 
 
-def reference_decide(aut, factors, budget, expand):
+def reference_decide(aut, factors, budget, expand, expanded=None):
     """Breadth-first closure under sections, `expand(factors)` giving the root
-    permutation and reduced sections; ('budget', visited) when the budget runs out."""
+    permutation and reduced sections; ('budget', visited) when the budget runs out.
+    `expanded`, if given, collects the words in the order they are expanded."""
     if not factors:
         return True, 1
     identity_perm = tuple(range(aut.alphabet_size))
     visited = {factors}
     queue = [factors]
     for fac in queue:
+        if expanded is not None:
+            expanded.append(fac)
         perm, sections = expand(fac)
         if perm != identity_perm:
             return False, len(visited)
@@ -661,6 +664,62 @@ def test_closure_agrees_with_per_letter_reference(doubling3, shear2):
                 else:
                     assert decide_identity(w, budget) == expected
     assert {(True, True), (False, True), (False, False)} <= set(outcomes)
+
+
+def past_the_switch_cases():
+    """Closures of 445 to 1336 words, past the 256 after which `decide_identity`
+    walks 4-code blocks, with their verdicts and visited counts: on the d=2
+    Sanov union, m t_1 m^-1 t_1^-a t_2^-70 for m = (m_0 m_1)^3, an identity
+    at a=169; on the d=3 union, two mixed ladders of the benchmark's wp pass.
+    Sections keep a word's length parity and every identity over the Sanov
+    pair has even length, so odd words come from adding the identity matrix,
+    whose state m[2]:(0,0) acts trivially."""
+    from adicaut import block_extend, sanov_pair
+    sanov2 = build_union(list(sanov_pair()), 2)
+    odd = build_union(list(sanov_pair()) + [identity(2)], 2)
+    sanov3 = build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)
+    m2 = "m[0]:(0,0) m[1]:(0,0) " * 3 + "t[1] " + "m[1]:(0,0)^-1 m[0]:(0,0)^-1 " * 3
+    m3 = "m[0]:(0,0,0) m[1]:(0,0,0) " * 3 + "{} " + "m[1]:(0,0,0)^-1 m[0]:(0,0,0)^-1 " * 3
+    cases = [(sanov2, f"{m2} t[1]^-{a} t[2]^-70", pinned)
+             for a, pinned in ((169, (True, 1108)), (201, (False, 445)), (233, (False, 674)),
+                               (297, (False, 954)), (425, (False, 1266)))]
+    cases += [(sanov3, m3.format("t[3]") + "t[3]^-29 t[2]^-70", (True, 999)),
+              (sanov3, m3.format("t[2]") + "t[3]^-70 t[2]^-169", (True, 1336)),
+              (odd, f"{m2} t[1]^-169 t[2]^-70 m[2]:(0,0)", (True, 1109))]
+    return cases
+
+
+def test_closure_agrees_with_per_letter_reference_past_256_words():
+    # every budget from 1 up is checked on small closures above; here the
+    # budgets that cut at, around and past the switch to blocks
+    from functools import cache
+    lengths = set()
+    for aut, text, pinned in past_the_switch_cases():
+        w = parse_word(aut, text)
+        expand = cache(lambda factors: reference_root_and_sections(aut, factors))
+        expanded = []
+        assert decide_identity(w) == reference_decide(aut, pairs(w), 10 ** 6, expand, expanded) == pinned
+        lengths |= {len(f) % 4 for f in expanded[256:]}
+        for budget in (1, 255, 256, 257, pinned[1] - 1, pinned[1]):
+            expected = reference_decide(aut, pairs(w), budget, expand)
+            if expected[0] == "budget":
+                with pytest.raises(BudgetExceededError) as exc:
+                    decide_identity(w, budget)
+                assert exc.value.visited == expected[1]
+            else:
+                assert decide_identity(w, budget) == expected
+    # words past the switch end in blocks of every length 1..4
+    assert lengths == {0, 1, 2, 3}
+
+
+def test_the_block_memo_lives_for_one_call():
+    from adicaut import from_json, to_json
+    aut, text, pinned = past_the_switch_cases()[0]
+    given = aut.rows[:len(aut.labels)]
+    copy = from_json(to_json(aut))
+    w = parse_word(aut, text)
+    assert decide_identity(w) == decide_identity(w) == decide_identity(parse_word(copy, text)) == pinned
+    assert aut.rows[:len(aut.labels)] == given
 
 
 def reference_act(aut, factors, u):
