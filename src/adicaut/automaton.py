@@ -70,17 +70,17 @@ class Automaton:
     given table `rows[sid]` = (out, nxt): reading the letter with dense index
     x (digits `letters[x]`) it writes out[x] and hands the rest of the word to
     state nxt[x].  Equal out tables share the first one's tuple, and `outs`
-    holds each distinct one once.  Labels must be grouped by ascending matrix
-    index, each in range(len(matrices)); `components[i]` is the half-open
-    range of state ids whose matrix index is i.  A repeated label, an offset
-    without d coordinates, a row without n**d entries or an out table that
-    does not permute range(n**d) in ints (bools act as ints) raises ValueError
-    naming the first such state.  A state or its inverse is coded as the int
-    `sid` or `~sid`, and `rows[c]` is the code's (letter map, row of next
-    codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to the x
-    with out[x] = y and goes on to ~nxt[x], and is None until `row` builds
-    it.  Equality compares the labels and the given tables, never the
-    inverse rows.
+    holds each distinct one once.  There is at least one state, and labels are
+    grouped by ascending matrix index, each in range(len(matrices));
+    `components[i]` is the half-open range of state ids whose matrix index is
+    i.  A repeated label, an offset without d coordinates, a row without n**d
+    entries or an out table that does not permute range(n**d) in ints (bools
+    act as ints) raises ValueError naming the first such state.  A state or
+    its inverse is coded as the int `sid` or `~sid`, and `rows[c]` is the
+    code's (letter map, row of next codes): `rows[sid]` is the table as given,
+    `rows[~sid]` maps y to the x with out[x] = y and goes on to ~nxt[x], and
+    is None until `row` builds it.  Equality compares the labels and the given
+    tables, never the inverse rows.
     """
 
     __slots__ = ("n", "d", "matrices", "labels", "components", "rows", "outs", "letters",
@@ -93,6 +93,8 @@ class Automaton:
         if len(mats[0]) != d:  # matrix_family gave every entry entry 0's size
             raise ValueError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {echo(d)}x{echo(d)}")
         self.labels = tuple(labels)
+        if not self.labels:
+            raise ValueError("an automaton has at least one state")
         pool = {}  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
         self.rows = [(pool.setdefault(out, out), nxt) for out, nxt in tables] + [None] * len(self.labels)
         self.outs = tuple(pool)
@@ -100,7 +102,7 @@ class Automaton:
             raise ValueError(f"{len(self.labels)} labels but {len(self.rows) - len(self.labels)} tables")
         if any(a[0] > b[0] for a, b in pairwise(self.labels)):
             raise ValueError("states must be grouped by ascending matrix index")
-        for m in (self.labels[0][0], self.labels[-1][0]) if self.labels else ():  # grouped: these bound every index
+        for m in (self.labels[0][0], self.labels[-1][0]):  # grouped: these bound every index
             if not 0 <= m < len(self.matrices):
                 raise ValueError(f"matrix index {echo(m)} of a state is not in range({len(self.matrices)})")
         self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
@@ -487,12 +489,12 @@ def from_json(text: str) -> Automaton:
 
 @_gc_paused()
 def dedup(aut: Automaton) -> Automaton:
-    """Merge behaviorally equivalent states by partition refinement (equal
-    output tables, then equal successor classes, iterated to a fixed point).
-    Library only, with no CLI flag: it stays while the benchmark still times
-    it.  The plain construction always keeps components disjoint.  Merged
-    automata keep one label per class; in a build_union automaton a component
-    equal to an earlier one merges whole, so the check still passes but the
+    """Merge behaviorally equivalent states by partition refinement (equal out
+    tables, then equal successor classes, to a fixed point): one hash per out
+    tuple, then one (n**d + 1)-tuple per state per round.  Returns the first
+    state of each class, in state order, with the class numbers as the new
+    ids.  Library only, kept while the benchmark times it.  A build_union
+    component equal to an earlier one merges whole: the check passes, but the
     emptied component's labels name no state (`no state m[1]:(0,0) ...`)."""
     labels, tables = aut.labels, aut.rows[:len(aut.labels)]
     sigs = {}
@@ -503,10 +505,8 @@ def dedup(aut: Automaton) -> Automaton:
         sigs = {}
         cls = [sigs.setdefault((c, *map(cls.__getitem__, nxt)), len(sigs)) for c, (_, nxt) in zip(cls, tables)]
 
-    reps = {}
+    reps = {}  # class -> its first state: each round numbers the classes in the order of their first states
     for sid, k in enumerate(cls):
         reps.setdefault(k, sid)
-    ordered = sorted(reps.values(), key=lambda sid: (labels[sid][0], sid))
-    new_id = {cls[sid]: i for i, sid in enumerate(ordered)}
-    return Automaton(aut.n, aut.d, aut.matrices, [labels[sid] for sid in ordered],
-                     [(tables[sid][0], tuple(new_id[cls[t]] for t in tables[sid][1])) for sid in ordered])
+    return Automaton(aut.n, aut.d, aut.matrices, [labels[sid] for sid in reps.values()],
+                     [(tables[sid][0], tuple(map(cls.__getitem__, tables[sid][1]))) for sid in reps.values()])

@@ -544,8 +544,8 @@ def test_to_json_writes_any_int_entry_as_json_dumps_does():
         hand = Automaton(aut.n, aut.d, aut.matrices, [*aut.labels, *extra],
                          [*tables(aut), *[(tuple([2, 0, 1]), (2, 3, 4))] * len(extra)])  # an equal out, a new tuple
         assert to_json(hand) == reference_json(hand)
-    empty = Automaton(2, 1, [[[1]]], [], [])
-    assert to_json(empty) == reference_json(empty)
+    one = Automaton(2, 1, [[[1]]], [(0, (0,))], [((0, 1), (0, 0))])
+    assert to_json(one) == reference_json(one) and from_json(to_json(one)) == one
 
 
 def test_to_json_writes_a_bool_entry_as_the_int_it_acts_as():
@@ -737,6 +737,67 @@ def test_dedup_keeps_distinct_states(doubling3):
     assert dedup(union) == union
 
 
+def reference_dedup(aut):
+    "dedup in its sort-and-renumber form, kept as its oracle: the same refinement, then a re-sort and a renumbering."
+    labels, tables = aut.labels, aut.rows[:len(aut.labels)]
+    sigs = {}
+    cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]
+    count = 0
+    while count < len(sigs) < len(tables):
+        count = len(sigs)
+        sigs = {}
+        cls = [sigs.setdefault((c, *map(cls.__getitem__, nxt)), len(sigs)) for c, (_, nxt) in zip(cls, tables)]
+    reps = {}
+    for sid, k in enumerate(cls):
+        reps.setdefault(k, sid)
+    ordered = sorted(reps.values(), key=lambda sid: (labels[sid][0], sid))
+    new_id = {cls[sid]: i for i, sid in enumerate(ordered)}
+    return Automaton(aut.n, aut.d, aut.matrices, [labels[sid] for sid in ordered],
+                     [(tables[sid][0], tuple(new_id[cls[t]] for t in tables[sid][1])) for sid in ordered])
+
+
+def equivalent(aut, s, t):
+    "Whether states s and t write the same letters on every input word: equal out tables at every pair reached in step."
+    seen, todo = {(s, t)}, [(s, t)]
+    while todo:
+        a, b = todo.pop()
+        if aut.rows[a][0] != aut.rows[b][0]:
+            return False
+        for pair in zip(aut.rows[a][1], aut.rows[b][1]):
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
+
+
+def test_dedup_matches_the_sort_and_renumber_oracle():
+    rng = random.Random(20261030)
+    cases = []
+    for _ in range(300):  # 1-3 components of [[1]], 1-3 shared out permutations, random next rows across components
+        n, k = rng.choice((2, 3)), rng.randint(1, 3)
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        labels = [(m, (v,)) for m in range(k) for v in rng.sample(range(-4, 4), rng.randint(1, 4))]
+        cases.append(Automaton(n, 1, [[[1]]] * k, labels,
+                               [(rng.choice(perms), tuple(rng.choices(range(len(labels)), k=n))) for _ in labels]))
+    merged = across = 0
+    for aut in cases:
+        small, ref, N = dedup(aut), reference_dedup(aut), len(aut.labels)
+        assert small.labels == ref.labels and small.rows[:len(small.labels)] == ref.rows[:len(ref.labels)]
+        assert to_json(small) == to_json(ref)
+        # a state is kept iff no earlier state is equivalent to it, checked pair by pair without a partition
+        firsts = [next(r for r in range(s + 1) if equivalent(aut, r, s)) for s in range(N)]
+        assert small.labels == tuple(aut.labels[s] for s in range(N) if firsts[s] == s)
+        merged += len(small.labels) < N
+        across += any(aut.labels[r][0] != aut.labels[s][0] for s, r in enumerate(firsts))
+    assert merged >= 100 and across >= 30, (merged, across)  # 186 and 125 with this seed
+    # a union merges each component into an earlier equal one; the d=3 Sanov union keeps every state
+    for aut in (build_union([[[2]], [[2]]], 3), build_union([*sanov_pair(), *sanov_pair()], 2),
+                build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)):
+        small, ref = dedup(aut), reference_dedup(aut)
+        assert small == ref and to_json(small) == to_json(ref)
+    assert len(dedup(build_union([*sanov_pair(), *sanov_pair()], 2)).labels) == 72
+
+
 def test_labels_and_tables_must_match_in_length(doubling3):
     labels, rows = doubling3.labels, tables(doubling3)
     for bad_labels, bad_rows in ((labels, rows[:-1]), (labels[:-1], rows), (labels, rows + rows[:1])):
@@ -773,9 +834,9 @@ def test_a_matrix_index_outside_the_family_is_refused(doubling3):
                             ([*doubling3.labels, (10 ** 100, (0,))], [*tables(doubling3), extra], "1" + "0" * 39 + "...")):
         with pytest.raises(ValueError, match=re.escape(f"matrix index {m} of a state is not in range(1)") + "$"):
             Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, rows)
-    empty = Automaton(doubling3.n, doubling3.d, doubling3.matrices, [], [])
-    assert empty.components == ((0, 0),) and empty.outs == ()
-    assert str(well_definedness_check(empty)) == "well-defined: 0 transitions checked"
+    # to_json wrote a zero-state automaton as '"states": []', which from_json refuses
+    with pytest.raises(ValueError, match="^an automaton has at least one state$"):
+        Automaton(doubling3.n, doubling3.d, doubling3.matrices, [], [])
 
 
 @pytest.mark.parametrize("matrices, message", [
@@ -791,7 +852,8 @@ def test_the_constructor_refuses_matrices_the_codec_refuses(doubling3, matrices,
 def test_the_constructor_freezes_matrices_given_as_lists(doubling3):
     lists = Automaton(doubling3.n, doubling3.d, [[[2]]], doubling3.labels, tables(doubling3))
     assert lists.matrices == (((2,),),) and lists == doubling3
-    assert Automaton(2, 1, [[[1]]], [], []).matrices == (((1,),),)
+    assert Automaton(2, 1, [[[1]]], [(0, (0,))], [((0, 1), (0, 0))]).matrices == (((1,),),)
+
 
 
 def test_every_route_shares_equal_out_tables_through_outs(doubling3):
