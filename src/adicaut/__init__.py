@@ -45,10 +45,11 @@ from .automaton import (
 from .treeaction import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
+    Decision,
     GroupWord,
     WordError,
     conjugacy_search_bounded,
-    decide_identity,
+    decide,
     parse_word,
     reduced_words,
     translation_word,

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: `build` a transducer union from a matrix file, `act` with a word
-on a digit word, `wp` decide the word problem, `relations` check the
-conjugation relators for every (matrix, axis), `verify` sample-check the
-transducer action against the big-integer affine oracle and name the first
-mismatch.
+on a digit word, `wp` print the word problem's `decide` result and visited
+count, `relations` print the conjugation relator row for every (matrix,
+axis), `verify` sample-check the transducer action against the big-integer
+affine oracle and name the first mismatch.
 
 Exit codes: 0 success (including a NONTRIVIAL word-problem answer),
 2 invalid input, 3 alphabet cap exceeded, 4 node budget exhausted,
@@ -71,16 +71,10 @@ def _cmd_act(args) -> int:
 def _cmd_wp(args) -> int:
     budget = bounded_int(args.budget, "--budget", 1)
     aut = _read(args.automaton, am.from_json)
-    w = ta.parse_word(aut, args.word)
-    try:
-        answer, visited = ta.decide_identity(w, budget)
-    except ta.BudgetExceededError as e:
-        _emit(args, f"BUDGET-EXCEEDED visited={e.visited}",
-              {"result": "BUDGET-EXCEEDED", "visited": e.visited})
-        return 4
-    result = "IDENTITY" if answer else "NONTRIVIAL"
-    _emit(args, f"{result} visited={visited}", {"result": result, "visited": visited})
-    return 0
+    d = ta.decide(ta.parse_word(aut, args.word), budget)
+    result = d.result.upper()
+    _emit(args, f"{result} visited={d.visited}", {"result": result, "visited": d.visited})
+    return 4 if d.result == "budget-exceeded" else 0
 
 
 def _cmd_relations(args) -> int:

@@ -14,10 +14,12 @@ The word problem is decided by closing a word under sections: a word acts
 trivially on the whole tree exactly when every word reachable from it by
 taking sections has the identity root permutation.  Sections never have more
 factors than their parent and draw states from a finite set, so the closure
-is finite and the search terminates (a node budget still guards against
-pathological blowup and is reported, never treated as an answer).  Its
-first 256 visited words cost the sum of len*n^d letter steps; past them the
-sum of ceil(len/4)*n^d block joins plus 4*n^d steps per distinct block.
+is finite and the search terminates.  `decide` returns a `Decision`: the
+result "identity", "nontrivial" or "budget-exceeded" (a node budget guards
+against pathological blowup, and running out of it is a result, never an
+answer) and the number of words visited.  Its first 256 visited words cost
+the sum of len*n^d letter steps; past them the sum of ceil(len/4)*n^d block
+joins plus 4*n^d steps per distinct block.
 
 `act`, the sections and the closure all read the automaton's one signed
 table, `rows[c]` = (letter map, row of next codes), and have `row` build an
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from dataclasses import dataclass
 from itertools import groupby
 from operator import add
 
@@ -58,7 +61,7 @@ class WordError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    "The word-problem closure ran out of nodes before reaching an answer."
+    "Raised by the `GroupWord.is_identity` shim when the closure's node budget runs out."
 
     def __init__(self, visited: int):
         super().__init__(f"word-problem search exhausted its node budget after {visited} words")
@@ -173,11 +176,13 @@ class GroupWord:
         return perm, [_word(self.aut, s[::-1]) for s in sections]
 
     def is_identity(self, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-        """Decide whether this word acts trivially on every digit word, by
-        exhausting the closure of the word under sections.  Raises
-        BudgetExceededError when the closure exceeds `budget` visited words;
-        exhaustion is an explicit outcome, never reported as False."""
-        return decide_identity(self, budget)[0]
+        """`decide(self, budget)` as a bool, kept for the benchmark's replay:
+        raises BudgetExceededError(visited) when the budget runs out, so
+        exhaustion is never reported as False.  New code calls `decide`."""
+        d = decide(self, budget)
+        if d.result == "budget-exceeded":
+            raise BudgetExceededError(d.visited)
+        return d.result == "identity"
 
 
 def _cancel(codes):
@@ -215,13 +220,21 @@ def _sections(aut, word):
     return tuple(perm), sections
 
 
-def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
-    """Decide whether `w` acts trivially, returning (answer, visited): the
-    verdict and how many distinct words the closure under sections visited.
-    Raises BudgetExceededError once more than `budget` words would be
-    visited, and ValueError for a budget that is not an int of at least 1.
+@dataclass(frozen=True)
+class Decision:
+    """The outcome of `decide`: `result` is "identity", "nontrivial" or
+    "budget-exceeded", and `visited` is how many distinct words the closure
+    under sections visited (the budget itself when it ran out)."""
+    result: str
+    visited: int
+
+
+def decide(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET) -> Decision:
+    """Decide whether `w` acts trivially by closing it under sections.  The
+    result is "budget-exceeded" once more than `budget` words would be
+    visited; a budget that is not an int of at least 1 is a ValueError.
     Past 256 visited words, each distinct 4-code block is walked once per
-    call; the sections, verdict and count stay those of whole-word walks."""
+    call; the sections, result and count stay those of whole-word walks."""
     bounded_int(budget, "the node budget", 1)
     aut = w.aut
     letters = range(aut.alphabet_size)
@@ -260,14 +273,14 @@ def decide_identity(w: GroupWord, budget: int = DEFAULT_NODE_BUDGET):
                 sections.append(tuple(stack))
             perm = tuple(perm)
         if perm != idperm:
-            return False, len(visited)
+            return Decision("nontrivial", len(visited))
         for s in sections:
             if s and s not in visited:
                 if len(visited) >= budget:
-                    raise BudgetExceededError(len(visited))
+                    return Decision("budget-exceeded", len(visited))
                 visited.add(s)
                 queue.append(s)
-    return True, len(visited)
+    return Decision("identity", len(visited))
 
 
 def translation_word(aut: Automaton, matrix_index: int, axis: int) -> GroupWord:
@@ -287,8 +300,8 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
     """Breadth-first search for a conjugator c with c * w1 * c^-1 = w2 among
     freely reduced words of at most max_length factors over all states.
 
-    Returns the first conjugator certified by `decide_identity`, or None
-    when no candidate within the bounds checks out.  This is a bounded
+    Returns the first conjugator certified by `decide`, or None when no
+    candidate within the bounds checks out.  This is a bounded
     semi-decision procedure: None only means the search was inconclusive and
     never certifies that the two words are non-conjugate.  Candidates whose
     check exhausts the node budget are skipped.  Words over different
@@ -296,11 +309,8 @@ def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
     aut, inv_w2 = w1.aut, ~w2
     for codes in reduced_words(len(aut.labels), max_length):
         c = _word(aut, codes)  # reduced and in range by construction
-        try:
-            if decide_identity(c * w1 * ~c * inv_w2, budget)[0]:
-                return c
-        except BudgetExceededError:
-            continue
+        if decide(c * w1 * ~c * inv_w2, budget).result == "identity":
+            return c
     return None
 
 

@@ -10,7 +10,8 @@ from adicaut import (
     WordError,
     block_extend,
     build_union,
-    decide_identity,
+    Decision,
+    decide,
     dedup,
     det,
     identity,
@@ -259,7 +260,7 @@ def test_relator_check_columns_are_verify_relation_rows(Ms, n):
     for (mi, axis), r in zip(cells, rows):
         assert r.ok == (r.outcome == "pass")
         lhs, rhs = column_sides(aut, mi, axis)
-        assert decide_identity(lhs * ~rhs) == (True, verify_relation(aut, mi, axis).visited)
+        assert decide(lhs * ~rhs) == Decision("identity", verify_relation(aut, mi, axis).visited)
 
 
 def test_relator_check_visited_on_the_d3_sanov_union():

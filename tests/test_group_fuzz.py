@@ -16,7 +16,7 @@ from adicaut import (  # noqa: E402
     DigitWord,
     GroupWord,
     build_union,
-    decide_identity,
+    decide,
     det,
     identity,
     translation_word,
@@ -80,6 +80,6 @@ def test_closure_agrees_with_the_affine_map(aut, data):
     commutator = r * ti * tj * ~ti * ~tj * ~r
     conjugate = r * ti * ~r
     for word in (w, commutator, conjugate):
-        assert decide_identity(word)[0] == (affine_map(word) == trivial), word
+        assert (decide(word).result == "identity") == (affine_map(word) == trivial), word
     # so that both verdicts occur in every example
     assert affine_map(commutator) == trivial and affine_map(conjugate) != trivial

@@ -1,12 +1,15 @@
 """Layering guard: no module of the package imports a sibling's `_private`
-name or reads one through a module alias (`am._x`, `ta._x`)."""
+name or reads one through a module alias (`am._x`, `ta._x`), and every name
+the benchmark imports from the package still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import adicaut
 
 PACKAGE = Path(adicaut.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 SIBLINGS = {p.stem for p in PACKAGE.glob("*.py")}
 
 
@@ -59,3 +62,19 @@ def test_guard_catches_both_forms(tmp_path):
                  "from adicaut.linalg import _x\n"
                  "x = am._letters\ny = am.from_json\nz = am.__name__\n")
     assert violations(p) == ["line 1: imports _word", "line 3: imports _x", "line 4: reads am._letters"]
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # the benchmark runs from its own checkout: a name deleted here before the
+    # benchmark stops importing it would break every benchmark run
+    imported, missing = [], []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "adicaut":
+                module = importlib.import_module(node.module)
+                for a in node.names:
+                    imported.append(f"{node.module}.{a.name}")
+                    if not hasattr(module, a.name):
+                        missing.append(f"{path.name}: {node.module}.{a.name}")
+    assert {"adicaut.BudgetExceededError", "adicaut.verify_relation", "adicaut.cli.main"} <= set(imported)
+    assert missing == []

@@ -12,7 +12,8 @@ from adicaut import (
     affine_apply_prefix,
     build_union,
     conjugacy_search_bounded,
-    decide_identity,
+    Decision,
+    decide,
     decode,
     encode,
     identity,
@@ -109,27 +110,33 @@ def test_root_permutation_composes_outermost_first(doubling3):
 # --- word problem -----------------------------------------------------------
 
 def test_is_identity_empty(doubling3):
-    assert GroupWord(doubling3).is_identity()
+    assert decide(GroupWord(doubling3)).result == "identity"
 
 
 def test_is_identity_translation_is_not(odometer2, doubling3):
-    assert not translation_word(odometer2, 0, 1).is_identity()
-    assert not translation_word(doubling3, 0, 1).is_identity()
+    assert decide(translation_word(odometer2, 0, 1)).result == "nontrivial"
+    assert decide(translation_word(doubling3, 0, 1)).result == "nontrivial"
 
 
 def test_translations_commute_d2(shear2):
     t1 = translation_word(shear2, 0, 1)
     t2 = translation_word(shear2, 0, 2)
-    assert (t1 * t2 * ~t1 * ~t2).is_identity()
+    assert decide(t1 * t2 * ~t1 * ~t2).result == "identity"
 
 
 def test_is_identity_budget_is_explicit(shear2):
+    # the shim over `decide` that the benchmark's replay calls: a bool, or
+    # BudgetExceededError carrying the budget, never False for an exhausted budget
     t1 = translation_word(shear2, 0, 1)
     t2 = translation_word(shear2, 0, 2)
     comm = t1 * t2 * ~t1 * ~t2
-    with pytest.raises(BudgetExceededError) as exc:
-        comm.is_identity(budget=1)
-    assert exc.value.visited >= 1
+    assert decide(comm) == Decision("identity", 3)
+    assert comm.is_identity() is True and t1.is_identity(1) is False
+    for budget in (1, 2):
+        assert decide(comm, budget) == Decision("budget-exceeded", budget)
+        with pytest.raises(BudgetExceededError) as exc:
+            comm.is_identity(budget=budget)
+        assert exc.value.visited == budget
 
 
 def test_is_identity_agrees_with_finite_action():
@@ -145,7 +152,7 @@ def test_is_identity_agrees_with_finite_action():
                  for ls in product(letters, repeat=k)]
         for _ in range(60):
             w = random_group_word(rng, aut, 4)
-            claimed = w.is_identity()
+            claimed = decide(w).result == "identity"
             fixes_all = all(w.act(u) == u for u in words)
             if claimed:
                 assert fixes_all
@@ -156,11 +163,11 @@ def test_is_identity_agrees_with_finite_action():
 def test_equal(doubling3, shear2):
     rng = random.Random(35)
     w = random_group_word(rng, doubling3, 5)
-    assert (w * ~w).is_identity()
+    assert decide(w * ~w).result == "identity"
     t1 = translation_word(shear2, 0, 1)
     t2 = translation_word(shear2, 0, 2)
-    assert (t1 * t2 * ~(t2 * t1)).is_identity()
-    assert not (t1 * ~(t1 * t1)).is_identity()
+    assert decide(t1 * t2 * ~(t2 * t1)).result == "identity"
+    assert decide(t1 * ~(t1 * t1)).result == "nontrivial"
 
 
 # --- group laws -------------------------------------------------------------
@@ -176,7 +183,7 @@ def test_homomorphism_inverse_prefix_properties(doubling3, shear2):
         assert (w1 * ~w1).act(u) == u
         t = rng.randint(0, len(u))
         assert w1.act(u).prefix(t) == w1.act(u.prefix(t))
-        assert (w1 * ~w1).is_identity()
+        assert decide(w1 * ~w1).result == "identity"
 
 
 # --- translations and relations ---------------------------------------------
@@ -219,8 +226,8 @@ def test_verify_relation_shear():
     lhs, rhs = column_sides(aut, 0, 2)
     t1 = translation_word(aut, 0, 1)
     t2 = translation_word(aut, 0, 2)
-    assert (rhs * ~(t1 * t2)).is_identity()
-    assert (lhs * ~rhs).is_identity()
+    assert decide(rhs * ~(t1 * t2)).result == "identity"
+    assert decide(lhs * ~rhs).result == "identity"
 
 
 def test_verify_relation_doubling(doubling3):
@@ -228,8 +235,8 @@ def test_verify_relation_doubling(doubling3):
     assert rep.ok
     lhs, rhs = column_sides(doubling3, 0, 1)
     tau = translation_word(doubling3, 0, 1)
-    assert (rhs * ~(tau * tau)).is_identity()
-    assert (lhs * ~rhs).is_identity()
+    assert decide(rhs * ~(tau * tau)).result == "identity"
+    assert decide(lhs * ~rhs).result == "identity"
 
 
 def test_verify_relation_identity_matrix():
@@ -247,7 +254,7 @@ def test_verify_relation_inverse_side():
         rhs = GroupWord(aut)
         for i, row in enumerate(inverse_unimodular(M), start=1):
             rhs = rhs * translation_word(aut, 0, i) ** row[axis - 1]
-        assert decide_identity(~m0 * translation_word(aut, 0, axis) * m0 * ~rhs) == (True, visited)
+        assert decide(~m0 * translation_word(aut, 0, axis) * m0 * ~rhs) == Decision("identity", visited)
 
 
 def test_component_out_of_range_is_a_word_error():
@@ -292,7 +299,7 @@ def test_conjugacy_search_finds_short_conjugator(doubling3):
     c = conjugacy_search_bounded(tau, target, 1)
     # the first hit in candidate order is the single state m[0]:(-2)
     assert c is not None and c.format() == "m[0]:(-2)"
-    assert (c * tau * ~c * ~target).is_identity()
+    assert decide(c * tau * ~c * ~target).result == "identity"
 
 
 def test_conjugacy_search_skips_candidates_that_exhaust_the_budget(doubling3, shear2):
@@ -371,7 +378,7 @@ def test_parse_word_component_suffix():
     t_at_1 = parse_word(aut, "t[1]@1")
     assert t_at_1 == translation_word(aut, 1, 1)
     assert t_at_1 != translation_word(aut, 0, 1)
-    assert (t_at_1 * ~translation_word(aut, 0, 1)).is_identity()
+    assert decide(t_at_1 * ~translation_word(aut, 0, 1)).result == "identity"
 
 
 def test_parse_word_errors(doubling3):
@@ -498,10 +505,9 @@ def test_factors_must_be_ints(doubling3):
 
 def test_closure_visited_counts(shear2):
     t1 = translation_word(shear2, 0, 1)
-    ok, visited = decide_identity(t1 * ~t1, 10 ** 6)
-    assert ok and visited == 1
-    ok, visited = decide_identity(t1 * t1 * ~t1 * ~t1)
-    assert ok and visited >= 1
+    assert decide(t1 * ~t1, 10 ** 6) == Decision("identity", 1)
+    d = decide(t1 * t1 * ~t1 * ~t1)
+    assert d.result == "identity" and d.visited >= 1
 
 
 def test_budget_below_one_rejected(shear2):
@@ -510,19 +516,19 @@ def test_budget_below_one_rejected(shear2):
     # a float or a bool once ran as a budget: True as 1, 2.5 as room for 3 words
     for budget, message in ((0, "at least 1"), (-5, "at least 1"),
                             (2.5, "must be an int, got 2.5"), (True, "must be an int, got True")):
-        for call in (lambda: decide_identity(t1, budget),
-                     lambda: decide_identity(GroupWord(shear2), budget),
+        for call in (lambda: decide(t1, budget),
+                     lambda: decide(GroupWord(shear2), budget),
+                     lambda: decide(t1 * ~t1, budget),
                      lambda: t1.is_identity(budget),
-                     lambda: (t1 * ~t1).is_identity(budget),
                      lambda: verify_relation(shear2, 0, 1, budget=budget),
                      lambda: relator_check(shear2, presentation_for(shear2.matrices), budget)):
             with pytest.raises(ValueError, match=message):
                 call()
     # a budget past the interpreter's int-to-str limit is echoed cut, not refused by str()
     with pytest.raises(ValueError, match="at least 1, got -1000") as exc:
-        decide_identity(t1, -10 ** 5000)
+        decide(t1, -10 ** 5000)
     assert len(str(exc.value)) < 200
-    assert decide_identity(t1, 1) == (False, 1)
+    assert decide(t1, 1) == Decision("nontrivial", 1)
 
 
 def iterated_power(w, k):
@@ -595,10 +601,10 @@ def reference_root_and_sections(aut, factors):
 
 def reference_decide(aut, factors, budget, expand, expanded=None):
     """Breadth-first closure under sections, `expand(factors)` giving the root
-    permutation and reduced sections; ('budget', visited) when the budget runs out.
-    `expanded`, if given, collects the words in the order they are expanded."""
+    permutation and reduced sections, as a `Decision`.  `expanded`, if given,
+    collects the words in the order they are expanded."""
     if not factors:
-        return True, 1
+        return Decision("identity", 1)
     identity_perm = tuple(range(aut.alphabet_size))
     visited = {factors}
     queue = [factors]
@@ -607,14 +613,14 @@ def reference_decide(aut, factors, budget, expand, expanded=None):
             expanded.append(fac)
         perm, sections = expand(fac)
         if perm != identity_perm:
-            return False, len(visited)
+            return Decision("nontrivial", len(visited))
         for f in sections:
             if f and f not in visited:
                 if len(visited) >= budget:
-                    return "budget", len(visited)
+                    return Decision("budget-exceeded", len(visited))
                 visited.add(f)
                 queue.append(f)
-    return True, len(visited)
+    return Decision("identity", len(visited))
 
 
 def agreement_words(rng, aut):
@@ -639,35 +645,33 @@ def agreement_words(rng, aut):
     return words
 
 
-def test_closure_agrees_with_per_letter_reference(doubling3, shear2):
+def test_closure_agrees_with_per_letter_reference(doubling3, odometer2, shear2):
     from functools import cache
 
     from adicaut import block_extend, identity, sanov_pair
     auts = [doubling3, shear2, build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3),
-            build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)]
+            build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2), odometer2]
     rng = random.Random(41)
-    outcomes = []
-    for aut in auts:
+    outcomes = set()
+    for i, aut in enumerate(auts):
         expand = cache(lambda factors: reference_root_and_sections(aut, factors))  # budget runs revisit words
         for w in agreement_words(rng, aut):
             perm, sections = w.root_and_sections()
             assert (perm, [pairs(s) for s in sections]) == reference_root_and_sections(aut, pairs(w))
-            answer, visited = reference_decide(aut, pairs(w), 10 ** 6, expand)
-            assert decide_identity(w) == (answer, visited)
-            outcomes.append((answer, visited > 1))
-            for budget in range(1, visited + 1):
-                expected = reference_decide(aut, pairs(w), budget, expand)
-                if expected[0] == "budget":
-                    with pytest.raises(BudgetExceededError) as exc:
-                        decide_identity(w, budget)
-                    assert exc.value.visited == expected[1]
-                else:
-                    assert decide_identity(w, budget) == expected
-    assert {(True, True), (False, True), (False, False)} <= set(outcomes)
+            expected = reference_decide(aut, pairs(w), 10 ** 6, expand)
+            assert decide(w) == expected
+            # every budget below the closure's size cuts it: "budget-exceeded" with the budget as its count
+            for budget in range(1, expected.visited + 1):
+                cut = decide(w, budget)
+                assert cut == reference_decide(aut, pairs(w), budget, expand)
+                outcomes.add((i, cut.result, cut.visited > 1))
+    for i in range(len(auts)):
+        assert {(i, "identity", True), (i, "nontrivial", False), (i, "budget-exceeded", True)} <= outcomes
+    assert any(result == "nontrivial" and deep for _, result, deep in outcomes)
 
 
 def past_the_switch_cases():
-    """Closures of 445 to 1336 words, past the 256 after which `decide_identity`
+    """Closures of 445 to 1336 words, past the 256 after which `decide`
     walks 4-code blocks, with their verdicts and visited counts: on the d=2
     Sanov union, m t_1 m^-1 t_1^-a t_2^-70 for m = (m_0 m_1)^3, an identity
     at a=169; on the d=3 union, two mixed ladders of the benchmark's wp pass.
@@ -680,12 +684,12 @@ def past_the_switch_cases():
     sanov3 = build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)
     m2 = "m[0]:(0,0) m[1]:(0,0) " * 3 + "t[1] " + "m[1]:(0,0)^-1 m[0]:(0,0)^-1 " * 3
     m3 = "m[0]:(0,0,0) m[1]:(0,0,0) " * 3 + "{} " + "m[1]:(0,0,0)^-1 m[0]:(0,0,0)^-1 " * 3
-    cases = [(sanov2, f"{m2} t[1]^-{a} t[2]^-70", pinned)
-             for a, pinned in ((169, (True, 1108)), (201, (False, 445)), (233, (False, 674)),
-                               (297, (False, 954)), (425, (False, 1266)))]
-    cases += [(sanov3, m3.format("t[3]") + "t[3]^-29 t[2]^-70", (True, 999)),
-              (sanov3, m3.format("t[2]") + "t[3]^-70 t[2]^-169", (True, 1336)),
-              (odd, f"{m2} t[1]^-169 t[2]^-70 m[2]:(0,0)", (True, 1109))]
+    cases = [(sanov2, f"{m2} t[1]^-{a} t[2]^-70", Decision(*pinned))
+             for a, pinned in ((169, ("identity", 1108)), (201, ("nontrivial", 445)), (233, ("nontrivial", 674)),
+                               (297, ("nontrivial", 954)), (425, ("nontrivial", 1266)))]
+    cases += [(sanov3, m3.format("t[3]") + "t[3]^-29 t[2]^-70", Decision("identity", 999)),
+              (sanov3, m3.format("t[2]") + "t[3]^-70 t[2]^-169", Decision("identity", 1336)),
+              (odd, f"{m2} t[1]^-169 t[2]^-70 m[2]:(0,0)", Decision("identity", 1109))]
     return cases
 
 
@@ -698,16 +702,10 @@ def test_closure_agrees_with_per_letter_reference_past_256_words():
         w = parse_word(aut, text)
         expand = cache(lambda factors: reference_root_and_sections(aut, factors))
         expanded = []
-        assert decide_identity(w) == reference_decide(aut, pairs(w), 10 ** 6, expand, expanded) == pinned
+        assert decide(w) == reference_decide(aut, pairs(w), 10 ** 6, expand, expanded) == pinned
         lengths |= {len(f) % 4 for f in expanded[256:]}
-        for budget in (1, 255, 256, 257, pinned[1] - 1, pinned[1]):
-            expected = reference_decide(aut, pairs(w), budget, expand)
-            if expected[0] == "budget":
-                with pytest.raises(BudgetExceededError) as exc:
-                    decide_identity(w, budget)
-                assert exc.value.visited == expected[1]
-            else:
-                assert decide_identity(w, budget) == expected
+        for budget in (1, 255, 256, 257, pinned.visited - 1, pinned.visited):
+            assert decide(w, budget) == reference_decide(aut, pairs(w), budget, expand)
     # words past the switch end in blocks of every length 1..4
     assert lengths == {0, 1, 2, 3}
 
@@ -718,7 +716,7 @@ def test_the_block_memo_lives_for_one_call():
     given = aut.rows[:len(aut.labels)]
     copy = from_json(to_json(aut))
     w = parse_word(aut, text)
-    assert decide_identity(w) == decide_identity(w) == decide_identity(parse_word(copy, text)) == pinned
+    assert decide(w) == decide(w) == decide(parse_word(copy, text)) == pinned
     assert aut.rows[:len(aut.labels)] == given
 
 
