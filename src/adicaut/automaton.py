@@ -18,10 +18,10 @@ M*x, and walks only a failing component state by state and letter by letter.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
-reader goes through.  `Automaton` alone checks each state's shape, pools equal
-out tables (`outs`) and holds the letter table (`letters`) of dense indices
-(base-n, first coordinate least significant); digit tuples appear only at I/O
-boundaries.  to_json writes each int's text and each distinct out table's once."""
+reader goes through and none assigns to.  `Automaton` alone checks each state's
+shape (from_json adds only the rules of JSON), pools equal out tables (`outs`)
+and holds the letter table (`letters`) of dense indices (base-n, first
+coordinate least significant); digit tuples appear only at I/O boundaries."""
 
 from __future__ import annotations
 
@@ -70,17 +70,19 @@ class Automaton:
     given table `rows[sid]` = (out, nxt): reading the letter with dense index
     x (digits `letters[x]`) it writes out[x] and hands the rest of the word to
     state nxt[x].  Equal out tables share the first one's tuple, and `outs`
-    holds each distinct one once.  There is at least one state, and labels are
-    grouped by ascending matrix index, each in range(len(matrices));
+    holds each distinct one once.  There is at least one state, and
     `components[i]` is the half-open range of state ids whose matrix index is
-    i.  A repeated label, an offset without d coordinates, a row without n**d
-    entries or an out table that does not permute range(n**d) in ints (bools
-    act as ints) raises ValueError naming the first such state.  A state or
-    its inverse is coded as the int `sid` or `~sid`, and `rows[c]` is the
-    code's (letter map, row of next codes): `rows[sid]` is the table as given,
-    `rows[~sid]` maps y to the x with out[x] = y and goes on to ~nxt[x], and
-    is None until `row` builds it.  Equality compares the labels and the given
-    tables, never the inverse rows.
+    i.  A matrix index outside range(len(matrices)) or below the one before
+    it (labels are grouped by ascending matrix index), a repeated label, an
+    offset without d coordinates, a row without n**d entries or an out table
+    that does not permute range(n**d) in ints (bools act as ints) raises
+    ValueError naming the first such state.  A state or its inverse is coded
+    as the int `sid` or `~sid`, and `rows[c]` is the code's (letter map, row
+    of next codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to
+    the x with out[x] = y and goes on to ~nxt[x], and is None until `row`
+    builds it.  `rows` is a list only for `row` to fill in: callers must not
+    assign to it.  Equality compares the labels and the given tables, never
+    the inverse rows.
     """
 
     __slots__ = ("n", "d", "matrices", "labels", "components", "rows", "outs", "letters",
@@ -100,20 +102,23 @@ class Automaton:
         self.outs = tuple(pool)
         if len(self.rows) != 2 * len(self.labels):
             raise ValueError(f"{len(self.labels)} labels but {len(self.rows) - len(self.labels)} tables")
-        if any(a[0] > b[0] for a, b in pairwise(self.labels)):
-            raise ValueError("states must be grouped by ascending matrix index")
-        for m in (self.labels[0][0], self.labels[-1][0]):  # grouped: these bound every index
-            if not 0 <= m < len(self.matrices):
-                raise ValueError(f"matrix index {echo(m)} of a state is not in range({len(self.matrices)})")
         self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
-        A, N = n ** d, len(self.labels)
-        # whole passes, each distinct out table once: an equal table given later shares the first one's tuple
-        if not (len(self._state_ids) == N and {*map(len, map(itemgetter(1), self.labels))} <= {d}
+        A, N, K = n ** d, len(self.labels), len(mats)
+        # whole passes, each distinct out table once (an equal table given later shares the first one's tuple);
+        # grouped labels have every matrix index between the first one and the last one
+        if not (all(a[0] <= b[0] for a, b in pairwise(self.labels)) and 0 <= self.labels[0][0]
+                and self.labels[-1][0] < K and len(self._state_ids) == N
+                and {*map(len, map(itemgetter(1), self.labels))} <= {d}
                 and {*map(len, self.outs), *map(len, map(itemgetter(1), islice(self.rows, N)))} <= {A}
                 and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
                 and {*map(frozenset, self.outs)} <= {frozenset(range(A))}):
             first = {}  # a pass failed: name the first state that breaks a rule
             for sid, (label, (out, nxt)) in enumerate(zip(self.labels, self.rows)):
+                if not 0 <= label[0] < K:
+                    raise ValueError(f"state {sid}: matrix index {echo(label[0])} is not in range({K})")
+                if sid and label[0] < self.labels[sid - 1][0]:
+                    raise ValueError(f"state {sid}: matrix index {label[0]} follows {self.labels[sid - 1][0]}, "
+                                     "but states must be grouped by ascending matrix index")
                 if first.setdefault(label, sid) != sid:
                     raise ValueError(f"state {sid} repeats the label of state {first[label]}")
                 for name, size, want in (("offset", len(label[1]), d), ("out", len(out), A), ("next", len(nxt), A)):
@@ -293,15 +298,18 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
         def entries(k):  # every out (k=0) or next (k=1) entry of the component, in state order
             return chain.from_iterable(map(itemgetter(k), islice(rows, start, end)))
 
-        def within(low, high):  # every next entry: one pass, then min/max over the distinct entries only
-            seen = {*entries(1)}
-            return low <= min(seen) and max(seen) < high
+        def within(values, low, high):  # one pass, then min/max over the distinct values; a non-number is outside
+            seen = {*values}
+            try:
+                return low <= min(seen) and max(seen) < high
+            except TypeError:
+                return False
 
         mxs = [mat_vec(M, x) for x in letters]
         offsets = list(map(itemgetter(1), islice(labels, start, end)))
         # offsets in the box, next entries ints of the component: every entry's type, as a set hides 1.0 behind 1
-        if (start < end and -norm <= min(chain.from_iterable(offsets)) and max(chain.from_iterable(offsets)) < norm
-                and {*map(type, entries(1))} <= {int, bool} and within(start, end)):
+        if (start < end and within(chain.from_iterable(offsets), -norm, norm)
+                and {*map(type, entries(1))} <= {int, bool} and within(entries(1), start, end)):
             # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
             # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
             # below B/2 in absolute value, so packing in base B tells such vectors apart.
@@ -319,15 +327,16 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
                 continue
         for sid, v, (out, nxt) in zip(range(start, end), offsets, islice(rows, start, end)):
             checked += A
-            if not all(-norm <= c < norm for c in v):
+            if not within(v, -norm, norm):
                 failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d"))
             for x, (y, t) in enumerate(zip(out, nxt)):
                 if not (isinstance(t, int) and start <= t < end):
                     failures.append(CheckFailure(sid, x, f"next state {t!r} is not an int in {start}..{end - 1}"))
                     continue
-                got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
-                if got != want:
-                    failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
+                with suppress(TypeError):  # an offset that is no number does not recompose: reported at its state
+                    got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
+                    if got != want:
+                        failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
             if len(failures) >= MAX_FAILURES:
                 return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
     return WellDefinednessReport(not failures, checked, failures)
@@ -407,15 +416,17 @@ def read_matrices(text: str) -> tuple:
 
 
 def _columns(states: list):
-    """(labels, tables) of a states list whose field types and next entries
-    pass, in a fixed number of passes over whole columns; else None."""
+    """(labels, tables) of a states list with no JSON fault, in a fixed number
+    of passes over whole columns; else None."""
     try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
         ms, vs, outs, nxts = zip(*map(itemgetter("m", "v", "out", "next"), states))
     except (TypeError, KeyError):
         return None
     if not ({*map(type, vs), *map(type, outs), *map(type, nxts)} == {list}
             # by type, never by value: True == 1 and 1.0 == 1 hash alike
-            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}):
+            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, nxts))))} == {int}
+            # the constructor judges an out entry, but would take a bool as 1/0 and cannot hash a list or an object
+            and not {*map(type, chain.from_iterable(outs))} & {bool, list, dict}):
         return None
     seen_next = {*chain.from_iterable(nxts)}
     if 0 <= min(seen_next, default=0) and max(seen_next, default=0) < len(states):
@@ -426,10 +437,11 @@ def _columns(states: list):
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The states are checked, and loaded, in whole-list passes (_columns) and
-    one Automaton construction, which checks labels, lengths and out tables.
-    A document that fails any step is walked state by state only to name the
-    first failing state; it loads nothing."""
+    The loader owns what JSON adds (objects and keys, list types, exact ints
+    as a JSON true is a bool, next entries in range(len(states))) and checks
+    it in whole-list passes (_columns); a document that fails one is walked
+    to name its first such fault.  The one Automaton construction owns every
+    shape rule: its ValueError is raised as a FormatError with its text."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -441,8 +453,6 @@ def from_json(text: str) -> Automaton:
     except ValueError as e:
         raise FormatError(str(e)) from None
     mats = _matrices(obj["matrices"])
-    if len(mats[0]) != d:  # _matrices gave every entry entry 0's size
-        raise FormatError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {echo(d)}x{echo(d)}")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise FormatError("states must be a nonempty list")
     # each state lists all n**d letters, so n**d <= len(text); decided without forming n**d
@@ -451,10 +461,11 @@ def from_json(text: str) -> Automaton:
 
     states, alphabet = obj["states"], n ** d
     if columns := _columns(states):
-        with suppress(ValueError):  # a rule the constructor refuses: the walk names it in the document's terms
+        try:
             return Automaton(n, d, mats, *columns)
-    # a pass failed: the walk raises the first failure in document order
-    total, seen_labels, last_m = len(states), set(), 0
+        except ValueError as e:  # a shape fault, named in the constructor's words
+            raise FormatError(str(e)) from None
+    # a JSON fault: the walk raises the first in document order
     for si, entry in enumerate(states):
         where = f"states[{si}]"
         if not isinstance(entry, dict):
@@ -462,28 +473,16 @@ def from_json(text: str) -> Automaton:
         for key in ("m", "v", "out", "next"):
             if key not in entry:
                 raise FormatError(f"{where} missing key {key!r}")
-        m = entry["m"]
-        if type(m) is not int or not 0 <= m < len(mats):
-            raise FormatError(f"{where}.m = {echo(m)} is not a matrix index")
-        if m < last_m:
-            raise FormatError(f"{where}.m = {m} breaks the component grouping (states must be grouped by matrix)")
-        last_m = m
-        v = entry["v"]
-        if not isinstance(v, list) or len(v) != d or not all(type(c) is int for c in v):
+        if type(entry["m"]) is not int:
+            raise FormatError(f"{where}.m = {echo(entry['m'])} is not a matrix index")
+        if not isinstance(entry["v"], list) or not all(type(c) is int for c in entry["v"]):
             raise FormatError(f"{where}.v must be a list of {d} integers")
-        label = (m, tuple(v))
-        if label in seen_labels:
-            raise FormatError(f"{where} duplicates the state label m[{m}]:({','.join(map(echo, v))})")
-        seen_labels.add(label)
-        out, nxt = entry["out"], entry["next"]
-        for name, table, limit in (("out", out, alphabet), ("next", nxt, total)):
-            if not isinstance(table, list) or len(table) != alphabet:
+        for name, limit in (("out", alphabet), ("next", len(states))):
+            if not isinstance(entry[name], list):
                 raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
-            for x, t in enumerate(table):
-                if type(t) is not int or not 0 <= t < limit:
+            for x, t in enumerate(entry[name]):
+                if (type(t) in (bool, list, dict)) if name == "out" else (type(t) is not int or not 0 <= t < limit):
                     raise FormatError(f"{where}.{name}[{x}] = {echo(t)} out of range [0, {limit})")
-        if len(set(out)) != alphabet:
-            raise FormatError(f"{where}.out is not a permutation of the {alphabet} letters")
     raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")
 
 

@@ -84,6 +84,11 @@ code=0
 adicaut wp --automaton bool.json --word 't[1]' 2> bool.err || code=$?
 test "$code" = 2
 grep -F 'states[0].next[1] = True out of range' bool.err
+python -c 'import json; o = json.load(open("a.json")); o["states"][1]["v"] = o["states"][0]["v"]; json.dump(o, open("dup.json", "w"))'
+code=0
+adicaut wp --automaton dup.json --word 't[1]' 2> dup.err || code=$?
+test "$code" = 2
+grep -F 'dup.json: state 1 repeats the label of state 0' dup.err
 python -c 'import json; o = json.load(open("a.json")); o["states"][1]["m"] = "x" * 100000; json.dump(o, open("longm.json", "w"))'
 code=0
 adicaut wp --automaton longm.json --word 't[1]' 2> longm.err || code=$?

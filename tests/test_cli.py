@@ -201,7 +201,7 @@ def test_act_rejects_non_permutation_output_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "states[2].out is not a permutation" in captured.err
+    assert captured.err == f"error: {p}: state 2: out is not a permutation of range(3)\n"
 
 
 def test_act_rejects_boolean_output_exit_2(tmp_path, capsys):

@@ -252,12 +252,12 @@ def edited(edit) -> str:
      "states[0].out[0] = [0, 1, 2"),
     (lambda: from_json(edited(lambda o: o["states"][0]["next"].__setitem__(0, LONG))), FormatError,
      "states[0].next[0] = 'xxx"),
-    (lambda: from_json(edited(lambda o: [s.update(v=[10 ** 4000]) for s in o["states"][:2]])), FormatError,
-     "states[1] duplicates the state label m[0]:(1000"),
-    (lambda: from_json(edited(lambda o: o.update(d=10 ** 4000))), FormatError, "matrices[0] is 1x1, expected 1000"),
+    (lambda: from_json(edited(lambda o: o["states"][1].update(m=10 ** 4000))), FormatError,
+     "state 1: matrix index 1000"),
+    (lambda: from_json(edited(lambda o: o.update(d=10 ** 4000))), FormatError, "an alphabet of n**d letters (d = 1000"),
 ], ids=["letter", "dimension", "base", "vector", "det", "coprime-base", "gcd", "state-count", "inverse", "encode",
         "encode-negative", "affine-dim", "code-int", "code-str", "act-base", "word-matrix", "relator", "state-label",
-        "json-m", "json-out", "json-next", "json-label", "json-d"])
+        "json-m", "json-out", "json-next", "json-m-range", "json-d"])
 def test_every_echo_cuts_the_value_it_shows(call, error, start):
     # one case per message that shows a value from outside: each was echoed whole, or failed in str()
     with pytest.raises(error) as e:
