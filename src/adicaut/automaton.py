@@ -424,9 +424,7 @@ def _columns(states: list):
         return None
     if not ({*map(type, vs), *map(type, outs), *map(type, nxts)} == {list}
             # by type, never by value: True == 1 and 1.0 == 1 hash alike
-            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, nxts))))} == {int}
-            # the constructor judges an out entry, but would take a bool as 1/0 and cannot hash a list or an object
-            and not {*map(type, chain.from_iterable(outs))} & {bool, list, dict}):
+            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}):
         return None
     seen_next = {*chain.from_iterable(nxts)}
     if 0 <= min(seen_next, default=0) and max(seen_next, default=0) < len(states):
@@ -437,11 +435,11 @@ def _columns(states: list):
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The loader owns what JSON adds (objects and keys, list types, exact ints
-    as a JSON true is a bool, next entries in range(len(states))) and checks
-    it in whole-list passes (_columns); a document that fails one is walked
-    to name its first such fault.  The one Automaton construction owns every
-    shape rule: its ValueError is raised as a FormatError with its text."""
+    The loader owns what JSON adds (objects and keys, list types, exact ints,
+    next entries in range(len(states))) in whole-list passes (_columns), and
+    walks a document that fails one to name its first such fault (a float,
+    string or null out entry in the constructor's words).  Every ValueError of
+    the one Automaton construction is raised as a FormatError with its text."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -481,7 +479,9 @@ def from_json(text: str) -> Automaton:
             if not isinstance(entry[name], list):
                 raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
             for x, t in enumerate(entry[name]):
-                if (type(t) in (bool, list, dict)) if name == "out" else (type(t) is not int or not 0 <= t < limit):
+                if type(t) is not int or name == "next" and not 0 <= t < limit:
+                    if name == "out" and type(t) not in (bool, list, dict):  # number, string or null: as the constructor
+                        raise FormatError(f"state {si}: out is not a permutation of range({limit})")
                     raise FormatError(f"{where}.{name}[{x}] = {echo(t)} out of range [0, {limit})")
     raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")
 

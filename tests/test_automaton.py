@@ -958,6 +958,10 @@ def test_from_json_names_the_first_fault_the_constructor_also_sees():
     # a short out row at state 1, then a true next entry at state 5: the JSON fault is the one named
     assert message((1, "out", [0, 1])) == "state 1: out has length 2, expected 3"
     assert message((1, "out", [0, 1]), (5, "next", [True, 0, 0])) == "states[5].next[0] = True out of range [0, 8)"
+    # state 3's out equals state 0's [1, 0, 2]: the constructor would store 1.0 as state 0's int tuple, the loader refuses it
+    assert message((3, "out", [1.0, 0, 2])) == "state 3: out is not a permutation of range(3)"
+    assert message((3, "out", [True, 0, 2])) == "states[3].out[0] = True out of range [0, 3)"
+    assert message((1, "v", [-2]), (3, "out", [1.0, 0, 2])) == "state 3: out is not a permutation of range(3)"
 
 
 def edit_label(sid, offset):
