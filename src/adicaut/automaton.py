@@ -36,7 +36,6 @@ from itertools import chain, cycle, islice, pairwise, product, repeat
 from operator import add, eq, itemgetter, mul, sub
 
 from .linalg import (
-    Vector,
     all_letters,
     bounded_int,
     det,
@@ -68,9 +67,11 @@ class Automaton:
 
     State `sid` has the label `labels[sid]` = (matrix index, offset v) and the
     given table `rows[sid]` = (out, nxt): reading the letter with dense index
-    x (digits `letters[x]`) it writes out[x] and hands the rest of the word to
-    state nxt[x].  Equal out tables share the first one's tuple, and `outs`
-    holds each distinct one once.  There is at least one state, and
+    x (digits `letters[x]`; `letter_index`, the letter table's lookup, maps
+    them back to x and raises KeyError for a tuple not in the table) it
+    writes out[x] and hands the rest of the word to state nxt[x].  Equal out
+    tables share the first one's tuple, and `outs` holds each distinct one
+    once.  There is at least one state, and
     `components[i]` is the half-open range of state ids whose matrix index is
     i.  A matrix index outside range(len(matrices)) or below the one before
     it (labels are grouped by ascending matrix index), a repeated label, an
@@ -86,7 +87,7 @@ class Automaton:
     """
 
     __slots__ = ("n", "d", "matrices", "labels", "components", "rows", "outs", "letters",
-                 "_index", "_state_ids")
+                 "letter_index", "_state_ids")
 
     def __init__(self, n, d, matrices, labels, tables):
         self.n = n
@@ -130,15 +131,11 @@ class Automaton:
         self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
         self.letters = tuple(all_letters(n, d))
-        self._index = {x: i for i, x in enumerate(self.letters)}
+        self.letter_index = {x: i for i, x in enumerate(self.letters)}.__getitem__
 
     @property
     def alphabet_size(self) -> int:
         return self.n ** self.d
-
-    def letter_index(self, x: Vector) -> int:
-        "Dense index of a digit tuple (first coordinate least significant)."
-        return self._index[x]
 
     def state_id(self, matrix_index: int, offset) -> int:
         "Global id of the state labeled (matrix_index, offset); KeyError if absent."
@@ -492,10 +489,18 @@ def dedup(aut: Automaton) -> Automaton:
     tables, then equal successor classes, to a fixed point): one hash per out
     tuple, then one (n**d + 1)-tuple per state per round.  Returns the first
     state of each class, in state order, with the class numbers as the new
-    ids.  Library only, kept while the benchmark times it.  A build_union
-    component equal to an earlier one merges whole: the check passes, but the
-    emptied component's labels name no state (`no state m[1]:(0,0) ...`)."""
+    ids, or `aut` itself when no two states merge.  A next entry outside
+    range(len(aut.labels)) raises ValueError naming the first.  Library
+    only, kept while the benchmark times it.  A build_union component equal
+    to an earlier one merges whole: the check passes, but the emptied
+    component's labels name no state (`no state m[1]:(0,0) ...`)."""
     labels, tables = aut.labels, aut.rows[:len(aut.labels)]
+    states = range(len(tables))
+    if not {*chain.from_iterable(map(itemgetter(1), tables))} <= {*states}:  # a negative entry would index from the end
+        for sid, (_, nxt) in enumerate(tables):
+            for x, t in enumerate(nxt):
+                if t not in states:
+                    raise ValueError(f"state {sid} letter {x}: next entry {echo(t)} is not in range({len(tables)})")
     sigs = {}
     cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]
     count = 0
@@ -503,6 +508,8 @@ def dedup(aut: Automaton) -> Automaton:
         count = len(sigs)
         sigs = {}
         cls = [sigs.setdefault((c, *map(cls.__getitem__, nxt)), len(sigs)) for c, (_, nxt) in zip(cls, tables)]
+    if len(sigs) == len(tables):  # every class a singleton, numbered in state order: the rebuild would equal aut
+        return aut
 
     reps = {}  # class -> its first state: each round numbers the classes in the order of their first states
     for sid, k in enumerate(cls):

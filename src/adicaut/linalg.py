@@ -14,6 +14,8 @@ to 40 characters so that no file, word or flag can make a message grow.
 from __future__ import annotations
 
 import math
+import re
+from contextlib import suppress
 from itertools import product
 
 Vector = tuple
@@ -218,11 +220,13 @@ def format_letter(x: Vector) -> str:
     return ",".join(str(c) for c in x)
 
 
+_LETTER = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def parse_letter(text: str) -> Vector:
-    "Inverse of format_letter."
-    parts = text.split(",")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"cannot parse letter {echo(text)}") from None
+    "Inverse of format_letter: comma-joined ints in ASCII digits."
+    if _LETTER.fullmatch(text):
+        with suppress(ValueError):  # int() fails only on a digit group past the interpreter's conversion limit
+            return tuple(map(int, text.split(",")))
+    raise ValueError(f"cannot parse letter {echo(text)}")
 

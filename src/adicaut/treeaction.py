@@ -31,11 +31,13 @@ and pushes each block's reduced section onto the stack whole, code by code
 only where it cancels into the top; free reduction is confluent, so the
 sections are the same.
 
-`translation_word` builds the axis translations `t[j]@i` that `parse_word`
-reads; the relators of a presentation are built from them and decided in
-`constructions`.  Both resolve a state label through one lookup, which names
-a missing component or state; error messages show a token, label coordinate
-or number through `echo`.
+`act` reads letters through `letter_index`, the letter table's lookup
+(KeyError if absent).  `parse_word` costs one match and one label lookup per
+token, concatenates the powers and freely reduces the whole word once; the
+axis translations `t[j]@i` it reads come from `translation_word`, and so do
+the relators `constructions` decides.  Both resolve a missing label through
+one lookup, which names the component or state; error messages show a
+token, label coordinate or number through `echo`.
 """
 
 from __future__ import annotations
@@ -343,33 +345,33 @@ def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
         raise WordError(f"no state m[{matrix_index}]:({','.join(map(echo, offset))}) in this automaton") from None
 
 
-_STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$")
-_TRANS_TOKEN = re.compile(r"t\[(\d+)\](?:@(\d+))?(?:\^(-?\d+))?$")
+_STATE_TOKEN = re.compile(r"m\[(\d+)\]:\((-?\d+(?:,-?\d+)*)\)(?:\^(-?\d+))?$", re.ASCII)
+_TRANS_TOKEN = re.compile(r"t\[(\d+)\](?:@(\d+))?(?:\^(-?\d+))?$", re.ASCII)
 
 
 def parse_word(aut: Automaton, text: str) -> GroupWord:
-    """Parse the word grammar: `m[i]:(v1,...,vd)` names the state with offset
-    v in component i, `t[j]` the axis-j translation (component 0 unless a
-    `@i` suffix picks another), either with an optional `^k` power; factors
-    separated by whitespace or `*`.  Empty text is the identity; a word whose
-    powers expand past MAX_WORD_CODES codes is refused before it is built."""
-    codes = []
+    """Parse the word grammar, numbers in ASCII digits: `m[i]:(v1,...,vd)`
+    names the state with offset v in component i, `t[j]` the axis-j
+    translation (component 0 unless a `@i` suffix picks another), either with
+    an optional `^k` power; factors separated by whitespace or `*`.  Empty
+    text is the identity.  The powers are concatenated and the whole word
+    freely reduced once; past MAX_WORD_CODES codes it is refused unbuilt."""
+    codes, state_id = [], aut.state_id
     for tok in text.replace("*", " ").split():
         m = _STATE_TOKEN.match(tok) or _TRANS_TOKEN.match(tok)
         if not m:
             raise WordError(f"cannot parse word token {echo(tok)}")
         # m[i]:(rest) is component i at offset rest; t[i]@rest[0] is axis i of component rest[0]
+        i, rest, k = m.groups()
         try:  # int() fails only on a digit group past the interpreter's conversion limit
-            i = int(m.group(1))
-            rest = tuple(int(p) for p in (m.group(2) or "0").split(","))
-            k = int(m.group(3) or 1)
+            i, rest, k = int(i), tuple(map(int, (rest or "0").split(","))), int(k or 1)
         except ValueError:
             raise WordError(f"word token {echo(tok)} has a number too long to convert") from None
-        if m.re is _STATE_TOKEN:
-            base = _word(aut, (_state(aut, i, rest, tok),))
-        else:
-            base = translation_word(aut, rest[0], i)
-        if len(codes) + len(base.codes) * abs(k) > MAX_WORD_CODES:
+        try:
+            base = translation_word(aut, rest[0], i).codes if m.re is _TRANS_TOKEN else (state_id(i, rest),)
+        except KeyError:  # from state_id: _state raises the WordError naming what is missing
+            base = (_state(aut, i, rest, tok),)
+        if len(codes) + len(base) * abs(k) > MAX_WORD_CODES:
             raise WordError(f"word token {echo(tok)} expands the word past {MAX_WORD_CODES} codes")
-        codes += (base ** k).codes
+        codes += base * k if k >= 0 else tuple([~c for c in reversed(base)]) * -k
     return _word(aut, _cancel(tuple(codes)))

@@ -32,7 +32,7 @@ from adicaut import (
 )
 
 from adicaut.automaton import MAX_FAILURES, CheckFailure, WellDefinednessReport, json_pieces
-from adicaut.linalg import mat_vec, row_sum_norm
+from adicaut.linalg import echo, mat_vec, row_sum_norm
 from conftest import random_digit_word
 
 
@@ -742,9 +742,17 @@ def test_dedup_merges_identical_components():
 
 def test_dedup_keeps_distinct_states(doubling3):
     from adicaut import block_extend, sanov_pair
-    assert len(dedup(doubling3).labels) == 4
+    assert dedup(doubling3) is doubling3
     union = build_union(block_extend([identity(1), identity(1)], list(sanov_pair())), 2)
-    assert dedup(union) == union
+    assert dedup(union) is union  # no two states merge: the argument, not an equal rebuild
+
+
+@pytest.mark.parametrize("entry", [-1, 2, 10 ** 5000, "x"], ids=["negative", "N", "huge", "string"])
+def test_dedup_refuses_a_next_entry_outside_the_states(entry):
+    # -1 indexed from the end, so both states merged into one with next (0, 0, 0); 2 raised IndexError
+    aut = Automaton(3, 1, [[[2]]], [(0, (0,)), (0, (1,))], [((0, 1, 2), (entry, 1, 1)), ((0, 1, 2), (1, 1, 1))])
+    with pytest.raises(ValueError, match=re.escape(f"state 0 letter 0: next entry {echo(entry)} is not in range(2)")):
+        dedup(aut)
 
 
 def reference_dedup(aut):
@@ -906,7 +914,7 @@ def test_table_builders_leave_the_collector_as_the_caller_set_it():
     broken = Automaton(3, 1, [[[2]]], [(0, (0,))], [((0, 1, 2), (5, 5, 5))])  # a next entry past the one state
     calls = [(lambda: build_union(Ms, 2), None), (lambda: from_json(text), None), (lambda: dedup(good), None),
              (lambda: build_union([[[1, 1], [1, 1]]], 3), BuildError), (lambda: from_json('{"n": 3}'), FormatError),
-             (lambda: dedup(broken), IndexError)]
+             (lambda: dedup(broken), ValueError)]
     starts = []
 
     def count(phase, info):

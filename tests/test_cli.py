@@ -252,6 +252,20 @@ def test_act_parse_error_exit_2(tmp_path, capsys):
         assert len(captured.err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wp", "--word", "m[\u0660]:(\u0660)"], "cannot parse word token 'm[\u0660]:(\u0660)'"),
+    (["act", "--word", "t[\uff11]^\uff12", "--input", "0"], "cannot parse word token 't[\uff11]^\uff12'"),
+    (["act", "--word", "t[1]", "--input", "\u0662 1"], "cannot parse letter '\u0662'"),
+    (["act", "--word", "t[1]", "--input", "1,\u0662"], "cannot parse letter '1,\u0662'"),
+], ids=["arabic-indic-state", "fullwidth-translation", "arabic-indic-letter", "arabic-indic-coordinate"])
+def test_numbers_outside_ascii_digits_exit_2(tmp_path, capsys, argv, message):
+    # \d and int() take any Unicode decimal digit: these parsed as m[0]:(0), t[1]^2 and the letter 2
+    aut = write_automaton(tmp_path, build_union([[[2]]], 3))
+    code = main([argv[0], "--automaton", aut, *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, token, reason", [
     (["wp", "--word", "t[1]^10000000000000000000"], "'t[1]^10000000000000000000'",
      "expands the word past 1000000 codes"),

@@ -1,6 +1,7 @@
 """Layering guard: no module of the package imports a sibling's `_private`
-name or reads one through a module alias (`am._x`, `ta._x`), and every name
-the benchmark imports from the package still exists."""
+name or reads a `_private` attribute through any name but `self` and `cls`
+(a module alias such as `am._x`, or an object such as `aut._state_ids`), and
+every name the benchmark imports from the package still exists."""
 
 import ast
 import importlib
@@ -29,23 +30,13 @@ def sibling(module, level):
 
 
 def violations(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    aliases, found = set(), []
-    for node in ast.walk(tree):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and sibling(node.module, node.level) is not None:
-            for a in node.names:
-                if private(a.name):
-                    found.append(f"line {node.lineno}: imports {a.name}")
-                elif sibling(node.module, node.level) == "" and a.name in SIBLINGS:
-                    aliases.add(a.asname or a.name)
-        elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.startswith("adicaut."):
-                    aliases.add(a.asname or a.name)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases and private(node.attr)):
-            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names if private(a.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and private(node.attr)
+              and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append(f"line {node.lineno}: reads {ast.unparse(node)}")
     return found
 
 
@@ -60,8 +51,10 @@ def test_guard_catches_both_forms(tmp_path):
     p.write_text("from .treeaction import _word, parse_word\n"
                  "from . import automaton as am\n"
                  "from adicaut.linalg import _x\n"
-                 "x = am._letters\ny = am.from_json\nz = am.__name__\n")
-    assert violations(p) == ["line 1: imports _word", "line 3: imports _x", "line 4: reads am._letters"]
+                 "x = am._letters\ny = am.from_json\nz = am.__name__\n"
+                 "def f(aut, w):\n    return aut._state_ids, w.aut._index, self._ok, cls._ok, aut.state_id\n")
+    assert violations(p) == ["line 1: imports _word", "line 3: imports _x", "line 4: reads am._letters",
+                             "line 8: reads aut._state_ids", "line 8: reads w.aut._index"]
 
 
 def test_every_name_the_benchmark_imports_exists():

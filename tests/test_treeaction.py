@@ -410,6 +410,63 @@ def test_parse_word_expands_up_to_the_code_cap(doubling3):
     assert len(parse_word(doubling3, f"m[0]:(0)^{MAX_WORD_CODES}").codes) == MAX_WORD_CODES
 
 
+def test_the_code_cap_counts_codes_before_free_reduction(doubling3):
+    # t[1] is 2 codes: exactly MAX_WORD_CODES codes, and the last token cancels the two before it
+    text = f"t[1]^{MAX_WORD_CODES // 2 - 2} m[0]:(0) * m[0]:(-1)^-1 t[1]^-1"
+    assert len(parse_word(doubling3, text).codes) == MAX_WORD_CODES - 4
+    with pytest.raises(WordError, match=re.escape(f"word token 'm[0]:(-2)' expands the word past {MAX_WORD_CODES} codes")):
+        parse_word(doubling3, text + " m[0]:(-2)")
+
+
+def random_token(rng, aut):
+    "A random state or translation token of `aut`, and its word built through the group operations."
+    k = rng.choice((None, 0, 1, -1, rng.randint(-4, 4)))
+    power = "" if k is None else f"^{k}"
+    if rng.random() < 0.5:
+        mi, v = rng.choice(aut.labels)
+        token, word = f"m[{mi}]:({','.join(map(str, v))})", GroupWord(aut, (aut.state_id(mi, v),))
+    else:
+        mi, axis = rng.randrange(len(aut.matrices)), rng.randint(1, aut.d)
+        token, word = f"t[{axis}]" + (f"@{mi}" if mi or rng.random() < 0.5 else ""), translation_word(aut, mi, axis)
+    return token + power, word ** (1 if k is None else k)
+
+
+def test_parse_word_matches_the_group_operations():
+    rng = random.Random(3301)
+    auts = [build_union([[[2]], [[-1]]], 3),
+            build_union([[[1, 1], [0, 1]], [[0, -1], [1, 0]]], 2),
+            build_union([identity(3), [[1, 1, 0], [0, 1, 0], [0, 0, 1]]], 2)]
+    for _ in range(300):
+        aut = rng.choice(auts)
+        text, want = "", GroupWord(aut)
+        for _ in range(rng.randint(0, 12)):
+            token, word = random_token(rng, aut)
+            text += rng.choice((" ", "*", " * ", "\t", "\n  ")) + token
+            want = want * word
+        assert parse_word(aut, text + rng.choice(("", " ", "*"))).codes == want.codes, text
+
+
+BAD_TOKENS = {  # one of each error parse_word raises, and its message
+    "m[0]:0": "cannot parse word token 'm[0]:0'",
+    "t[1]^" + "9" * 5000: "word token 't[1]^" + "9" * 34 + "... has a number too long to convert",
+    "m[1]:(0)": "no component 1 in this automaton",
+    "t[1]@1": "no component 1 in this automaton",
+    "m[0]:(0,0)": "state offset 'm[0]:(0,0)' has 2 coordinates, expected 1",
+    "m[0]:(7)^2000000": "no state m[0]:(7) in this automaton",  # the lookup comes before the code cap
+    "t[2]": "axis 2 out of range 1..1",
+    f"m[0]:(0)^{MAX_WORD_CODES + 1}": f"word token 'm[0]:(0)^{MAX_WORD_CODES + 1}' expands the word past {MAX_WORD_CODES} codes",
+}
+
+
+def test_parse_word_raises_the_first_bad_token_s_error(doubling3):
+    bad = list(BAD_TOKENS)
+    for i in range(len(bad)):
+        order = bad[i:] + bad[:i]
+        with pytest.raises(WordError) as e:
+            parse_word(doubling3, "t[1]^3 m[0]:(-2) " + " * ".join(order))
+        assert str(e.value) == BAD_TOKENS[order[0]]
+
+
 @pytest.mark.parametrize("text", [
     "m[" + "9" * 5000 + "]:(0)",
     "m[0]:(" + "9" * 5000 + ")",
