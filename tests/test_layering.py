@@ -1,6 +1,7 @@
 """Layering guard: no module of the package imports a sibling's `_private`
-name or reads a `_private` attribute through any name but `self` and `cls`
-(a module alias such as `am._x`, or an object such as `aut._state_ids`), and
+name or uses a `_private` attribute (read, write or delete) through any name
+but `self` and `cls` (a module alias such as `am._x`, or an object such as
+`aut._state_ids`), and
 every name the benchmark imports from the package still exists."""
 
 import ast
@@ -34,9 +35,9 @@ def violations(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and sibling(node.module, node.level) is not None:
             found += [f"line {node.lineno}: imports {a.name}" for a in node.names if private(a.name)]
-        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and private(node.attr)
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
               and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
-            found.append(f"line {node.lineno}: reads {ast.unparse(node)}")
+            found.append(f"line {node.lineno}: uses {ast.unparse(node)}")
     return found
 
 
@@ -52,9 +53,11 @@ def test_guard_catches_both_forms(tmp_path):
                  "from . import automaton as am\n"
                  "from adicaut.linalg import _x\n"
                  "x = am._letters\ny = am.from_json\nz = am.__name__\n"
-                 "def f(aut, w):\n    return aut._state_ids, w.aut._index, self._ok, cls._ok, aut.state_id\n")
-    assert violations(p) == ["line 1: imports _word", "line 3: imports _x", "line 4: reads am._letters",
-                             "line 8: reads aut._state_ids", "line 8: reads w.aut._index"]
+                 "am._x = 1\ndel am._y\n"
+                 "def f(aut, w):\n    self._z = aut._state_ids, w.aut._index, self._ok, cls._ok, aut.state_id\n")
+    assert violations(p) == ["line 1: imports _word", "line 3: imports _x", "line 4: uses am._letters",
+                             "line 7: uses am._x", "line 8: uses am._y",
+                             "line 10: uses aut._state_ids", "line 10: uses w.aut._index"]
 
 
 def test_every_name_the_benchmark_imports_exists():

@@ -394,12 +394,18 @@ def test_parse_word_errors(doubling3):
         parse_word(doubling3, "t[2]")  # axis out of range
 
 
+# t[1] is 2 codes: exactly MAX_WORD_CODES codes, and the last token cancels the two before it
+CAP_THEN_REDUCE = f"t[1]^{MAX_WORD_CODES // 2 - 2} m[0]:(0) * m[0]:(-1)^-1 t[1]^-1"
+
+
 @pytest.mark.parametrize("text", [
     "t[1]^10000000000000000000",
     "m[0]:(0)^-10000000000000000000",
     f"m[0]:(0)^{MAX_WORD_CODES + 1}",
     f"t[1]^{MAX_WORD_CODES // 2} m[0]:(0)",  # t[1] is 2 codes: the last token is one over in total
-], ids=["huge-translation-power", "huge-state-power", "one-power-one-over", "running-total-one-over"])
+    f"{CAP_THEN_REDUCE} m[0]:(-2)",  # one over the cap, counted before the word reduces
+], ids=["huge-translation-power", "huge-state-power", "one-power-one-over", "running-total-one-over",
+        "one-over-before-reduction"])
 def test_parse_word_refuses_words_past_the_code_cap(doubling3, text):
     token = text.split()[-1]
     with pytest.raises(WordError, match=re.escape(f"word token {token!r} expands the word past {MAX_WORD_CODES} codes")):
@@ -411,11 +417,7 @@ def test_parse_word_expands_up_to_the_code_cap(doubling3):
 
 
 def test_the_code_cap_counts_codes_before_free_reduction(doubling3):
-    # t[1] is 2 codes: exactly MAX_WORD_CODES codes, and the last token cancels the two before it
-    text = f"t[1]^{MAX_WORD_CODES // 2 - 2} m[0]:(0) * m[0]:(-1)^-1 t[1]^-1"
-    assert len(parse_word(doubling3, text).codes) == MAX_WORD_CODES - 4
-    with pytest.raises(WordError, match=re.escape(f"word token 'm[0]:(-2)' expands the word past {MAX_WORD_CODES} codes")):
-        parse_word(doubling3, text + " m[0]:(-2)")
+    assert len(parse_word(doubling3, CAP_THEN_REDUCE).codes) == MAX_WORD_CODES - 4
 
 
 def random_token(rng, aut):
