@@ -9,18 +9,18 @@ so the state count is exactly sum_i (2*||M_i||)**d.
 
 Each coordinate of v + M*x splits into digit and carry on its own, and the
 digit depends on v only mod n: build_union makes one out table per class of v
-mod n, shared by its states, and sums one carry row per coordinate into each
-next row.  It, from_json and dedup pause the cyclic collector; their tables
-hold no cycles.  well_definedness_check never divides: it packs vectors into
-ints in a base wide enough for the offset box, recomposes digit(out[x]) +
+mod n, shared by its states, and zips lazy columns of next ids, one per
+letter, into rows.  It, from_json and dedup pause the cyclic collector; their
+tables hold no cycles.  well_definedness_check never divides: it packs vectors
+into ints in a base wide enough for the offset box, recomposes digit(out[x]) +
 n*offset(nxt[x]) for a whole component in one stream, compares it with v +
 M*x, and walks only a failing component state by state and letter by letter.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
 reader goes through and none assigns to.  `Automaton` alone checks each state's
-shape (from_json adds only the rules of JSON), pools equal out tables (`outs`)
-and holds the letter table (`letters`) of dense indices (base-n, first
+shape and entries (from_json adds only JSON's rules), pools equal out tables
+(`outs`) and holds the letter table (`letters`) of dense indices (base-n, first
 coordinate least significant); digit tuples appear only at I/O boundaries."""
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, pairwise, product, repeat
 from operator import add, eq, itemgetter, mul, sub
@@ -68,22 +68,22 @@ class Automaton:
     State `sid` has the label `labels[sid]` = (matrix index, offset v) and the
     given table `rows[sid]` = (out, nxt): reading the letter with dense index
     x (digits `letters[x]`; `letter_index`, the letter table's lookup, maps
-    them back to x and raises KeyError for a tuple not in the table) it
-    writes out[x] and hands the rest of the word to state nxt[x].  Equal out
-    tables share the first one's tuple, and `outs` holds each distinct one
-    once.  There is at least one state, and
-    `components[i]` is the half-open range of state ids whose matrix index is
-    i.  A matrix index outside range(len(matrices)) or below the one before
-    it (labels are grouped by ascending matrix index), a repeated label, an
-    offset without d coordinates, a row without n**d entries or an out table
-    that does not permute range(n**d) in ints (bools act as ints) raises
-    ValueError naming the first such state.  A state or its inverse is coded
-    as the int `sid` or `~sid`, and `rows[c]` is the code's (letter map, row
-    of next codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to
-    the x with out[x] = y and goes on to ~nxt[x], and is None until `row`
-    builds it.  `rows` is a list only for `row` to fill in: callers must not
-    assign to it.  Equality compares the labels and the given tables, never
-    the inverse rows.
+    them back to x and raises KeyError for a tuple not in the table) it writes
+    out[x] and hands the rest of the word to state nxt[x].  Equal out tables
+    share the first one's tuple, and `outs` holds each distinct one once.
+    There is at least one state, and `components[i]` is the half-open range of
+    state ids whose matrix index is i.  A matrix index outside
+    range(len(matrices)) or below the one before it (labels are grouped by
+    ascending matrix index), a repeated label, an offset without d int
+    coordinates, a row without n**d entries, an out table that does not
+    permute range(n**d) or a next entry outside range(N) for N states, in ints
+    (bools act as ints), raises ValueError naming the first such state (and
+    letter, for a next entry).  A state or its inverse is coded as the int
+    `sid` or `~sid`, and `rows[c]` is the code's (letter map, row of next
+    codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to the x
+    with out[x] = y and goes on to ~nxt[x], and is None until `row` builds it.
+    `rows` is a list only for `row` to fill in: callers must not assign to it.
+    Equality compares the labels and the given tables, never the inverse rows.
     """
 
     __slots__ = ("n", "d", "matrices", "labels", "components", "rows", "outs", "letters",
@@ -105,12 +105,13 @@ class Automaton:
             raise ValueError(f"{len(self.labels)} labels but {len(self.rows) - len(self.labels)} tables")
         self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
         A, N, K = n ** d, len(self.labels), len(mats)
+        offsets, nexts = [*map(itemgetter(1), self.labels)], [*map(itemgetter(1), islice(self.rows, N))]
         # whole passes, each distinct out table once (an equal table given later shares the first one's tuple);
-        # grouped labels have every matrix index between the first one and the last one
+        # grouped labels hold every matrix index between the first and the last; next rows: a sum each, a set's min/max
         if not (all(a[0] <= b[0] for a, b in pairwise(self.labels)) and 0 <= self.labels[0][0]
-                and self.labels[-1][0] < K and len(self._state_ids) == N
-                and {*map(len, map(itemgetter(1), self.labels))} <= {d}
-                and {*map(len, self.outs), *map(len, map(itemgetter(1), islice(self.rows, N)))} <= {A}
+                and self.labels[-1][0] < K and len(self._state_ids) == N and {*map(len, offsets)} <= {d}
+                and {*map(len, self.outs), *map(len, nexts)} <= {A} and _all_ints(chain.from_iterable(offsets))
+                and _all_ints(map(sum, nexts)) and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
                 and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
                 and {*map(frozenset, self.outs)} <= {frozenset(range(A))}):
             first = {}  # a pass failed: name the first state that breaks a rule
@@ -125,8 +126,14 @@ class Automaton:
                 for name, size, want in (("offset", len(label[1]), d), ("out", len(out), A), ("next", len(nxt), A)):
                     if size != want:
                         raise ValueError(f"state {sid}: {name} has length {size}, expected {echo(want)}")
+                for c in label[1]:
+                    if not isinstance(c, int):
+                        raise ValueError(f"state {sid}: offset coordinate {echo(c)} is not an int")
                 if {*map(type, out)} - {int, bool} or {*out} != {*range(A)}:
                     raise ValueError(f"state {sid}: out is not a permutation of range({echo(A)})")
+                for x, t in enumerate(nxt):
+                    if not (isinstance(t, int) and 0 <= t < N):
+                        raise ValueError(f"state {sid} letter {x}: next entry {echo(t)} is not in range({N})")
         key = itemgetter(0)  # a temporary list of all keys fragments the heap over rebuilds
         self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
@@ -165,6 +172,14 @@ class Automaton:
     def __repr__(self):
         return (f"Automaton(n={self.n}, d={self.d}, "
                 f"{len(self.matrices)} matrices, {len(self.labels)} states)")
+
+
+def _all_ints(values) -> bool:
+    "Whether every value is an int (or a bool): a float, Fraction or Decimal turns the sum into one."
+    try:
+        return type(sum(values)) is int
+    except TypeError:  # any other type fails to add
+        return False
 
 
 @contextmanager
@@ -220,30 +235,34 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         raise BuildError(f"the state count bound {echo(bound)} exceeds {sys.maxsize}")
     ids = list(range(bound))  # shared int objects keep the big tables lean
 
-    def tables_of(outs, level, row0):  # arguments, as a generator in the loop would read the last component's rows
-        # lazy, so each (out, next) pair is freed once pooled; tuple([...]) is allocated once, tuple(map(...)) resizes
-        return ((outs[key + r], tuple([ids[t] for t in map(add, nx, cr)])) for key, nx in level for r, cr in row0)
+    def tables():  # a component at a time, so each one's columns are freed once the constructor has read them
+        start = 0
+        for M in mats:
+            norm = row_sum_norm(M)
+            # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = k - norm; carries[i][x][k]: carry+norm
+            splits = [[[divmod(v + sum(map(mul, Mi, x)), n) for x in letters] for v in range(-norm, norm)] for Mi in M]
+            if not all(-norm <= q < norm for per_v in splits for row in per_v for q, _ in row):
+                raise BuildError("internal error: a carry left the offset box")
+            S, c = 2 * norm, min(n, 2 * norm)  # the digit of v_i = k - norm depends on k % n < c alone
+            digits = [[[r * n ** i for _, r in row] for row in per_v[:c]] for i, per_v in enumerate(splits)]
+            # outs[sum_i k_i * c**i] is the one out table of every offset v with v_i = k_i - norm mod n
+            outs = [tuple(map(sum, zip(*drs))) for drs in product(*digits[::-1])]
+            carries = [[*zip(*[[q + norm for q, _ in row] for row in per_v])] for per_v in splits]
+            # the S states whose offsets differ in coordinate 0 alone are a block of consecutive ids; over coordinates
+            # d-1 down to 1, the last varying slowest as in offset_box, sum each block's class key and, letter by
+            # letter, the block its states go to
+            keys, heads = [0], [[0]] * len(letters)
+            for i in range(d - 1, 0, -1):
+                keys = [key + k % n * c ** i for key in keys for k in range(S)]
+                heads = [[ids[h * S + q] for h in hs for q in qs] for hs, qs in zip(heads, carries[i])]
+            blocks = [ids[b:b + S] for b in range(start, start + S ** d, S)]
+            # lazy columns, coordinate 0's carries picking each next id from its target block; zip makes the rows
+            columns = [chain.from_iterable(map(itemgetter(*qs), map(blocks.__getitem__, hs)))
+                       for qs, hs in zip(carries[0], heads)]
+            yield from zip([outs[key + k % n] for key in keys for k in range(S)], zip(*columns))
+            start += S ** d
 
-    labels, tables = [], []
-    for mi, M in enumerate(mats):
-        norm = row_sum_norm(M)
-        # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = k - norm
-        splits = [[[divmod(v + sum(map(mul, Mi, x)), n) for x in letters] for v in range(-norm, norm)] for Mi in M]
-        if not all(-norm <= q < norm for per_v in splits for row in per_v for q, _ in row):
-            raise BuildError("internal error: a carry left the offset box")
-        c = min(n, 2 * norm)  # a digit depends on v_i mod n only: k - norm and k % n - norm agree mod n, k % n < c
-        digits = [[[r * n ** i for _, r in row] for row in per_v[:c]] for i, per_v in enumerate(splits)]
-        # outs[sum_i k_i * c**i] is the one out table of every offset v with v_i = k_i - norm mod n
-        outs = [tuple(map(sum, zip(*drs))) for drs in product(*digits[::-1])]
-        rows = [[(k % n * c ** i, [(q + norm) * (2 * norm) ** i for q, _ in row]) for k, row in enumerate(per_v)]
-                for i, per_v in enumerate(splits)]
-        # (class key, next) sums over coordinates d-1 down to 1, the last varying slowest as in offset_box
-        level = [(0, [ids[len(labels)]] * len(letters))]
-        for per_v in rows[:0:-1]:
-            level = [(key + r, [ids[t] for t in map(add, nx, cr)]) for key, nx in level for r, cr in per_v]
-        tables.append(tables_of(outs, level, rows[0]))
-        labels += [(mi, v) for v in offset_box(M)]
-    return Automaton(n, d, mats, labels, chain.from_iterable(tables))
+    return Automaton(n, d, mats, [(mi, v) for mi, M in enumerate(mats) for v in offset_box(M)], tables())
 
 
 @dataclass(frozen=True)
@@ -274,8 +293,9 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     """Recompose every transition from the stored tables, without dividing and
     independently of build_union: for a state with offset v in the component
     of M, digit(out[x]) + n*offset(nxt[x]) must equal v + M*x for every letter
-    x.  Offsets lie in the offset box and next states are ints of their own
-    component; the constructor already holds the rest of the shape.
+    x.  Offsets lie in the offset box and next states in their own component;
+    the constructor already holds the rest (every entry an int, every next
+    entry a state).
 
     A component whose offsets and next entries all hold packs each vector w
     into the int sum_i w_i*B**i and compares all its transitions in one lazy
@@ -295,18 +315,13 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
         def entries(k):  # every out (k=0) or next (k=1) entry of the component, in state order
             return chain.from_iterable(map(itemgetter(k), islice(rows, start, end)))
 
-        def within(values, low, high):  # one pass, then min/max over the distinct values; a non-number is outside
-            seen = {*values}
-            try:
-                return low <= min(seen) and max(seen) < high
-            except TypeError:
-                return False
+        def within(values, low, high):  # one pass, then min/max over the distinct values
+            return low <= min(seen := {*values}) and max(seen) < high
 
         mxs = [mat_vec(M, x) for x in letters]
         offsets = list(map(itemgetter(1), islice(labels, start, end)))
-        # offsets in the box, next entries ints of the component: every entry's type, as a set hides 1.0 behind 1
-        if (start < end and within(chain.from_iterable(offsets), -norm, norm)
-                and {*map(type, entries(1))} <= {int, bool} and within(entries(1), start, end)):
+        # offsets in the box and next entries in the component (the constructor made every entry an int)
+        if start < end and within(chain.from_iterable(offsets), -norm, norm) and within(entries(1), start, end):
             # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
             # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
             # below B/2 in absolute value, so packing in base B tells such vectors apart.
@@ -327,13 +342,12 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
             if not within(v, -norm, norm):
                 failures.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d"))
             for x, (y, t) in enumerate(zip(out, nxt)):
-                if not (isinstance(t, int) and start <= t < end):
+                if not start <= t < end:
                     failures.append(CheckFailure(sid, x, f"next state {t!r} is not an int in {start}..{end - 1}"))
                     continue
-                with suppress(TypeError):  # an offset that is no number does not recompose: reported at its state
-                    got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
-                    if got != want:
-                        failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
+                got, want = tuple(a + n * b for a, b in zip(letters[y], labels[t][1])), tuple(map(add, v, mxs[x]))
+                if got != want:
+                    failures.append(CheckFailure(sid, x, f"recomposed {got}, expected v+Mx = {want}"))
             if len(failures) >= MAX_FAILURES:
                 return WellDefinednessReport(False, checked, failures[:MAX_FAILURES])
     return WellDefinednessReport(not failures, checked, failures)
@@ -423,20 +437,17 @@ def _columns(states: list):
             # by type, never by value: True == 1 and 1.0 == 1 hash alike
             and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}):
         return None
-    seen_next = {*chain.from_iterable(nxts)}
-    if 0 <= min(seen_next, default=0) and max(seen_next, default=0) < len(states):
-        return zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts))
-    return None
+    return zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts))
 
 
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The loader owns what JSON adds (objects and keys, list types, exact ints,
-    next entries in range(len(states))) in whole-list passes (_columns), and
-    walks a document that fails one to name its first such fault (a float,
-    string or null out entry in the constructor's words).  Every ValueError of
-    the one Automaton construction is raised as a FormatError with its text."""
+    The loader owns what JSON adds (objects and keys, list types, exact ints)
+    in whole-list passes (_columns), and walks a document that fails one to
+    name its first such fault (a float, string or null out entry in the
+    constructor's words).  Every ValueError of the one Automaton construction
+    is raised as a FormatError with its text."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -476,7 +487,7 @@ def from_json(text: str) -> Automaton:
             if not isinstance(entry[name], list):
                 raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
             for x, t in enumerate(entry[name]):
-                if type(t) is not int or name == "next" and not 0 <= t < limit:
+                if type(t) is not int:
                     if name == "out" and type(t) not in (bool, list, dict):  # number, string or null: as the constructor
                         raise FormatError(f"state {si}: out is not a permutation of range({limit})")
                     raise FormatError(f"{where}.{name}[{x}] = {echo(t)} out of range [0, {limit})")
@@ -489,18 +500,11 @@ def dedup(aut: Automaton) -> Automaton:
     tables, then equal successor classes, to a fixed point): one hash per out
     tuple, then one (n**d + 1)-tuple per state per round.  Returns the first
     state of each class, in state order, with the class numbers as the new
-    ids, or `aut` itself when no two states merge.  A next entry outside
-    range(len(aut.labels)) raises ValueError naming the first.  Library
-    only, kept while the benchmark times it.  A build_union component equal
-    to an earlier one merges whole: the check passes, but the emptied
-    component's labels name no state (`no state m[1]:(0,0) ...`)."""
+    ids, or `aut` itself when no two states merge.  Library only, kept while
+    the benchmark times it.  A build_union component equal to an earlier one
+    merges whole: the check passes, but the emptied component's labels name
+    no state (`no state m[1]:(0,0) ...`)."""
     labels, tables = aut.labels, aut.rows[:len(aut.labels)]
-    states = range(len(tables))
-    if not {*chain.from_iterable(map(itemgetter(1), tables))} <= {*states}:  # a negative entry would index from the end
-        for sid, (_, nxt) in enumerate(tables):
-            for x, t in enumerate(nxt):
-                if t not in states:
-                    raise ValueError(f"state {sid} letter {x}: next entry {echo(t)} is not in range({len(tables)})")
     sigs = {}
     cls = [sigs.setdefault(out, len(sigs)) for out, _ in tables]
     count = 0

@@ -23,10 +23,11 @@ import functools
 import json
 import random
 import sys
+from dataclasses import replace
 
 from . import automaton as am
 from . import treeaction as ta
-from .constructions import verify_relation
+from .constructions import presentation_for, relator_check
 from .linalg import bounded_int, echo
 from .nadic import AffineMap, DigitWord, affine_apply_prefix
 
@@ -81,14 +82,13 @@ def _cmd_relations(args) -> int:
     budget = bounded_int(args.budget, "--budget", 1)
     mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    outcomes = set()
-    for mi in range(len(aut.matrices)):
-        for axis in range(1, aut.d + 1):
-            r = verify_relation(aut, mi, axis, budget)
-            result = r.outcome.upper()
-            _emit(args, f"M[{mi}] j={axis} {result} visited={r.visited}",
-                  {"matrix": mi, "axis": axis, "result": result, "visited": r.visited})
-            outcomes.add(r.outcome)
+    pres = presentation_for(aut.matrices)  # the d(d-1)/2 commutators, then d column relators per matrix
+    report = relator_check(aut, replace(pres, relators=pres.relators[aut.d * (aut.d - 1) // 2:]), budget)
+    for i, r in enumerate(report.results):
+        (mi, axis), result = divmod(i, aut.d), r.outcome.upper()
+        _emit(args, f"M[{mi}] j={axis + 1} {result} visited={r.visited}",
+              {"matrix": mi, "axis": axis + 1, "result": result, "visited": r.visited})
+    outcomes = {r.outcome for r in report.results}
     return 4 if "budget-exceeded" in outcomes else 5 if "fail" in outcomes else 0
 
 

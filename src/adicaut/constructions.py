@@ -11,9 +11,9 @@ the emitted presentation is tagged as one-sided.
 
 `relator_check` is the one relation checker: it turns each relator into a
 word over the automaton states and reads `decide`'s result as its outcome,
-so budget exhaustion is an outcome too.  `verify_relation` is one of its
-column rows, the check that `adicaut relations` prints for each (matrix,
-axis); the benchmark calls it, so it stays until the benchmark moves on.
+so budget exhaustion is an outcome too.  `adicaut relations` checks the
+column relators in one call and prints a row per (matrix, axis);
+`verify_relation` is one such row, kept while the benchmark calls it.
 """
 
 from __future__ import annotations

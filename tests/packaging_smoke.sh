@@ -84,6 +84,11 @@ code=0
 adicaut wp --automaton bool.json --word 't[1]' 2> bool.err || code=$?
 test "$code" = 2
 grep -F 'states[0].next[1] = True out of range' bool.err
+python -c 'import json; o = json.load(open("a.json")); o["states"][0]["next"][1] = len(o["states"]); json.dump(o, open("past.json", "w"))'
+code=0
+adicaut wp --automaton past.json --word 't[1]' 2> past.err || code=$?
+test "$code" = 2
+grep -F 'past.json: state 0 letter 1: next entry 4 is not in range(4)' past.err
 python -c 'import json; o = json.load(open("a.json")); o["states"][1]["v"] = o["states"][0]["v"]; json.dump(o, open("dup.json", "w"))'
 code=0
 adicaut wp --automaton dup.json --word 't[1]' 2> dup.err || code=$?

@@ -263,19 +263,24 @@ def test_well_definedness_report_text(doubling3):
                         "state 1 letter 2: recomposed (300,), expected v+Mx = (3,); "
                         "state 2 letter 2: recomposed (301,), expected v+Mx = (4,); "
                         "state 3: offset (100,) outside [-2, 1]^d")
-    # an offset coordinate that is no number is outside the box too, and no transition into it or out of it
-    # recomposes; both raised a bare TypeError
+    # an offset coordinate that is no int, and a next entry that is no int though it equals one, once reached the
+    # check (the offsets raised a bare TypeError there); the constructor refuses them now, naming the first
     for c in (None, "x"):
         labels = list(doubling3.labels)
         labels[1] = (0, (c,))
-        rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, tables(doubling3)))
-        assert str(rep) == f"NOT well-defined (1 failures shown of 12 checked): state 1: offset ({c!r},) outside [-2, 1]^d"
-    # a next entry outside the component, or one that is no int though it equals one, is reported at its letter
-    for t, text in ((7, "7"), (1.0, "1.0"), (None, "None")):
+        with pytest.raises(ValueError, match=re.escape(f"state 1: offset coordinate {c!r} is not an int") + "$"):
+            Automaton(doubling3.n, doubling3.d, doubling3.matrices, labels, tables(doubling3))
+    for t in (1.0, None):
         rows = tables(doubling3)
         rows[0] = rows[0][0], (t, *rows[0][1][1:])
-        rep = well_definedness_check(Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows))
-        assert rep.failures == [CheckFailure(0, 0, f"next state {text} is not an int in 0..3")]
+        with pytest.raises(ValueError, match=re.escape(f"state 0 letter 0: next entry {t!r} is not in range(4)") + "$"):
+            Automaton(doubling3.n, doubling3.d, doubling3.matrices, doubling3.labels, rows)
+    # a next entry in another component is a state, so only the check sees it, at its letter
+    twins = build_union([[[2]], [[2]]], 3)
+    rows = tables(twins)
+    rows[0] = rows[0][0], (7, *rows[0][1][1:])
+    rep = well_definedness_check(Automaton(twins.n, twins.d, twins.matrices, twins.labels, rows))
+    assert rep.failures == [CheckFailure(0, 0, "next state 7 is not an int in 0..3")]
 
 
 def test_well_definedness_keeps_at_most_max_failures():
@@ -346,7 +351,8 @@ def test_well_definedness_rejects_rows_of_the_wrong_length(doubling3):
 def reference_failures(aut, sid):
     """State sid's failures as well_definedness_check reports them, found the
     plain way: every letter recomposed as a tuple and compared with v + M*x.
-    The constructor already refused a bad label length, row length or out."""
+    The constructor already refused a bad label length, row length, out, next
+    entry or offset coordinate."""
     n, A = aut.n, aut.alphabet_size
     mi, v = aut.labels[sid]
     M = aut.matrices[mi]
@@ -358,7 +364,7 @@ def reference_failures(aut, sid):
         found.append(CheckFailure(sid, None, f"offset {v} outside [{-norm}, {norm - 1}]^d"))
     for x in range(A):
         y, t = out[x], nxt[x]
-        if not (isinstance(t, int) and start <= t < end):
+        if not start <= t < end:
             found.append(CheckFailure(sid, x, f"next state {t!r} is not an int in {start}..{end - 1}"))
             continue
         got = tuple(a + n * b for a, b in zip(aut.letters[y], aut.labels[t][1]))
@@ -392,9 +398,9 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
     # one entry at a time and tries each value at one letter of each state, which keeps it to a
     # few thousand checks.  Then every swap of two out entries (the union: each entry with the
     # next), every row cut by one, and every label coordinate one step outside the box.  Each
-    # mutation builds a fresh Automaton: one whose out no longer permutes the letters, or whose
-    # row is cut, is refused by the constructor naming that state; the check must report every
-    # other one as the walk does.
+    # mutation builds a fresh Automaton: one whose out no longer permutes the letters, whose row
+    # is cut, or whose next entry is no int in range(state count), is refused by the constructor
+    # naming that state; the check must report every other one as the walk does.
     if name == "union":
         aut = build_union([[[1, 1], [0, 1]], [[2, 1], [1, 1]]], 3)
     else:
@@ -411,6 +417,12 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
         stored = next(out for out, _ in rows if out == row[0])
         if len(row[0]) != A or len(row[1]) != A or not is_permutation(stored, A):
             with pytest.raises(ValueError, match=f"^state {sid}: "):
+                Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
+            return
+        bad = [(x, t) for x, t in enumerate(row[1]) if type(t) is not int or not 0 <= t < count]
+        if bad:
+            x, t = bad[0]
+            with pytest.raises(ValueError, match=re.escape(f"state {sid} letter {x}: next entry {t!r} is not in range(")):
                 Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
             return
         mut = Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
@@ -438,7 +450,7 @@ def test_well_definedness_matches_the_letter_walk_on_every_mutated_transition(na
                 agree(sid, (tuple(swapped), nxt))
         agree(sid, (out[:-1], nxt))
         agree(sid, (out, nxt[:-1]))
-    assert outcomes == {False}  # each mutation the constructor accepts fails the check; 1.0 is reported, not raised
+    assert outcomes == {False}  # each mutation the constructor accepts fails the check
 
     for sid in range(count):
         mi, v = aut.labels[sid]
@@ -543,14 +555,18 @@ def test_to_json_matches_the_json_dumps_encoder():
 
 
 def test_to_json_writes_any_int_entry_as_json_dumps_does():
-    # next and offset entries from -10**25 up to 10**30: a text cache indexed by value would misplace -1
-    # and fail past its end; out tables are permutations, so only next and v hold such ints
-    aut = Automaton(3, 1, [[[2]], [[-4]]], [(0, (-2,)), (1, (10**30,))],
-                    [((2, 0, 1), (0, -1, -5)), ((0, 1, 2), (10**20, 1, -10**25))])
+    # offset coordinates from -10**25 up to 10**30: a text cache indexed by value would misplace -1 and fail
+    # past its end; out tables are permutations and next entries states, so only v holds such ints
+    labels = [(0, (-2,)), (0, (-1,)), (0, (-5,)), (1, (10**30,)), (1, (-10**25,)), (1, (10**20,))]
+    aut = Automaton(3, 1, [[[2]], [[-4]]], labels, [((2, 0, 1), (0, 1, 5)), ((0, 1, 2), (4, 1, 3))] * 3)
     for extra in ([], [(1, (3,))]):
         hand = Automaton(aut.n, aut.d, aut.matrices, [*aut.labels, *extra],
-                         [*tables(aut), *[(tuple([2, 0, 1]), (2, 3, 4))] * len(extra)])  # an equal out, a new tuple
+                         [*tables(aut), *[(tuple([2, 0, 1]), (2, 6, 4))] * len(extra)])  # an equal out, a new tuple
         assert to_json(hand) == reference_json(hand)
+    # such ints as next entries were written too; the constructor now refuses them, naming the first
+    with pytest.raises(ValueError, match=re.escape("state 0 letter 1: next entry -1 is not in range(2)") + "$"):
+        Automaton(3, 1, [[[2]], [[-4]]], [(0, (-2,)), (1, (10**30,))],
+                  [((2, 0, 1), (0, -1, -5)), ((0, 1, 2), (10**20, 1, -10**25))])
     one = Automaton(2, 1, [[[1]]], [(0, (0,))], [((0, 1), (0, 0))])
     assert to_json(one) == reference_json(one) and from_json(to_json(one)) == one
 
@@ -642,13 +658,22 @@ def test_json_structure_errors(doubling3):
                 obj["states"][si][name][x] = value
         return json.dumps(obj)
     # every fault kind of each table entry, with the whole message pinned: the constructor judges an out
-    # entry, but a list is none that it could hash, so the loader names that one
+    # entry, but a list is none that it could hash, so the loader names that one; the loader names a next
+    # entry that is no JSON int, and the constructor one outside the states
     for name, limit in (("out", 3), ("next", 4)):
         for value in (1.5, None, [0], -1, limit):
-            loader = name == "next" or value == [0]
-            message = (f"states[1].{name}[2] = {value!r} out of range [0, {limit})" if loader
-                       else "state 1: out is not a permutation of range(3)")
+            if name == "next" and type(value) is int:
+                message = f"state 1 letter 2: next entry {value} is not in range({limit})"
+            elif name == "next" or value == [0]:
+                message = f"states[1].{name}[2] = {value!r} out of range [0, {limit})"
+            else:
+                message = "state 1: out is not a permutation of range(3)"
             cases.append((edited((1, name, 2, value)), "^" + re.escape(message) + "$"))
+    # the last state dropped: the next entries 3 still look like state ids, and the first is the fault
+    obj = json.loads(good)
+    del obj["states"][3]
+    assert [st["next"] for st in obj["states"]] == [[1, 2, 2], [1, 2, 3], [2, 2, 3]]
+    cases.append((json.dumps(obj), re.escape("state 1 letter 2: next entry 3 is not in range(3)") + "$"))
     for value in (1.5, None, [0]):
         cases.append((edited((1, "v", 0, value)), re.escape("states[1].v must be a list of 1 integers") + "$"))
     # offsets are labels, not checked against the box here: a negative one only fails as a repeated label
@@ -747,12 +772,21 @@ def test_dedup_keeps_distinct_states(doubling3):
     assert dedup(union) is union  # no two states merge: the argument, not an equal rebuild
 
 
-@pytest.mark.parametrize("entry", [-1, 2, 10 ** 5000, "x"], ids=["negative", "N", "huge", "string"])
+@pytest.mark.parametrize("entry", [-1, 2, 10 ** 5000, "x", 1.0, [0], None],
+                         ids=["negative", "N", "huge", "string", "float", "list", "none"])
 def test_dedup_refuses_a_next_entry_outside_the_states(entry):
-    # -1 indexed from the end, so both states merged into one with next (0, 0, 0); 2 raised IndexError
-    aut = Automaton(3, 1, [[[2]]], [(0, (0,)), (0, (1,))], [((0, 1, 2), (entry, 1, 1)), ((0, 1, 2), (1, 1, 1))])
-    with pytest.raises(ValueError, match=re.escape(f"state 0 letter 0: next entry {echo(entry)} is not in range(2)")):
-        dedup(aut)
+    # dedup once read such an automaton: -1 indexed from the end, so both states merged into one with next
+    # (0, 0, 0); 2 raised IndexError, 1.0 and [0] a bare TypeError; now the constructor refuses every one
+    with pytest.raises(ValueError, match=re.escape(f"state 0 letter 0: next entry {echo(entry)} is not in range(2)")
+                       + "$"):
+        Automaton(3, 1, [[[2]]], [(0, (0,)), (0, (1,))], [((0, 1, 2), (entry, 1, 1)), ((0, 1, 2), (1, 1, 1))])
+
+
+@pytest.mark.parametrize("coordinate", [None, "x", 1.5])
+def test_the_constructor_refuses_an_offset_coordinate_that_is_not_an_int(coordinate):
+    labels = [(0, (0, 0)), (0, (1, coordinate)), (0, (2, 0))]
+    with pytest.raises(ValueError, match=re.escape(f"state 1: offset coordinate {coordinate!r} is not an int") + "$"):
+        Automaton(2, 2, [identity(2)], labels, [((0, 1, 2, 3), (0, 1, 2, 0))] * 3)
 
 
 def reference_dedup(aut):
@@ -911,10 +945,12 @@ def test_table_builders_leave_the_collector_as_the_caller_set_it():
     Ms = block_extend([identity(2), identity(2)], list(sanov_pair()))
     good = build_union(Ms, 2)
     text = to_json(good)
-    broken = Automaton(3, 1, [[[2]]], [(0, (0,))], [((0, 1, 2), (5, 5, 5))])  # a next entry past the one state
+    broken = json.loads(text)
+    broken["states"][0]["next"][0] = len(good.labels)  # a next entry past the states, refused by the constructor
+    broken = json.dumps(broken)
     calls = [(lambda: build_union(Ms, 2), None), (lambda: from_json(text), None), (lambda: dedup(good), None),
              (lambda: build_union([[[1, 1], [1, 1]]], 3), BuildError), (lambda: from_json('{"n": 3}'), FormatError),
-             (lambda: dedup(broken), ValueError)]
+             (lambda: from_json(broken), FormatError)]
     starts = []
 
     def count(phase, info):
