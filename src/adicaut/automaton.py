@@ -12,9 +12,10 @@ digit depends on v only mod n: build_union makes one out table per class of v
 mod n, shared by its states, and zips lazy columns of next ids, one per
 letter, into rows.  It, from_json and dedup pause the cyclic collector; their
 tables hold no cycles.  well_definedness_check never divides: it packs vectors
-into ints in a base wide enough for the offset box, recomposes digit(out[x]) +
-n*offset(nxt[x]) for a whole component in one stream, compares it with v +
-M*x, and walks only a failing component state by state and letter by letter.
+into ints in a base wide enough for the offset box, takes digit(out[x]) - M*x
+once per distinct out table, adds n*offset(nxt[x]) for a whole component in
+one stream, compares it with v, and walks only a failing component state by
+state and letter by letter.
 
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
@@ -30,10 +31,10 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain, cycle, islice, pairwise, product, repeat
-from operator import add, eq, itemgetter, mul, sub
+from itertools import chain, islice, product, repeat
+from operator import add, eq, itemgetter, le, mul, sub
 
 from .linalg import (
     all_letters,
@@ -72,18 +73,20 @@ class Automaton:
     out[x] and hands the rest of the word to state nxt[x].  Equal out tables
     share the first one's tuple, and `outs` holds each distinct one once.
     There is at least one state, and `components[i]` is the half-open range of
-    state ids whose matrix index is i.  A matrix index outside
+    state ids whose matrix index is i.  A matrix index that is no int in
     range(len(matrices)) or below the one before it (labels are grouped by
     ascending matrix index), a repeated label, an offset without d int
     coordinates, a row without n**d entries, an out table that does not
     permute range(n**d) or a next entry outside range(N) for N states, in ints
     (bools act as ints), raises ValueError naming the first such state (and
-    letter, for a next entry).  A state or its inverse is coded as the int
-    `sid` or `~sid`, and `rows[c]` is the code's (letter map, row of next
-    codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to the x
-    with out[x] = y and goes on to ~nxt[x], and is None until `row` builds it.
-    `rows` is a list only for `row` to fill in: callers must not assign to it.
-    Equality compares the labels and the given tables, never the inverse rows.
+    letter, for a next entry); an out table that does not hash is named as no
+    permutation, after the states before it.  A state or its inverse is coded
+    as the int `sid` or `~sid`, and `rows[c]` is the code's (letter map, row
+    of next codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to
+    the x with out[x] = y and goes on to ~nxt[x], and is None until `row`
+    builds it.  `rows` is a list only for `row` to fill in: callers must not
+    assign to it.  Equality compares the labels and the given tables, never
+    the inverse rows.
     """
 
     __slots__ = ("n", "d", "matrices", "labels", "components", "rows", "outs", "letters",
@@ -98,31 +101,36 @@ class Automaton:
         self.labels = tuple(labels)
         if not self.labels:
             raise ValueError("an automaton has at least one state")
-        pool = {}  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
-        self.rows = [(pool.setdefault(out, out), nxt) for out, nxt in tables] + [None] * len(self.labels)
+        A, N, K, key = n ** d, len(self.labels), len(mats), itemgetter(0)
+        pool, rest, self.rows, unhashed = {}, iter(tables), [], None
+        try:  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
+            self.rows += ((pool.setdefault(out, out), nxt) for out, nxt in rest)
+        except TypeError:  # an out table that does not hash (a list entry): named once every state before it passes
+            unhashed = len(self.rows)
+        if (count := len(self.rows) + (unhashed is not None) + sum(1 for _ in rest)) != N:
+            raise ValueError(f"{N} labels but {count} tables")
         self.outs = tuple(pool)
-        if len(self.rows) != 2 * len(self.labels):
-            raise ValueError(f"{len(self.labels)} labels but {len(self.rows) - len(self.labels)} tables")
-        self._state_ids = {label: sid for sid, label in enumerate(self.labels)}
-        A, N, K = n ** d, len(self.labels), len(mats)
-        offsets, nexts = [*map(itemgetter(1), self.labels)], [*map(itemgetter(1), islice(self.rows, N))]
+        offsets, nexts = [*map(itemgetter(1), self.labels)], [*map(itemgetter(1), self.rows)]
+        ints = _all_ints(chain(map(key, self.labels), chain.from_iterable(offsets)))  # a non-int may not compare or hash
+        self._state_ids = dict(zip(self.labels, range(N))) if ints else {}
         # whole passes, each distinct out table once (an equal table given later shares the first one's tuple);
         # grouped labels hold every matrix index between the first and the last; next rows: a sum each, a set's min/max
-        if not (all(a[0] <= b[0] for a, b in pairwise(self.labels)) and 0 <= self.labels[0][0]
-                and self.labels[-1][0] < K and len(self._state_ids) == N and {*map(len, offsets)} <= {d}
-                and {*map(len, self.outs), *map(len, nexts)} <= {A} and _all_ints(chain.from_iterable(offsets))
+        if not (unhashed is None and ints and all(map(le, map(key, self.labels), map(key, islice(self.labels, 1, None))))
+                and 0 <= self.labels[0][0] and self.labels[-1][0] < K and len(self._state_ids) == N
+                and {*map(len, offsets)} <= {d} and {*map(len, self.outs), *map(len, nexts)} <= {A}
                 and _all_ints(map(sum, nexts)) and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
                 and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
                 and {*map(frozenset, self.outs)} <= {frozenset(range(A))}):
             first = {}  # a pass failed: name the first state that breaks a rule
             for sid, (label, (out, nxt)) in enumerate(zip(self.labels, self.rows)):
-                if not 0 <= label[0] < K:
+                if not isinstance(label[0], int) or not 0 <= label[0] < K:
                     raise ValueError(f"state {sid}: matrix index {echo(label[0])} is not in range({K})")
                 if sid and label[0] < self.labels[sid - 1][0]:
                     raise ValueError(f"state {sid}: matrix index {label[0]} follows {self.labels[sid - 1][0]}, "
                                      "but states must be grouped by ascending matrix index")
-                if first.setdefault(label, sid) != sid:
-                    raise ValueError(f"state {sid} repeats the label of state {first[label]}")
+                with suppress(TypeError):  # a label that does not hash holds a list coordinate, named below
+                    if first.setdefault(label, sid) != sid:
+                        raise ValueError(f"state {sid} repeats the label of state {first[label]}")
                 for name, size, want in (("offset", len(label[1]), d), ("out", len(out), A), ("next", len(nxt), A)):
                     if size != want:
                         raise ValueError(f"state {sid}: {name} has length {size}, expected {echo(want)}")
@@ -134,7 +142,10 @@ class Automaton:
                 for x, t in enumerate(nxt):
                     if not (isinstance(t, int) and 0 <= t < N):
                         raise ValueError(f"state {sid} letter {x}: next entry {echo(t)} is not in range({N})")
-        key = itemgetter(0)  # a temporary list of all keys fragments the heap over rebuilds
+            if unhashed is not None:
+                raise ValueError(f"state {unhashed}: out is not a permutation of range({echo(A)})")
+        self.rows += repeat(None, N)  # the inverse rows, once the given ones pass
+        # bisect by key: a temporary list of all keys fragments the heap over rebuilds
         self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
                                 for mi in range(len(self.matrices)))
         self.letters = tuple(all_letters(n, d))
@@ -297,31 +308,28 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     the constructor already holds the rest (every entry an int, every next
     entry a state).
 
-    A component whose offsets and next entries all hold packs each vector w
-    into the int sum_i w_i*B**i and compares all its transitions in one lazy
-    stream, one int compare each.  Any other component, or one whose stream
-    finds a mismatch, is walked state by state: the offset, then letter by
-    letter.  At most MAX_FAILURES failures are kept.  dedup(build_union(...))
-    passes too: equal maps have equal v and M, so a merge only empties a
-    later twin component."""
+    A component whose offsets lie in the box packs each vector w into the int
+    sum_i w_i*B**i and checks all its transitions in one lazy stream: one add
+    of n*pack(offset(nxt[x])) to the row of pack(digit(out[x])) - pack(M*x)
+    made once per distinct out table, one int compare with pack(v) (a next
+    state outside the component packs to nan).  Any other component, or one
+    whose stream finds a mismatch, is walked state by state: the offset,
+    then letter by letter.  At most MAX_FAILURES failures are kept.
+    dedup(build_union(...)) passes too: equal maps have equal v and M, so a
+    merge only empties a later twin component."""
     n, d, A = aut.n, aut.d, aut.alphabet_size
     labels, rows, letters = aut.labels, aut.rows, aut.letters  # rows[sid] for sid >= 0 only: row() is never called
-    n_packed = [0] * len(labels)  # n times the packed offset of each state, written a component at a time
     failures, checked = [], 0
     for mi, M in enumerate(aut.matrices):
         start, end = aut.component_range(mi)
         norm = row_sum_norm(M)
-
-        def entries(k):  # every out (k=0) or next (k=1) entry of the component, in state order
-            return chain.from_iterable(map(itemgetter(k), islice(rows, start, end)))
 
         def within(values, low, high):  # one pass, then min/max over the distinct values
             return low <= min(seen := {*values}) and max(seen) < high
 
         mxs = [mat_vec(M, x) for x in letters]
         offsets = list(map(itemgetter(1), islice(labels, start, end)))
-        # offsets in the box and next entries in the component (the constructor made every entry an int)
-        if start < end and within(chain.from_iterable(offsets), -norm, norm) and within(entries(1), start, end):
+        if start < end and within(chain.from_iterable(offsets), -norm, norm):  # the constructor made them ints
             # With v and offset(nxt[x]) in the box [-norm, norm-1]^d, every coordinate of
             # digit(out[x]) + n*offset(nxt[x]) and of v + M*x lies in [-n*norm, n*norm-1],
             # below B/2 in absolute value, so packing in base B tells such vectors apart.
@@ -330,10 +338,14 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
             def pack(w):
                 return sum(map(mul, places, w))
             p_v, p_digit, p_mx = list(map(pack, offsets)), list(map(pack, letters)), list(map(pack, mxs))
+            # n times each state's packed offset, nan (equal to nothing) outside the component; per distinct out table
+            # by identity, pack(digit(out[x])) - pack(M*x) (nan for a table not in aut.outs): their sum must be pack(v)
+            n_packed = [math.nan] * len(labels)
             n_packed[start:end] = map(n.__mul__, p_v)
-            # pack(digit(out[x]) + n*offset(nxt[x]) - M*x), x cycling through the letters, against pack(v)
-            recomposed = map(sub, map(add, map(p_digit.__getitem__, entries(0)), map(n_packed.__getitem__, entries(1))),
-                             cycle(p_mx))
+            rest = {id(out): [*map(sub, map(p_digit.__getitem__, out), p_mx)] for out in aut.outs}
+            outs, nxts = zip(*islice(rows, start, end))
+            recomposed = map(add, chain.from_iterable(map(rest.get, map(id, outs), repeat([math.nan] * A))),
+                             map(n_packed.__getitem__, chain.from_iterable(nxts)))
             if all(map(eq, recomposed, chain.from_iterable(map(repeat, p_v, repeat(A))))):
                 checked += (end - start) * A
                 continue
@@ -396,10 +408,10 @@ def to_json(aut: Automaton) -> str:
     return "".join(json_pieces(aut))
 
 
-def _loads(text: str):
-    "json.loads, with every way the text can fail to decode raised as a FormatError."
+def _loads(text: str, **hooks):
+    "json.loads(text, **hooks), with every way the text can fail to decode raised as a FormatError."
     try:
-        return json.loads(text)
+        return json.loads(text, **hooks)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # an int literal past the digit limit, nesting past the recursion limit
@@ -426,29 +438,22 @@ def read_matrices(text: str) -> tuple:
     return _matrices(_loads(text))
 
 
-def _columns(states: list):
-    """(labels, tables) of a states list with no JSON fault, in a fixed number
-    of passes over whole columns; else None."""
-    try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
-        ms, vs, outs, nxts = zip(*map(itemgetter("m", "v", "out", "next"), states))
-    except (TypeError, KeyError):
-        return None
-    if not ({*map(type, vs), *map(type, outs), *map(type, nxts)} == {list}
-            # by type, never by value: True == 1 and 1.0 == 1 hash alike
-            and {*map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))} == {int}):
-        return None
-    return zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts))
+def _exact_ints(ms, *lists) -> bool:
+    "Whether every m and every entry of the v, out and next lists is an int: by type, as True == 1 and 1.0 == 1."
+    return {*map(type, chain(ms, *map(chain.from_iterable, lists)))} == {int}
 
 
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The loader owns what JSON adds (objects and keys, list types, exact ints)
-    in whole-list passes (_columns), and walks a document that fails one to
-    name its first such fault (a float, string or null out entry in the
-    constructor's words).  Every ValueError of the one Automaton construction
-    is raised as a FormatError with its text."""
-    obj = _loads(text)
+    The loader owns what JSON adds (objects and keys, list types, exact ints).
+    Its type pass runs before the one Automaton construction if the text has
+    `true`, `false` or a float, which the constructor takes as ints, else only
+    once the constructor refuses; a document that fails it is walked to name
+    its first JSON fault.  Other constructor ValueErrors become FormatErrors."""
+    inexact = []  # each number that is no int (a float, NaN or Infinity), as the decoder meets it
+    obj = _loads(text, parse_float=(note := lambda t: inexact.append(t) or float(t)), parse_constant=note)
+    exact = not inexact and "true" not in text and "false" not in text
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
     for key in ("n", "d", "matrices", "states"):
@@ -466,11 +471,16 @@ def from_json(text: str) -> Automaton:
         raise FormatError(f"an alphabet of n**d letters (d = {echo(d)}) cannot fit in a {len(text)}-character document")
 
     states, alphabet = obj["states"], n ** d
-    if columns := _columns(states):
+    try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
+        ms, vs, outs, nxts = columns = [*zip(*map(itemgetter("m", "v", "out", "next"), states))]
+    except (TypeError, KeyError):
+        columns = None
+    if columns and {*map(type, chain(vs, outs, nxts))} == {list} and (exact or _exact_ints(*columns)):
         try:
-            return Automaton(n, d, mats, *columns)
-        except ValueError as e:  # a shape fault, named in the constructor's words
-            raise FormatError(str(e)) from None
+            return Automaton(n, d, mats, zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts)))
+        except ValueError as e:  # a shape fault, named in the constructor's words unless a JSON fault comes first
+            if not exact or _exact_ints(*columns):
+                raise FormatError(str(e)) from None
     # a JSON fault: the walk raises the first in document order
     for si, entry in enumerate(states):
         where = f"states[{si}]"

@@ -89,6 +89,14 @@ code=0
 adicaut wp --automaton past.json --word 't[1]' 2> past.err || code=$?
 test "$code" = 2
 grep -F 'past.json: state 0 letter 1: next entry 4 is not in range(4)' past.err
+python -c 'import json; o = json.load(open("a.json")); s = o["states"]; assert s[3]["out"] == s[0]["out"]; s[3]["out"] = [1.0 if y == 1 else y for y in s[3]["out"]]; json.dump(o, open("float.json", "w"))'
+code=0
+adicaut wp --automaton float.json --word 't[1]' 2> float.err || code=$?
+test "$code" = 2
+grep -F 'float.json: state 3: out is not a permutation of range(3)' float.err
+python -c 'import json; o = json.load(open("a.json")); o["states"][0]["note"] = "true"; json.dump(o, open("note.json", "w"))'
+adicaut wp --automaton note.json --word 't[1] t[1]^-1' --json > note.txt
+cmp wp.txt note.txt
 python -c 'import json; o = json.load(open("a.json")); o["states"][1]["v"] = o["states"][0]["v"]; json.dump(o, open("dup.json", "w"))'
 code=0
 adicaut wp --automaton dup.json --word 't[1]' 2> dup.err || code=$?

@@ -496,6 +496,39 @@ def test_well_definedness_walks_a_failing_component_of_the_d4_sanov_union(corrup
     assert len(labels) == 2592 and not want.ok and well_definedness_check(bad) == want
 
 
+def test_well_definedness_refuses_a_next_entry_into_the_twin_of_its_target():
+    # state 5 is the twin of state 1, state 0's true target at letter 0, so their packed offsets are equal: only
+    # the own-component rule tells them apart
+    twins = build_union([[[2]], [[2]]], 3)
+    rows = tables(twins)
+    assert rows[0][1][0] == 1 and twins.labels[5][1] == twins.labels[1][1]
+    rows[0] = rows[0][0], (5, *rows[0][1][1:])
+    rep = well_definedness_check(Automaton(twins.n, twins.d, twins.matrices, twins.labels, rows))
+    assert rep.failures == [CheckFailure(0, 0, "next state 5 is not an int in 0..3")]
+
+
+def test_well_definedness_walks_a_swapped_pooled_out_table_of_the_d4_sanov_union():
+    # the 162 states that share this pooled table, in both components, get the swapped one
+    aut = build_union(block_extend([identity(2), identity(2)], list(sanov_pair())), 2)
+    pooled = aut.outs[5]
+    swapped = (pooled[1], pooled[0], *pooled[2:])
+    rows = [(swapped if out is pooled else out, nxt) for out, nxt in tables(aut)]
+    bad = Automaton(aut.n, aut.d, aut.matrices, aut.labels, rows)
+    want = reference_report(bad, [reference_failures(bad, sid) for sid in range(len(bad.labels))])
+    assert sum(out is pooled for out, _ in tables(aut)) > 100 and not want.ok and well_definedness_check(bad) == want
+
+
+def test_well_definedness_walks_a_row_whose_table_is_not_pooled():
+    # rows is not for callers to assign to; a table equal to a pooled one but not it is still walked, not a crash
+    aut = build_union([[[2]], [[2]]], 3)
+    out, nxt = aut.rows[6]
+    aut.rows[6] = tuple(list(out)), nxt
+    assert aut.rows[6][0] == out and id(aut.rows[6][0]) not in map(id, aut.outs)
+    assert str(well_definedness_check(aut)) == "well-defined: 24 transitions checked"
+    aut.rows[6] = (out[1], out[0], out[2]), nxt
+    assert well_definedness_check(aut).failures == reference_failures(aut, 6) != []
+
+
 def test_to_json_digests_pinned():
     import hashlib
     from adicaut import block_extend, sanov_pair
@@ -789,6 +822,32 @@ def test_the_constructor_refuses_an_offset_coordinate_that_is_not_an_int(coordin
         Automaton(2, 2, [identity(2)], labels, [((0, 1, 2, 3), (0, 1, 2, 0))] * 3)
 
 
+@pytest.mark.parametrize("labels, out, message", [
+    ([(0.0, (0,)), (0, (1,))], (0, 1, 2), "state 0: matrix index 0.0 is not in range(1)"),
+    ([(0, (0,)), ("x", (1,))], (0, 1, 2), "state 1: matrix index 'x' is not in range(1)"),
+    ([(0, (0,)), (None, (1,))], (0, 1, 2), "state 1: matrix index None is not in range(1)"),
+    ([(0, (0,)), (0, ([1],))], (0, 1, 2), "state 1: offset coordinate [1] is not an int"),
+    ([(0, (0,)), (0, (1,))], (0, [1], 2), "state 0: out is not a permutation of range(3)"),
+], ids=["float-index", "string-index", "none-index", "list-coordinate", "list-out-entry"])
+def test_the_constructor_refuses_an_index_coordinate_or_out_entry_of_no_int_type(labels, out, message):
+    # each was accepted (0.0, after which to_json raised a bare TypeError) or raised a bare TypeError from <= or
+    # from hashing
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Automaton(3, 1, [[[1]]], labels, [(out, (0, 0, 0)), ((0, 1, 2), (1, 1, 1))])
+
+
+def test_an_out_table_that_does_not_hash_is_named_after_the_faults_before_it():
+    # the tables are pooled by hash before any rule is checked: a table that does not hash stops the pooling,
+    # and its state is named once the states before it pass, unless the table count is wrong
+    tables = [((0, 1, 2), (0, 0, 0)), ((0, {}, 2), (1, 1, 1)), ((0, 1, 2), (1, 1, 1))]
+    with pytest.raises(ValueError, match=re.escape("state 1: out is not a permutation of range(3)") + "$"):
+        Automaton(3, 1, [[[1]]], [(0, (0,)), (0, (1,)), (0, (2,))], tables)
+    with pytest.raises(ValueError, match=re.escape("state 0: offset has length 2, expected 1") + "$"):
+        Automaton(3, 1, [[[1]]], [(0, (0, 0)), (0, (1,)), (0, (2,))], tables)
+    with pytest.raises(ValueError, match=re.escape("2 labels but 3 tables") + "$"):
+        Automaton(3, 1, [[[1]]], [(0, (0,)), (0, (1,))], tables)
+
+
 def reference_dedup(aut):
     "dedup in its sort-and-renumber form, kept as its oracle: the same refinement, then a re-sort and a renumbering."
     labels, tables = aut.labels, aut.rows[:len(aut.labels)]
@@ -1006,6 +1065,70 @@ def test_from_json_names_the_first_fault_the_constructor_also_sees():
     assert message((3, "out", [1.0, 0, 2])) == "state 3: out is not a permutation of range(3)"
     assert message((3, "out", [True, 0, 2])) == "states[3].out[0] = True out of range [0, 3)"
     assert message((1, "v", [-2]), (3, "out", [1.0, 0, 2])) == "state 3: out is not a permutation of range(3)"
+
+
+def reference_from_json(text):
+    """from_json in its earlier order, kept as the oracle of its error texts:
+    the exact-type pass over every m and every v, out and next entry first,
+    the constructor only after it.  The documents it reads are sound up to
+    the entries of the states: the walk names the first entry of no int type."""
+    obj = json.loads(text)
+    states = obj["states"]
+    ms, vs, outs, nxts = zip(*[(st["m"], st["v"], st["out"], st["next"]) for st in states])
+    if {*map(type, chain(ms, *chain.from_iterable((vs, outs, nxts))))} == {int}:
+        try:
+            return Automaton(obj["n"], obj["d"], obj["matrices"], zip(ms, map(tuple, vs)),
+                             zip(map(tuple, outs), map(tuple, nxts)))
+        except ValueError as e:
+            raise FormatError(str(e)) from None
+    A = obj["n"] ** obj["d"]
+    for si, st in enumerate(states):
+        if type(st["m"]) is not int:
+            raise FormatError(f"states[{si}].m = {echo(st['m'])} is not a matrix index")
+        if any(type(c) is not int for c in st["v"]):
+            raise FormatError(f"states[{si}].v must be a list of {obj['d']} integers")
+        for name, limit in (("out", A), ("next", len(states))):
+            for x, t in enumerate(st[name]):
+                if type(t) is not int:
+                    if name == "out" and type(t) not in (bool, list, dict):
+                        raise FormatError(f"state {si}: out is not a permutation of range({limit})")
+                    raise FormatError(f"states[{si}].{name}[{x}] = {echo(t)} out of range [0, {limit})")
+    raise AssertionError("the type pass failed but no entry is of another type")
+
+
+def test_from_json_texts_match_the_type_pass_first_loader():
+    # from_json runs the constructor before its type pass when the text holds no true, false or number that is
+    # no int; each such value put in m, v, out or next, at state 0 and at state 5, with and without a shape fault
+    # (state 3 repeating state 0's label: after state 0, before state 5), must be named as the type-pass-first
+    # loader names it
+    original = build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3)
+    good = json.loads(to_json(original))
+    rng = random.Random(35)
+    values = ["true", "false", "1.0", "1e0", "NaN", "Infinity", '"1"', "null", "[1]", "{}"]
+    checked = set()
+    for value, name, si, fault in product(values, ("m", "v", "out", "next"), (0, 5), (False, True)):
+        obj = json.loads(json.dumps(good))
+        if fault:
+            obj["states"][3]["v"] = obj["states"][0]["v"]
+        if name == "m":
+            obj["states"][si]["m"] = "@"
+        else:
+            obj["states"][si][name][rng.randrange(len(obj["states"][si][name]))] = "@"
+        text = json.dumps(obj).replace('"@"', value)
+        messages = []
+        for load in (from_json, reference_from_json):
+            with pytest.raises(FormatError) as info:
+                load(text)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], (value, name, si, fault)
+        checked.add(messages[0])
+    assert "state 3 repeats the label of state 0" not in checked  # every value is a JSON fault, named first
+    assert len(checked) > 20
+    # extra state keys holding true and a float: the type pass runs first, finds no fault, and the file loads
+    for st in good["states"]:
+        st["x"], st["y"] = True, 1.5
+    text = json.dumps(good)
+    assert "true" in text and from_json(text) == reference_from_json(text) == original
 
 
 def edit_label(sid, offset):
