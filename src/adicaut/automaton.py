@@ -20,9 +20,10 @@ state and letter by letter.
 Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
 reader goes through and none assigns to.  `Automaton` alone checks each state's
-shape and entries (from_json adds only JSON's rules), pools equal out tables
-(`outs`) and holds the letter table (`letters`) of dense indices (base-n, first
-coordinate least significant); digit tuples appear only at I/O boundaries."""
+containers, shape and entries (from_json adds only JSON's rules: objects, keys,
+list types, true and false), pools equal out tables (`outs`) and holds the
+letter table (`letters`) of dense indices (base-n, first coordinate least
+significant); digit tuples appear only at I/O boundaries."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice, product, repeat
 from operator import add, eq, itemgetter, le, mul, sub
@@ -39,6 +40,7 @@ from operator import add, eq, itemgetter, le, mul, sub
 from .linalg import (
     all_letters,
     bounded_int,
+    coprime_to,
     det,
     echo,
     mat_vec,
@@ -73,14 +75,16 @@ class Automaton:
     out[x] and hands the rest of the word to state nxt[x].  Equal out tables
     share the first one's tuple, and `outs` holds each distinct one once.
     There is at least one state, and `components[i]` is the half-open range of
-    state ids whose matrix index is i.  A matrix index that is no int in
-    range(len(matrices)) or below the one before it (labels are grouped by
-    ascending matrix index), a repeated label, an offset without d int
-    coordinates, a row without n**d entries, an out table that does not
-    permute range(n**d) or a next entry outside range(N) for N states, in ints
-    (bools act as ints), raises ValueError naming the first such state (and
-    letter, for a next entry); an out table that does not hash is named as no
-    permutation, after the states before it.  A state or its inverse is coded
+    state ids whose matrix index is i.  n and d are ints (bounded_int's
+    ValueError).  A label that is no (matrix index, offset tuple) pair, a
+    matrix index that is no int in range(len(matrices)) or below the one
+    before it (labels are grouped by ascending matrix index), an offset
+    coordinate that is no int, a repeated label, a table that is no (out,
+    next) pair of tuples, an offset without d coordinates, a row without n**d
+    entries, an out table that does not permute range(n**d) or a next entry
+    outside range(N) for N states, in ints (bools act as ints), raises
+    ValueError naming the first such state (and letter, for a next entry),
+    checked in that order state by state.  A state or its inverse is coded
     as the int `sid` or `~sid`, and `rows[c]` is the code's (letter map, row
     of next codes): `rows[sid]` is the table as given, `rows[~sid]` maps y to
     the x with out[x] = y and goes on to ~nxt[x], and is None until `row`
@@ -93,8 +97,7 @@ class Automaton:
                  "letter_index", "_state_ids")
 
     def __init__(self, n, d, matrices, labels, tables):
-        self.n = n
-        self.d = d
+        self.n, self.d = bounded_int(n, "n", 2), bounded_int(d, "d", 1)
         self.matrices = mats = matrix_family(matrices)
         if len(mats[0]) != d:  # matrix_family gave every entry entry 0's size
             raise ValueError(f"matrices[0] is {len(mats[0])}x{len(mats[0])}, expected {echo(d)}x{echo(d)}")
@@ -102,48 +105,57 @@ class Automaton:
         if not self.labels:
             raise ValueError("an automaton has at least one state")
         A, N, K, key = n ** d, len(self.labels), len(mats), itemgetter(0)
-        pool, rest, self.rows, unhashed = {}, iter(tables), [], None
-        try:  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
-            self.rows += ((pool.setdefault(out, out), nxt) for out, nxt in rest)
-        except TypeError:  # an out table that does not hash (a list entry): named once every state before it passes
-            unhashed = len(self.rows)
-        if (count := len(self.rows) + (unhashed is not None) + sum(1 for _ in rest)) != N:
-            raise ValueError(f"{N} labels but {count} tables")
+        pool, self.rows, pooled = {}, [], True
+        for row in tables:  # pooled as the tables arrive, so a lazy source never holds every fresh out tuple at once
+            try:
+                out, nxt = row
+                row = pool.setdefault(out, out), nxt
+            except (TypeError, ValueError):  # no (out, next) pair, or an out table that does not hash: kept for the walk
+                pooled = False
+            self.rows.append(row)
+        if len(self.rows) != N:
+            raise ValueError(f"{N} labels but {len(self.rows)} tables")
         self.outs = tuple(pool)
-        offsets, nexts = [*map(itemgetter(1), self.labels)], [*map(itemgetter(1), self.rows)]
-        ints = _all_ints(chain(map(key, self.labels), chain.from_iterable(offsets)))  # a non-int may not compare or hash
-        self._state_ids = dict(zip(self.labels, range(N))) if ints else {}
         # whole passes, each distinct out table once (an equal table given later shares the first one's tuple);
         # grouped labels hold every matrix index between the first and the last; next rows: a sum each, a set's min/max
-        if not (unhashed is None and ints and all(map(le, map(key, self.labels), map(key, islice(self.labels, 1, None))))
-                and 0 <= self.labels[0][0] and self.labels[-1][0] < K and len(self._state_ids) == N
-                and {*map(len, offsets)} <= {d} and {*map(len, self.outs), *map(len, nexts)} <= {A}
-                and _all_ints(map(sum, nexts)) and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
-                and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
-                and {*map(frozenset, self.outs)} <= {frozenset(range(A))}):
+        try:
+            offsets, nexts = [v for _, v in self.labels], [nxt for _, nxt in self.rows]
+            self._state_ids = dict(zip(self.labels, range(N)))
+            valid = (pooled and _all_ints(chain(map(key, self.labels), chain.from_iterable(offsets)))
+                     and all(map(le, map(key, self.labels), map(key, islice(self.labels, 1, None))))
+                     and 0 <= self.labels[0][0] and self.labels[-1][0] < K and len(self._state_ids) == N
+                     and {*map(len, offsets)} <= {d} and {*map(len, self.outs), *map(len, nexts)} <= {A}
+                     and _all_ints(map(sum, nexts)) and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
+                     and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
+                     and {*map(frozenset, self.outs)} <= {frozenset(range(A))})
+        except (TypeError, ValueError):  # a label or table that is no pair, or does not hash or measure: for the walk
+            valid = False
+        if not valid:
             first = {}  # a pass failed: name the first state that breaks a rule
-            for sid, (label, (out, nxt)) in enumerate(zip(self.labels, self.rows)):
+            for sid, (label, row) in enumerate(zip(self.labels, self.rows)):
+                if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], tuple)):
+                    raise ValueError(f"state {sid}: label {echo(label)} is not a (matrix index, offset tuple) pair")
                 if not isinstance(label[0], int) or not 0 <= label[0] < K:
                     raise ValueError(f"state {sid}: matrix index {echo(label[0])} is not in range({K})")
                 if sid and label[0] < self.labels[sid - 1][0]:
                     raise ValueError(f"state {sid}: matrix index {label[0]} follows {self.labels[sid - 1][0]}, "
                                      "but states must be grouped by ascending matrix index")
-                with suppress(TypeError):  # a label that does not hash holds a list coordinate, named below
-                    if first.setdefault(label, sid) != sid:
-                        raise ValueError(f"state {sid} repeats the label of state {first[label]}")
+                for c in label[1]:  # before the label is hashed
+                    if not isinstance(c, int):
+                        raise ValueError(f"state {sid}: offset coordinate {echo(c)} is not an int")
+                if first.setdefault(label, sid) != sid:
+                    raise ValueError(f"state {sid} repeats the label of state {first[label]}")
+                if not (isinstance(row, tuple) and len(row) == 2 and all(isinstance(t, tuple) for t in row)):
+                    raise ValueError(f"state {sid}: table {echo(row)} is not an (out, next) pair of tuples")
+                out, nxt = row
                 for name, size, want in (("offset", len(label[1]), d), ("out", len(out), A), ("next", len(nxt), A)):
                     if size != want:
                         raise ValueError(f"state {sid}: {name} has length {size}, expected {echo(want)}")
-                for c in label[1]:
-                    if not isinstance(c, int):
-                        raise ValueError(f"state {sid}: offset coordinate {echo(c)} is not an int")
                 if {*map(type, out)} - {int, bool} or {*out} != {*range(A)}:
                     raise ValueError(f"state {sid}: out is not a permutation of range({echo(A)})")
                 for x, t in enumerate(nxt):
                     if not (isinstance(t, int) and 0 <= t < N):
                         raise ValueError(f"state {sid} letter {x}: next entry {echo(t)} is not in range({N})")
-            if unhashed is not None:
-                raise ValueError(f"state {unhashed}: out is not a permutation of range({echo(A)})")
         self.rows += repeat(None, N)  # the inverse rows, once the given ones pass
         # bisect by key: a temporary list of all keys fragments the heap over rebuilds
         self.components = tuple((bisect_left(self.labels, mi, key=key), bisect_left(self.labels, mi + 1, key=key))
@@ -233,12 +245,11 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         raise AlphabetCapError(f"alphabet size {echo(n)}**{d} = {echo(n ** d)} exceeds the cap {echo(alphabet_cap)}; "
                                "raise the cap explicitly if this size is intended")
     for i, M in enumerate(mats):
-        D = det(M)
-        if D == 0:
-            raise BuildError(f"matrix {i} has determinant 0")
-        g = math.gcd(abs(D), n)
-        if g != 1:
-            raise BuildError(f"determinant {echo(D)} of matrix {i} is not coprime to base {echo(n)} (gcd={echo(g)})")
+        if not coprime_to(M, n):  # det and gcd only word the error
+            if (D := det(M)) == 0:
+                raise BuildError(f"matrix {i} has determinant 0")
+            raise BuildError(f"determinant {echo(D)} of matrix {i} is not coprime to base {echo(n)} "
+                             f"(gcd={echo(math.gcd(abs(D), n))})")
 
     letters = all_letters(n, d)
     bound = state_count_bound(mats)
@@ -408,10 +419,15 @@ def to_json(aut: Automaton) -> str:
     return "".join(json_pieces(aut))
 
 
-def _loads(text: str, **hooks):
-    "json.loads(text, **hooks), with every way the text can fail to decode raised as a FormatError."
+class _NumberText(str):
+    "A JSON float, NaN or Infinity as its text: no int rule takes it, and echo shows it as spelled."
+    __repr__ = str.__str__
+
+
+def _loads(text: str):
+    "json.loads(text) with each number that is no int kept as its text, and every way to fail raised as a FormatError."
     try:
-        return json.loads(text, **hooks)
+        return json.loads(text, parse_float=_NumberText, parse_constant=_NumberText)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # an int literal past the digit limit, nesting past the recursion limit
@@ -438,22 +454,15 @@ def read_matrices(text: str) -> tuple:
     return _matrices(_loads(text))
 
 
-def _exact_ints(ms, *lists) -> bool:
-    "Whether every m and every entry of the v, out and next lists is an int: by type, as True == 1 and 1.0 == 1."
-    return {*map(type, chain(ms, *map(chain.from_iterable, lists)))} == {int}
-
-
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The loader owns what JSON adds (objects and keys, list types, exact ints).
-    Its type pass runs before the one Automaton construction if the text has
-    `true`, `false` or a float, which the constructor takes as ints, else only
-    once the constructor refuses; a document that fails it is walked to name
-    its first JSON fault.  Other constructor ValueErrors become FormatErrors."""
-    inexact = []  # each number that is no int (a float, NaN or Infinity), as the decoder meets it
-    obj = _loads(text, parse_float=(note := lambda t: inexact.append(t) or float(t)), parse_constant=note)
-    exact = not inexact and "true" not in text and "false" not in text
+    The loader owns what JSON adds: objects and keys, list types, and true and
+    false, which the constructor takes as ints (JSON writes a bool only as one
+    of them, so the entries are searched for one only if the text holds either
+    word); a walk names the first such fault.  Any other fault is the Automaton
+    constructor's ValueError, as a FormatError; a float reaches it as its text."""
+    obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
     for key in ("n", "d", "matrices", "states"):
@@ -475,12 +484,12 @@ def from_json(text: str) -> Automaton:
         ms, vs, outs, nxts = columns = [*zip(*map(itemgetter("m", "v", "out", "next"), states))]
     except (TypeError, KeyError):
         columns = None
-    if columns and {*map(type, chain(vs, outs, nxts))} == {list} and (exact or _exact_ints(*columns)):
+    if columns and {*map(type, chain(vs, outs, nxts))} == {list} and not (("true" in text or "false" in text)
+            and bool in map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))):
         try:
             return Automaton(n, d, mats, zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts)))
-        except ValueError as e:  # a shape fault, named in the constructor's words unless a JSON fault comes first
-            if not exact or _exact_ints(*columns):
-                raise FormatError(str(e)) from None
+        except ValueError as e:
+            raise FormatError(str(e)) from None
     # a JSON fault: the walk raises the first in document order
     for si, entry in enumerate(states):
         where = f"states[{si}]"
@@ -489,17 +498,15 @@ def from_json(text: str) -> Automaton:
         for key in ("m", "v", "out", "next"):
             if key not in entry:
                 raise FormatError(f"{where} missing key {key!r}")
-        if type(entry["m"]) is not int:
+        if type(entry["m"]) is bool:
             raise FormatError(f"{where}.m = {echo(entry['m'])} is not a matrix index")
-        if not isinstance(entry["v"], list) or not all(type(c) is int for c in entry["v"]):
+        if not isinstance(entry["v"], list) or bool in map(type, entry["v"]):
             raise FormatError(f"{where}.v must be a list of {d} integers")
         for name, limit in (("out", alphabet), ("next", len(states))):
             if not isinstance(entry[name], list):
                 raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
             for x, t in enumerate(entry[name]):
-                if type(t) is not int:
-                    if name == "out" and type(t) not in (bool, list, dict):  # number, string or null: as the constructor
-                        raise FormatError(f"state {si}: out is not a permutation of range({limit})")
+                if type(t) is bool:
                     raise FormatError(f"{where}.{name}[{x}] = {echo(t)} out of range [0, {limit})")
     raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")
 

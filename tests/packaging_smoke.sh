@@ -106,8 +106,13 @@ python -c 'import json; o = json.load(open("a.json")); o["states"][1]["m"] = "x"
 code=0
 adicaut wp --automaton longm.json --word 't[1]' 2> longm.err || code=$?
 test "$code" = 2
-grep -F "states[1].m = 'xxx" longm.err
+grep -F "state 1: matrix index 'xxx" longm.err
 test "$(wc -c < longm.err)" -lt 200
+python -c 'import json; o = json.load(open("a.json")); o["states"][1]["m"] = float("nan"); json.dump(o, open("nan.json", "w"))'
+code=0
+adicaut wp --automaton nan.json --word 't[1]' 2> nan.err || code=$?
+test "$code" = 2
+grep -F 'nan.json: state 1: matrix index NaN is not in range(1)' nan.err
 code=0
 adicaut build --matrices mats.json --n "1$(python -c 'print("0" * 5000)')" 2> longn.err || code=$?
 test "$code" = 2

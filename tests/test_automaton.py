@@ -324,7 +324,9 @@ def test_well_definedness_names_labels_of_the_wrong_length(doubling3):
             build([(m, v + extra) for m, v in doubling3.labels])
     with pytest.raises(ValueError, match=re.escape("state 2: offset has length 0, expected 1") + "$"):
         build([*doubling3.labels[:2], (0, ()), doubling3.labels[3]])
-    with pytest.raises(ValueError, match="too many values to unpack"):  # a row is a pair (out, next)
+    # a row is a pair (out, next): a third entry raised the bare "too many values to unpack"
+    with pytest.raises(ValueError, match=re.escape("state 0: table ((1, 0, 2), (1, 2, 2), (1, 0, 2)) is not an "
+                                                   "(out, next) pair of tuples") + "$"):
         build(doubling3.labels, [(out, nxt, out) for out, nxt in tables(doubling3)])
 
 
@@ -690,15 +692,11 @@ def test_json_structure_errors(doubling3):
             else:
                 obj["states"][si][name][x] = value
         return json.dumps(obj)
-    # every fault kind of each table entry, with the whole message pinned: the constructor judges an out
-    # entry, but a list is none that it could hash, so the loader names that one; the loader names a next
-    # entry that is no JSON int, and the constructor one outside the states
+    # every fault kind of each table entry, with the whole message pinned: the constructor names each one
     for name, limit in (("out", 3), ("next", 4)):
         for value in (1.5, None, [0], -1, limit):
-            if name == "next" and type(value) is int:
-                message = f"state 1 letter 2: next entry {value} is not in range({limit})"
-            elif name == "next" or value == [0]:
-                message = f"states[1].{name}[2] = {value!r} out of range [0, {limit})"
+            if name == "next":
+                message = f"state 1 letter 2: next entry {value!r} is not in range({limit})"
             else:
                 message = "state 1: out is not a permutation of range(3)"
             cases.append((edited((1, name, 2, value)), "^" + re.escape(message) + "$"))
@@ -708,15 +706,18 @@ def test_json_structure_errors(doubling3):
     assert [st["next"] for st in obj["states"]] == [[1, 2, 2], [1, 2, 3], [2, 2, 3]]
     cases.append((json.dumps(obj), re.escape("state 1 letter 2: next entry 3 is not in range(3)") + "$"))
     for value in (1.5, None, [0]):
-        cases.append((edited((1, "v", 0, value)), re.escape("states[1].v must be a list of 1 integers") + "$"))
+        cases.append((edited((1, "v", 0, value)), re.escape(f"state 1: offset coordinate {value!r} is not an int") + "$"))
     # offsets are labels, not checked against the box here: a negative one only fails as a repeated label
     cases.append((edited((1, "v", 0, -2)), re.escape("state 1 repeats the label of state 0") + "$"))
     assert from_json(edited((1, "v", 0, 10 ** 30))).labels[1] == (0, (10 ** 30,))
     # two faults: the earlier state's later field is named, not the later state's first field
     cases.append((edited((2, "m", None, 5), (1, "next", None, [0, 0])),
                   re.escape("state 1: next has length 2, expected 3") + "$"))
+    cases.append((edited((2, "out", 0, 1.5), (1, "next", 1, 1.5)),
+                  re.escape("state 1 letter 1: next entry 1.5 is not in range(4)") + "$"))
+    # a JSON true or false is named before any fault the constructor names, in the loader's words
     cases.append((edited((2, "out", 0, True), (1, "next", 1, 1.5)),
-                  re.escape("states[1].next[1] = 1.5 out of range [0, 4)") + "$"))
+                  re.escape("states[2].out[0] = True out of range [0, 3)") + "$"))
     for text, message in cases:
         with pytest.raises(FormatError, match=message):
             from_json(text)
@@ -836,8 +837,42 @@ def test_the_constructor_refuses_an_index_coordinate_or_out_entry_of_no_int_type
         Automaton(3, 1, [[[1]]], labels, [(out, (0, 0, 0)), ((0, 1, 2), (1, 1, 1))])
 
 
+GOOD_ROW = ((0, 1, 2), (0, 0, 0))
+
+
+@pytest.mark.parametrize("label, row, message", [
+    ((0, [1]), GOOD_ROW, "state 1: label (0, [1]) is not a (matrix index, offset tuple) pair"),
+    ((0, None), GOOD_ROW, "state 1: label (0, None) is not a (matrix index, offset tuple) pair"),
+    ((0, 5), GOOD_ROW, "state 1: label (0, 5) is not a (matrix index, offset tuple) pair"),
+    (5, GOOD_ROW, "state 1: label 5 is not a (matrix index, offset tuple) pair"),
+    ((0,), GOOD_ROW, "state 1: label (0,) is not a (matrix index, offset tuple) pair"),
+    ([0, (1,)], GOOD_ROW, "state 1: label [0, (1,)] is not a (matrix index, offset tuple) pair"),
+    ((0, (1,), 0), GOOD_ROW, "state 1: label (0, (1,), 0) is not a (matrix index, offset tuple) pair"),
+    ((0, (1,)), ((0, 1, 2),), "state 1: table ((0, 1, 2),) is not an (out, next) pair of tuples"),
+    ((0, (1,)), (5, (0, 0, 0)), "state 1: table (5, (0, 0, 0)) is not an (out, next) pair of tuples"),
+    ((0, (1,)), ((0, 1, 2), None), "state 1: table ((0, 1, 2), None) is not an (out, next) pair of tuples"),
+    ((0, (1,)), ((0, 1, 2), (0, 0, 0), 1),
+     "state 1: table ((0, 1, 2), (0, 0, 0), 1) is not an (out, next) pair of tuples"),
+], ids=["offset-list", "offset-none", "offset-int", "label-int", "label-short", "label-list", "label-long",
+        "row-short", "row-out-int", "row-next-none", "row-long"])
+def test_the_constructor_names_a_label_or_table_of_the_wrong_container(label, row, message):
+    # each raised a bare TypeError (unhashable, no len(), not subscriptable), IndexError or unpacking ValueError,
+    # except the label with a third entry: it was accepted, and to_json raised the unpacking ValueError
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Automaton(3, 1, [[[1]]], [(0, (0,)), label], [GOOD_ROW, row])
+
+
+@pytest.mark.parametrize("n, d, message", [
+    (2.0, 1, "n must be an int, got 2.0"), ("3", 1, "n must be an int, got '3'"), (3, 1.0, "d must be an int, got 1.0"),
+], ids=["float-n", "string-n", "float-d"])
+def test_the_constructor_refuses_a_base_or_dimension_that_is_no_int(n, d, message):
+    # each raised a bare TypeError from pow() or range(), or was checked against the float alphabet size 2.0
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Automaton(n, d, [[[1]]], [(0, (0,))], [GOOD_ROW])
+
+
 def test_an_out_table_that_does_not_hash_is_named_after_the_faults_before_it():
-    # the tables are pooled by hash before any rule is checked: a table that does not hash stops the pooling,
+    # the tables are pooled by hash before any rule is checked: a table that does not hash is kept as given,
     # and its state is named once the states before it pass, unless the table count is wrong
     tables = [((0, 1, 2), (0, 0, 0)), ((0, {}, 2), (1, 1, 1)), ((0, 1, 2), (1, 1, 1))]
     with pytest.raises(ValueError, match=re.escape("state 1: out is not a permutation of range(3)") + "$"):
@@ -927,6 +962,12 @@ def test_inverse_rows_do_not_change_codec_equality_or_dedup(shear2):
         assert aut == fresh == from_json(to_json(aut))
         assert to_json(aut) == js
         assert dedup(aut) == merged and to_json(dedup(aut)) == to_json(merged)
+
+
+def test_an_automaton_shows_its_size_and_compares_only_with_automata(doubling3):
+    assert repr(doubling3) == "Automaton(n=3, d=1, 1 matrices, 4 states)"
+    assert repr(build_union([*sanov_pair(), *sanov_pair()], 2)) == "Automaton(n=2, d=2, 4 matrices, 144 states)"
+    assert (doubling3 == 5) is False and (doubling3 != 5) is True
 
 
 def test_letter_codec(doubling3):
@@ -1061,74 +1102,65 @@ def test_from_json_names_the_first_fault_the_constructor_also_sees():
     # a short out row at state 1, then a true next entry at state 5: the JSON fault is the one named
     assert message((1, "out", [0, 1])) == "state 1: out has length 2, expected 3"
     assert message((1, "out", [0, 1]), (5, "next", [True, 0, 0])) == "states[5].next[0] = True out of range [0, 8)"
-    # state 3's out equals state 0's [1, 0, 2]: the constructor would store 1.0 as state 0's int tuple, the loader refuses it
+    # state 3's out equals state 0's [1, 0, 2]: 1.0 reaches the constructor as its text, so it never pools with
+    # state 0's int tuple; a true is the loader's to name
     assert message((3, "out", [1.0, 0, 2])) == "state 3: out is not a permutation of range(3)"
     assert message((3, "out", [True, 0, 2])) == "states[3].out[0] = True out of range [0, 3)"
-    assert message((1, "v", [-2]), (3, "out", [1.0, 0, 2])) == "state 3: out is not a permutation of range(3)"
+    # a float is the constructor's fault, named in state order: the repeated label at state 1 comes first
+    assert message((1, "v", [-2]), (3, "out", [1.0, 0, 2])) == "state 1 repeats the label of state 0"
+    assert message((1, "v", [-2]), (3, "out", [True, 0, 2])) == "states[3].out[0] = True out of range [0, 3)"
 
 
-def reference_from_json(text):
-    """from_json in its earlier order, kept as the oracle of its error texts:
-    the exact-type pass over every m and every v, out and next entry first,
-    the constructor only after it.  The documents it reads are sound up to
-    the entries of the states: the walk names the first entry of no int type."""
-    obj = json.loads(text)
-    states = obj["states"]
-    ms, vs, outs, nxts = zip(*[(st["m"], st["v"], st["out"], st["next"]) for st in states])
-    if {*map(type, chain(ms, *chain.from_iterable((vs, outs, nxts))))} == {int}:
-        try:
-            return Automaton(obj["n"], obj["d"], obj["matrices"], zip(ms, map(tuple, vs)),
-                             zip(map(tuple, outs), map(tuple, nxts)))
-        except ValueError as e:
-            raise FormatError(str(e)) from None
-    A = obj["n"] ** obj["d"]
-    for si, st in enumerate(states):
-        if type(st["m"]) is not int:
-            raise FormatError(f"states[{si}].m = {echo(st['m'])} is not a matrix index")
-        if any(type(c) is not int for c in st["v"]):
-            raise FormatError(f"states[{si}].v must be a list of {obj['d']} integers")
-        for name, limit in (("out", A), ("next", len(states))):
-            for x, t in enumerate(st[name]):
-                if type(t) is not int:
-                    if name == "out" and type(t) not in (bool, list, dict):
-                        raise FormatError(f"state {si}: out is not a permutation of range({limit})")
-                    raise FormatError(f"states[{si}].{name}[{x}] = {echo(t)} out of range [0, {limit})")
-    raise AssertionError("the type pass failed but no entry is of another type")
+class Spelled(str):
+    "A JSON number that is no int, kept as its text, as the loader hands it to the constructor."
+    __repr__ = str.__str__
 
 
-def test_from_json_texts_match_the_type_pass_first_loader():
-    # from_json runs the constructor before its type pass when the text holds no true, false or number that is
-    # no int; each such value put in m, v, out or next, at state 0 and at state 5, with and without a shape fault
-    # (state 3 repeating state 0's label: after state 0, before state 5), must be named as the type-pass-first
-    # loader names it
+def test_from_json_texts_match_the_constructor():
+    # the loader names only true and false among the entries; any other value put in m, v, out or next, at
+    # state 0 and at state 5, with and without a shape fault (state 3 repeating state 0's label: after state 0,
+    # before state 5), is named exactly as Automaton(...) names it on the same columns, a number that is no int
+    # as its text
     original = build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3)
     good = json.loads(to_json(original))
-    rng = random.Random(35)
+    N, rng = len(good["states"]), random.Random(36)
     values = ["true", "false", "1.0", "1e0", "NaN", "Infinity", '"1"', "null", "[1]", "{}"]
     checked = set()
     for value, name, si, fault in product(values, ("m", "v", "out", "next"), (0, 5), (False, True)):
         obj = json.loads(json.dumps(good))
         if fault:
-            obj["states"][3]["v"] = obj["states"][0]["v"]
+            obj["states"][3]["v"] = list(obj["states"][0]["v"])
         if name == "m":
-            obj["states"][si]["m"] = "@"
+            obj["states"][si]["m"], where = "@", f"states[{si}].m"
         else:
-            obj["states"][si][name][rng.randrange(len(obj["states"][si][name]))] = "@"
+            x = rng.randrange(len(obj["states"][si][name]))
+            obj["states"][si][name][x], where = "@", f"states[{si}].{name}[{x}]"
         text = json.dumps(obj).replace('"@"', value)
-        messages = []
-        for load in (from_json, reference_from_json):
-            with pytest.raises(FormatError) as info:
-                load(text)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1], (value, name, si, fault)
-        checked.add(messages[0])
-    assert "state 3 repeats the label of state 0" not in checked  # every value is a JSON fault, named first
+        with pytest.raises(FormatError) as info:
+            from_json(text)
+        if value in ("true", "false"):  # the loader's texts
+            shown = value.title()
+            want = {"m": f"{where} = {shown} is not a matrix index", "v": f"states[{si}].v must be a list of 2 integers",
+                    "out": f"{where} = {shown} out of range [0, 9)", "next": f"{where} = {shown} out of range [0, {N})"}
+            assert str(info.value) == want[name], (value, name, si, fault)
+        else:
+            doc = json.loads(text, parse_float=Spelled, parse_constant=Spelled)
+            with pytest.raises(ValueError) as owner:
+                Automaton(doc["n"], doc["d"], doc["matrices"], [(st["m"], tuple(st["v"])) for st in doc["states"]],
+                          [(tuple(st["out"]), tuple(st["next"])) for st in doc["states"]])
+            assert type(owner.value) is ValueError
+            assert str(info.value) == str(owner.value), (value, name, si, fault)
+        checked.add(str(info.value))
+    # a fault at state 5 no longer comes before the repeated label at state 3; numbers show as spelled
+    assert "state 3 repeats the label of state 0" in checked
+    assert {"state 0: matrix index 1e0 is not in range(2)", "state 5: matrix index NaN is not in range(2)",
+            "state 0: matrix index Infinity is not in range(2)"} <= checked
     assert len(checked) > 20
-    # extra state keys holding true and a float: the type pass runs first, finds no fault, and the file loads
+    # extra state keys holding true and a float: the loader finds no true among the entries, and the file loads
     for st in good["states"]:
         st["x"], st["y"] = True, 1.5
     text = json.dumps(good)
-    assert "true" in text and from_json(text) == reference_from_json(text) == original
+    assert "true" in text and from_json(text) == original
 
 
 def edit_label(sid, offset):

@@ -9,6 +9,7 @@ import pytest
 
 from adicaut import (
     AffineMap,
+    Automaton,
     BuildError,
     DigitWord,
     FormatError,
@@ -247,17 +248,20 @@ def edited(edit) -> str:
      "relator uses unknown generator 'xxx"),
     (lambda: parse_word(build_union([[[1, 0], [0, 1]]], 2), "m[0]:(" + "9" * 4000 + ",0)"), WordError,
      "no state m[0]:(" + "9" * 40 + "...,0) in this automaton"),
-    (lambda: from_json(edited(lambda o: o["states"][1].update(m=LONG))), FormatError, "states[1].m = 'xxx"),
-    (lambda: from_json(edited(lambda o: o["states"][0]["out"].__setitem__(0, list(range(50000))))), FormatError,
-     "states[0].out[0] = [0, 1, 2"),
+    (lambda: Automaton(3, 1, [[[2]]], [LONG], [((0, 1, 2), (0, 0, 0))]), ValueError, "state 0: label 'xxx"),
+    (lambda: Automaton(3, 1, [[[2]]], [(0, (0,))], [(LONG,)]), ValueError, "state 0: table ('xxx"),
+    (lambda: from_json(edited(lambda o: o["states"][1].update(m=LONG))), FormatError,
+     "state 1: matrix index 'xxx"),
+    (lambda: from_json(edited(lambda o: o["states"][0]["v"].__setitem__(0, list(range(50000))))), FormatError,
+     "state 0: offset coordinate [0, 1, 2"),
     (lambda: from_json(edited(lambda o: o["states"][0]["next"].__setitem__(0, LONG))), FormatError,
-     "states[0].next[0] = 'xxx"),
+     "state 0 letter 0: next entry 'xxx"),
     (lambda: from_json(edited(lambda o: o["states"][1].update(m=10 ** 4000))), FormatError,
      "state 1: matrix index 1000"),
     (lambda: from_json(edited(lambda o: o.update(d=10 ** 4000))), FormatError, "an alphabet of n**d letters (d = 1000"),
 ], ids=["letter", "dimension", "base", "vector", "det", "coprime-base", "gcd", "state-count", "inverse", "encode",
         "encode-negative", "affine-dim", "code-int", "code-str", "act-base", "word-matrix", "relator", "state-label",
-        "json-m", "json-out", "json-next", "json-m-range", "json-d"])
+        "label", "table", "json-m", "json-v", "json-next", "json-m-range", "json-d"])
 def test_every_echo_cuts_the_value_it_shows(call, error, start):
     # one case per message that shows a value from outside: each was echoed whole, or failed in str()
     with pytest.raises(error) as e:

@@ -186,6 +186,15 @@ def test_homomorphism_inverse_prefix_properties(doubling3, shear2):
         assert decide(w1 * ~w1).result == "identity"
 
 
+def test_words_show_their_tokens_and_compare_only_with_words(doubling3):
+    w = parse_word(doubling3, "m[0]:(-2) m[0]:(0)^-1")
+    assert repr(w) == "GroupWord(m[0]:(-2) * m[0]:(0)^-1)"
+    assert repr(GroupWord(doubling3)) == repr(w * ~w) == "GroupWord(<identity>)"
+    assert (w == 5) is False and (w != 5) is True
+    with pytest.raises(TypeError):
+        w * 5
+
+
 # --- translations and relations ---------------------------------------------
 
 def test_translation_word_is_odometer(odometer2):
