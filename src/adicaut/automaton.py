@@ -21,9 +21,10 @@ Each state is stored once: its label (matrix index, offset) in
 `Automaton.labels`, its table (out, nxt) in `Automaton.rows`, which every
 reader goes through and none assigns to.  `Automaton` alone checks each state's
 containers, shape and entries (from_json adds only JSON's rules: objects, keys,
-list types, true and false), pools equal out tables (`outs`) and holds the
-letter table (`letters`) of dense indices (base-n, first coordinate least
-significant); digit tuples appear only at I/O boundaries."""
+list types, true and false, in one walk before the constructor reads a table),
+pools equal out tables (`outs`) as they arrive and holds the letter table
+(`letters`) of dense indices (base-n, first coordinate least significant);
+digit tuples appear only at I/O boundaries."""
 
 from __future__ import annotations
 
@@ -124,6 +125,7 @@ class Automaton:
             valid = (pooled and _all_ints(chain(map(key, self.labels), chain.from_iterable(offsets)))
                      and all(map(le, map(key, self.labels), map(key, islice(self.labels, 1, None))))
                      and 0 <= self.labels[0][0] and self.labels[-1][0] < K and len(self._state_ids) == N
+                     and {*map(type, chain(offsets, self.outs, nexts))} == {tuple}
                      and {*map(len, offsets)} <= {d} and {*map(len, self.outs), *map(len, nexts)} <= {A}
                      and _all_ints(map(sum, nexts)) and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
                      and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
@@ -457,11 +459,9 @@ def read_matrices(text: str) -> tuple:
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    The loader owns what JSON adds: objects and keys, list types, and true and
-    false, which the constructor takes as ints (JSON writes a bool only as one
-    of them, so the entries are searched for one only if the text holds either
-    word); a walk names the first such fault.  Any other fault is the Automaton
-    constructor's ValueError, as a FormatError; a float reaches it as its text."""
+    One walk names the first fault JSON adds, in document order (an entry that
+    is no object or lacks a key, a field that is no list, true or false if the
+    text holds either); the Automaton, fed the tables lazily, names any other."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -480,35 +480,32 @@ def from_json(text: str) -> Automaton:
         raise FormatError(f"an alphabet of n**d letters (d = {echo(d)}) cannot fit in a {len(text)}-character document")
 
     states, alphabet = obj["states"], n ** d
-    try:  # TypeError: an entry that is not an object; KeyError: one without the four keys
-        ms, vs, outs, nxts = columns = [*zip(*map(itemgetter("m", "v", "out", "next"), states))]
-    except (TypeError, KeyError):
-        columns = None
-    if columns and {*map(type, chain(vs, outs, nxts))} == {list} and not (("true" in text or "false" in text)
-            and bool in map(type, chain(ms, *map(chain.from_iterable, (vs, outs, nxts))))):
+    bools, fields, labels = "true" in text or "false" in text, itemgetter("m", "v", "out", "next"), []
+    for si, entry in enumerate(states):  # every JSON fault before any of the constructor's
         try:
-            return Automaton(n, d, mats, zip(ms, map(tuple, vs)), zip(map(tuple, outs), map(tuple, nxts)))
-        except ValueError as e:
-            raise FormatError(str(e)) from None
-    # a JSON fault: the walk raises the first in document order
-    for si, entry in enumerate(states):
-        where = f"states[{si}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be an object")
-        for key in ("m", "v", "out", "next"):
-            if key not in entry:
-                raise FormatError(f"{where} missing key {key!r}")
-        if type(entry["m"]) is bool:
-            raise FormatError(f"{where}.m = {echo(entry['m'])} is not a matrix index")
-        if not isinstance(entry["v"], list) or bool in map(type, entry["v"]):
-            raise FormatError(f"{where}.v must be a list of {d} integers")
-        for name, limit in (("out", alphabet), ("next", len(states))):
-            if not isinstance(entry[name], list):
-                raise FormatError(f"{where}.{name} must be a list of {alphabet} entries")
-            for x, t in enumerate(entry[name]):
-                if type(t) is bool:
-                    raise FormatError(f"{where}.{name}[{x}] = {echo(t)} out of range [0, {limit})")
-    raise FormatError("internal error: the whole-list passes refused a states list that every per-state check passes")
+            m, v, out, nxt = fields(entry)
+        except (TypeError, KeyError) as e:  # an entry that is no object, or one without a key
+            raise FormatError(f"states[{si}] missing key {e.args[0]!r}" if isinstance(e, KeyError)
+                              else f"states[{si}] must be an object") from None
+        if bools and type(m) is bool:  # JSON's true and false, which the constructor would take as ints
+            raise FormatError(f"states[{si}].m = {echo(m)} is not a matrix index")
+        if not isinstance(v, list) or bools and bool in map(type, v):
+            raise FormatError(f"states[{si}].v must be a list of {d} integers")
+        if not isinstance(out, list):
+            raise FormatError(f"states[{si}].out must be a list of {alphabet} entries")
+        if bools and bool in map(type, out):
+            x = [*map(type, out)].index(bool)
+            raise FormatError(f"states[{si}].out[{x}] = {echo(out[x])} out of range [0, {alphabet})")
+        if not isinstance(nxt, list):
+            raise FormatError(f"states[{si}].next must be a list of {alphabet} entries")
+        if bools and bool in map(type, nxt):
+            x = [*map(type, nxt)].index(bool)
+            raise FormatError(f"states[{si}].next[{x}] = {echo(nxt[x])} out of range [0, {len(states)})")
+        labels.append((m, tuple(v)))
+    try:  # the tables lazily: the constructor pools each fresh out tuple as it arrives, and no list holds them all
+        return Automaton(n, d, mats, labels, ((tuple(e["out"]), tuple(e["next"])) for e in states))
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 @_gc_paused()

@@ -102,6 +102,11 @@ code=0
 adicaut wp --automaton dup.json --word 't[1]' 2> dup.err || code=$?
 test "$code" = 2
 grep -F 'dup.json: state 1 repeats the label of state 0' dup.err
+python -c 'import json; o = json.load(open("a.json")); s = o["states"]; s[0]["next"] = s[0]["next"][:2]; del s[3]["out"]; json.dump(o, open("both.json", "w"))'
+code=0
+adicaut wp --automaton both.json --word 't[1]' 2> both.err || code=$?
+test "$code" = 2
+grep -F "both.json: states[3] missing key 'out'" both.err
 python -c 'import json; o = json.load(open("a.json")); o["states"][1]["m"] = "x" * 100000; json.dump(o, open("longm.json", "w"))'
 code=0
 adicaut wp --automaton longm.json --word 't[1]' 2> longm.err || code=$?

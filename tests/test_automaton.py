@@ -31,6 +31,7 @@ from adicaut import (
     WordError,
 )
 
+import adicaut.automaton as automaton_module
 from adicaut.automaton import MAX_FAILURES, CheckFailure, WellDefinednessReport, json_pieces
 from adicaut.linalg import echo, mat_vec, row_sum_norm
 from conftest import random_digit_word
@@ -853,11 +854,16 @@ GOOD_ROW = ((0, 1, 2), (0, 0, 0))
     ((0, (1,)), ((0, 1, 2), None), "state 1: table ((0, 1, 2), None) is not an (out, next) pair of tuples"),
     ((0, (1,)), ((0, 1, 2), (0, 0, 0), 1),
      "state 1: table ((0, 1, 2), (0, 0, 0), 1) is not an (out, next) pair of tuples"),
+    ((0, range(1, 2)), GOOD_ROW, "state 1: label (0, range(1, 2)) is not a (matrix index, offset tuple) pair"),
+    ((0, (1,)), (range(3), (0, 0, 0)), "state 1: table (range(0, 3), (0, 0, 0)) is not an (out, next) pair of tuples"),
+    ((0, (1,)), ((0, 1, 2), [0, 0, 0]), "state 1: table ((0, 1, 2), [0, 0, 0]) is not an (out, next) pair of tuples"),
 ], ids=["offset-list", "offset-none", "offset-int", "label-int", "label-short", "label-list", "label-long",
-        "row-short", "row-out-int", "row-next-none", "row-long"])
+        "row-short", "row-out-int", "row-next-none", "row-long", "offset-range", "row-out-range", "row-next-list"])
 def test_the_constructor_names_a_label_or_table_of_the_wrong_container(label, row, message):
     # each raised a bare TypeError (unhashable, no len(), not subscriptable), IndexError or unpacking ValueError,
-    # except the label with a third entry: it was accepted, and to_json raised the unpacking ValueError
+    # except the label with a third entry: it was accepted, and to_json raised the unpacking ValueError; and
+    # except a range or a next list, which passed every whole pass and was stored as given, so that
+    # from_json(to_json(aut)) read back tuples and compared unequal
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         Automaton(3, 1, [[[1]]], [(0, (0,)), label], [GOOD_ROW, row])
 
@@ -1109,6 +1115,20 @@ def test_from_json_names_the_first_fault_the_constructor_also_sees():
     # a float is the constructor's fault, named in state order: the repeated label at state 1 comes first
     assert message((1, "v", [-2]), (3, "out", [1.0, 0, 2])) == "state 1 repeats the label of state 0"
     assert message((1, "v", [-2]), (3, "out", [True, 0, 2])) == "states[3].out[0] = True out of range [0, 3)"
+
+
+def test_from_json_hands_the_constructor_its_tables_lazily(monkeypatch):
+    # a list of all tables would hold every fresh out tuple at once, before the constructor pools them
+    aut, seen = build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3), []
+
+    def spy(n, d, matrices, labels, tables):
+        seen.append(tables)
+        return Automaton(n, d, matrices, labels, tables)
+    monkeypatch.setattr(automaton_module, "Automaton", spy)
+    loaded = from_json(to_json(aut))
+    monkeypatch.undo()
+    assert loaded == aut
+    assert len(seen) == 1 and iter(seen[0]) is seen[0] and not isinstance(seen[0], (list, tuple))
 
 
 class Spelled(str):
