@@ -122,15 +122,15 @@ class Automaton:
         try:
             offsets, nexts = [v for _, v in self.labels], [nxt for _, nxt in self.rows]
             self._state_ids = dict(zip(self.labels, range(N)))
-            valid = (pooled and _all_ints(chain(map(key, self.labels), chain.from_iterable(offsets)))
+            valid = (pooled and type(sum(chain(map(key, self.labels), chain.from_iterable(offsets)))) is int
                      and all(map(le, map(key, self.labels), map(key, islice(self.labels, 1, None))))
                      and 0 <= self.labels[0][0] and self.labels[-1][0] < K and len(self._state_ids) == N
                      and {*map(type, chain(offsets, self.outs, nexts))} == {tuple}
                      and {*map(len, offsets)} <= {d} and {*map(len, self.outs), *map(len, nexts)} <= {A}
-                     and _all_ints(map(sum, nexts)) and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
+                     and type(sum(map(sum, nexts))) is int and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
                      and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
                      and {*map(frozenset, self.outs)} <= {frozenset(range(A))})
-        except (TypeError, ValueError):  # a label or table that is no pair, or does not hash or measure: for the walk
+        except (TypeError, ValueError):  # a label or table that is no pair, or does not hash, measure or add: walk
             valid = False
         if not valid:
             first = {}  # a pass failed: name the first state that breaks a rule
@@ -197,14 +197,6 @@ class Automaton:
     def __repr__(self):
         return (f"Automaton(n={self.n}, d={self.d}, "
                 f"{len(self.matrices)} matrices, {len(self.labels)} states)")
-
-
-def _all_ints(values) -> bool:
-    "Whether every value is an int (or a bool): a float, Fraction or Decimal turns the sum into one."
-    try:
-        return type(sum(values)) is int
-    except TypeError:  # any other type fails to add
-        return False
 
 
 @contextmanager
@@ -378,36 +370,22 @@ def well_definedness_check(aut: Automaton) -> WellDefinednessReport:
     return WellDefinednessReport(not failures, checked, failures)
 
 
-class _Memo(dict):
-    "self[key] is fn(key), computed on first use and kept: right for every key, negative or large ints included."
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def json_pieces(aut: Automaton):
-    """The text of to_json(aut) in pieces: the head, one piece per state (each
-    after the first led by its separator), then the tail.  Writing them one
-    by one never holds the whole document.
-
-    The text is json.dumps of the schema object with sorted keys, written
-    directly: each int's text is made once, and so is the text of each
-    distinct out table.  Every table entry, label and matrix entry must be
-    an int."""
-    ints = _Memo(int.__repr__)  # True == 1 shares its key, so each int is written as the JSON int it acts as
-
-    def items(t):
-        return ", ".join(map(ints.__getitem__, t))
-    outs = _Memo(items)
+    """The text of to_json(aut) in pieces, so that no writer holds the whole document:
+    the head, one piece per state (each after the first led by its separator), then
+    the tail.  It is json.dumps of the schema object with sorted keys, read from tables
+    that rely on the constructor: every m, out and next entry is an int below the
+    matrix, letter or state count, and every row's out is pooled in aut.outs."""
+    # a list reads faster than a dict, which would also refuse a negative entry; True indexes as 1
+    ints = [*map(str, range(max(len(aut.labels), aut.alphabet_size, len(aut.matrices))))]
+    outs = {id(out): ", ".join(map(ints.__getitem__, out)) for out in aut.outs}
+    # offset coordinates have no bound, so a dict of the distinct ones; int.__repr__ writes True as 1
+    coords = {c: int.__repr__(c) for c in {*chain.from_iterable(map(itemgetter(1), aut.labels))}}
     yield f'{{"d": {aut.d}, "matrices": {json.dumps(aut.matrices)}, "n": {aut.n}, "states": ['
     sep = ""
     for (m, v), (out, nxt) in zip(aut.labels, aut.rows):
-        yield f'{sep}{{"m": {ints[m]}, "next": [{items(nxt)}], "out": [{outs[out]}], "v": [{items(v)}]}}'
+        yield (f'{sep}{{"m": {ints[m]}, "next": [{", ".join(map(ints.__getitem__, nxt))}], '
+               f'"out": [{outs[id(out)]}], "v": [{", ".join(map(coords.__getitem__, v))}]}}')
         sep = ", "
     yield "]}"
 

@@ -88,6 +88,8 @@ class AffineMap:
         object.__setattr__(self, "offset", v)
 
     def __call__(self, u: Vector) -> Vector:
+        if len(u) != len(self.offset):
+            raise ValueError(f"map of dimension {len(self.offset)} cannot act on a vector of dimension {len(u)}")
         return vec_add(self.offset, mat_vec(self.matrix, u))
 
 

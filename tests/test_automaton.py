@@ -3,6 +3,8 @@ import json
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 from itertools import chain, product
 
 import pytest
@@ -604,7 +606,10 @@ def test_to_json_writes_any_int_entry_as_json_dumps_does():
         Automaton(3, 1, [[[2]], [[-4]]], [(0, (-2,)), (1, (10**30,))],
                   [((2, 0, 1), (0, -1, -5)), ((0, 1, 2), (10**20, 1, -10**25))])
     one = Automaton(2, 1, [[[1]]], [(0, (0,))], [((0, 1), (0, 0))])
-    assert to_json(one) == reference_json(one) and from_json(to_json(one)) == one
+    # a matrix index past both the state count and the alphabet size: an int text table sized by those two misses it
+    five = Automaton(2, 1, [[[1]]] * 5, [(4, (-1,)), (4, (0,))], build_union([[[1]]], 2).rows[:2])
+    for aut in (one, five):
+        assert to_json(aut) == reference_json(aut) and from_json(to_json(aut)) == aut
 
 
 def test_to_json_writes_a_bool_entry_as_the_int_it_acts_as():
@@ -614,7 +619,9 @@ def test_to_json_writes_a_bool_entry_as_the_int_it_acts_as():
     out, nxt = rows[0]
     assert nxt[0] == 1
     rows[0] = out, (True, *nxt[1:])
-    hand = Automaton(clean.n, clean.d, clean.matrices, clean.labels, rows)
+    labels = [(m, (True,) if v == (1,) else v) for m, v in clean.labels]  # and an offset coordinate
+    assert (0, (1,)) in clean.labels
+    hand = Automaton(clean.n, clean.d, clean.matrices, labels, rows)
     assert str(well_definedness_check(hand)) == "well-defined: 12 transitions checked"
     assert to_json(hand) == to_json(clean)
     assert from_json(to_json(hand)) == hand
@@ -807,8 +814,8 @@ def test_dedup_keeps_distinct_states(doubling3):
     assert dedup(union) is union  # no two states merge: the argument, not an equal rebuild
 
 
-@pytest.mark.parametrize("entry", [-1, 2, 10 ** 5000, "x", 1.0, [0], None],
-                         ids=["negative", "N", "huge", "string", "float", "list", "none"])
+@pytest.mark.parametrize("entry", [-1, 2, 10 ** 5000, "x", 1.0, [0], None, Fraction(1), Decimal(1)],
+                         ids=["negative", "N", "huge", "string", "float", "list", "none", "fraction", "decimal"])
 def test_dedup_refuses_a_next_entry_outside_the_states(entry):
     # dedup once read such an automaton: -1 indexed from the end, so both states merged into one with next
     # (0, 0, 0); 2 raised IndexError, 1.0 and [0] a bare TypeError; now the constructor refuses every one
@@ -817,7 +824,7 @@ def test_dedup_refuses_a_next_entry_outside_the_states(entry):
         Automaton(3, 1, [[[2]]], [(0, (0,)), (0, (1,))], [((0, 1, 2), (entry, 1, 1)), ((0, 1, 2), (1, 1, 1))])
 
 
-@pytest.mark.parametrize("coordinate", [None, "x", 1.5])
+@pytest.mark.parametrize("coordinate", [None, "x", 1.5, Fraction(1), Decimal(1)])
 def test_the_constructor_refuses_an_offset_coordinate_that_is_not_an_int(coordinate):
     labels = [(0, (0, 0)), (0, (1, coordinate)), (0, (2, 0))]
     with pytest.raises(ValueError, match=re.escape(f"state 1: offset coordinate {coordinate!r} is not an int") + "$"):

@@ -145,3 +145,9 @@ def test_affine_map_validation():
     for route in (affine_apply_prefix, affine_apply_digitwise):
         with pytest.raises(ValueError, match="^map of dimension 1 cannot act on a word of dimension 2$"):
             route(AffineMap(((1,),), (0,)), DigitWord(((0, 0),), 2, 2))
+    # each once raised zip's bare "argument 2 is longer than argument 1"; compose acts with f on g's offset
+    g = AffineMap(identity(2), (0, 0))
+    for call, (dim, size) in [(lambda: AffineMap([[1]], (1,))((1, 2)), (1, 2)), (lambda: compose(f, g), (1, 2)),
+                              (lambda: compose(g, f), (2, 1))]:
+        with pytest.raises(ValueError, match=f"^map of dimension {dim} cannot act on a vector of dimension {size}$"):
+            call()
