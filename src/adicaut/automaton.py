@@ -130,7 +130,7 @@ class Automaton:
                      and type(sum(map(sum, nexts))) is int and 0 <= min(seen := set().union(*nexts)) and max(seen) < N
                      and {*map(type, chain.from_iterable(self.outs))} <= {int, bool}
                      and {*map(frozenset, self.outs)} <= {frozenset(range(A))})
-        except (TypeError, ValueError):  # a label or table that is no pair, or does not hash, measure or add: walk
+        except (TypeError, ValueError, ArithmeticError):  # a label or table that is no pair, or cannot hash, measure or add: walk
             valid = False
         if not valid:
             first = {}  # a pass failed: name the first state that breaks a rule

@@ -23,12 +23,15 @@ joins plus 4*n^d steps per distinct block.
 
 `act`, the sections and the closure all read the automaton's one signed
 table, `rows[c]` = (letter map, row of next codes), and have `row` build an
-inverse entry they find missing.  Both walk a word one letter at a time and
+inverse entry they find missing.  They walk a word one letter at a time and
 freely reduce each section on a stack as they build it; the closure keeps its
-words rightmost code first, the order the letters walk them in.  Past 256
-words the closure walks each distinct block of 4 codes once per call instead
-and pushes each block's reduced section onto the stack whole, code by code
-only where it cancels into the top; free reduction is confluent, so the
+words rightmost code first, the order the letters walk them in.  `act` keeps
+the stack only while sections shrink: after a letter or stretch that kept the
+section's length it walks a stretch twice as long (from 2) factor by factor
+and reduces the stretch's end states once, in at most twice the steps.  Past
+256 words the closure walks each distinct block of 4 codes once per call
+instead and pushes each block's reduced section onto the stack whole, code by
+code only where it cancels into the top; free reduction is confluent, so the
 sections are the same.
 
 `act` reads letters through `letter_index`, the letter table's lookup
@@ -146,29 +149,49 @@ class GroupWord:
         return " * ".join(parts)
 
     def act(self, u: DigitWord) -> DigitWord:
-        """Image of a digit word, same length, by wreath recursion: each letter
+        """Image of a digit word, same length, by wreath recursion.  A letter
         walks the current section right to left while the next section is freely
-        reduced on a stack, so the cost is the sum of the reduced section lengths."""
+        reduced on a stack.  After a letter or stretch whose section kept its
+        length, the next stretch, twice as long (from 2), is walked factor by
+        factor without a stack and its end states are reduced once; a cancelling
+        pair's sections cancel again, so the image is the same.  A stretch that
+        shrank the section sends the walk back to single letters, so the cost is
+        at most twice the sum of the reduced section lengths.  An empty section
+        leaves the rest of the digit word as it is."""
         aut = self.aut
         if u.base != aut.n or u.dim != aut.d:
             raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {echo(u.base)} dim {echo(u.dim)}")
-        rows, build, letters = aut.rows, aut.row, aut.letters
+        rows, build = aut.rows, aut.row
+        seq = [*map(aut.letter_index, u.letters)]  # rewritten in place into the image
         word = self.codes[::-1]  # a section is kept rightmost code first
-        image = []
-        for x in map(aut.letter_index, u.letters):
-            section, top = [], None
-            for c in word:
-                letter_map, row = rows[c] or build(c)
-                c, x = row[x], letter_map[x]
-                if top == ~c:
-                    section.pop()
-                    top = section[-1] if section else None
-                else:
-                    section.append(c)
-                    top = c
-            image.append(letters[x])
-            word = section
-        return DigitWord(tuple(image), u.base, u.dim)
+        i, m = 0, 1  # the next letter and the stretch length
+        while word and i < len(seq):
+            end = min(i + m, len(seq))
+            if m == 1:
+                x, section, top = seq[i], [], None
+                for c in word:
+                    letter_map, row = rows[c] or build(c)
+                    c, x = row[x], letter_map[x]
+                    if top == ~c:
+                        section.pop()
+                        top = section[-1] if section else None
+                    else:
+                        section.append(c)
+                        top = c
+                seq[i] = x
+            else:
+                ends = []
+                for c in word:
+                    for j in range(i, end):
+                        letter_map, row = rows[c] or build(c)
+                        x = seq[j]
+                        seq[j] = letter_map[x]
+                        c = row[x]
+                    ends.append(c)
+                section = _cancel(tuple(ends))
+            m = 2 * m if len(section) == len(word) else 1
+            i, word = end, section
+        return DigitWord(tuple(map(aut.letters.__getitem__, seq)), u.base, u.dim)
 
     def root_and_sections(self):
         """The permutation this word induces on first letters, and the reduced

@@ -74,6 +74,8 @@ adicaut act --automaton a.json --word 't[1]' --input "$(python -c 'print("9" * 5
 test "$code" = 2
 grep "^error: cannot parse letter '999" input.err
 test "$(wc -c < input.err)" -lt 200
+test "$(adicaut act --automaton a.json --word 't[1]^1000' --input '0 0 0 0 0 0 0 0 0 0')" = '1 0 0 1 0 1 1 0 0 0'
+test "$(adicaut act --automaton a.json --word 't[1]' --input '2 2 2 2 2 2 2 2 0 1')" = '0 0 0 0 0 0 0 0 1 1'
 echo '{}' > empty.json
 code=0
 adicaut wp --automaton empty.json --word 't[1]' 2> empty.err || code=$?

@@ -66,5 +66,5 @@ def test_act_matches_oracle(family, data):
     code = st.integers(-len(aut.labels), len(aut.labels) - 1)
     w = GroupWord(aut, data.draw(st.lists(code, max_size=6)))
     letter = st.tuples(*[st.integers(0, n - 1)] * d)
-    u = DigitWord(tuple(data.draw(st.lists(letter, max_size=12))), n, d)
+    u = DigitWord(tuple(data.draw(st.lists(letter, max_size=40))), n, d)
     assert w.act(u) == affine_apply_prefix(prefix_map(aut, w, len(u)), u)

@@ -843,6 +843,18 @@ def test_act_with_shrinking_sections():
                 assert image == reference_act(aut, pairs(t), u)
                 assert decode(image) == tuple(k if i == axis - 1 else 0 for i in range(aut.d))
                 assert image.letters[16:] == u.letters[16:]
+        for run in (1, 3, 7, 8, 100):
+            # t[j] keeps its 2 codes through a run of n-1 digits, then empties inside a doubled stretch; the
+            # sections of a conjugate collapse whole once the carry dies
+            t = translation_word(aut, rng.randrange(len(aut.matrices)), rng.randint(1, aut.d))
+            u = DigitWord(((aut.n - 1,) * aut.d,) * run + (zero,) + random_digit_word(rng, aut.n, aut.d, 64).letters,
+                          aut.n, aut.d)
+            assert t.act(u).letters[run + 1:] == u.letters[run + 1:]
+            conjugators = [random_group_word(rng, aut, size, min_len=size) for size in (20, 200)]
+            for w in (t, *(g * t ** k * ~g for g in conjugators for k in (1, -3))):
+                image = w.act(u)
+                assert image == reference_act(aut, pairs(w), u)
+                assert image == affine_apply_prefix(affine_map(w), u)
 
 
 def test_a_state_without_an_inverse_cannot_be_built():
