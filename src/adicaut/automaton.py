@@ -256,9 +256,8 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         for M in mats:
             norm = row_sum_norm(M)
             # splits[i][k][x] = (carry, digit) of coordinate i of v + M*x for v_i = k - norm; carries[i][x][k]: carry+norm
+            # v_i + (M*x)_i lies in [-n*norm, n*norm - 1], so every carry lies in [-norm, norm - 1]: in the box
             splits = [[[divmod(v + sum(map(mul, Mi, x)), n) for x in letters] for v in range(-norm, norm)] for Mi in M]
-            if not all(-norm <= q < norm for per_v in splits for row in per_v for q, _ in row):
-                raise BuildError("internal error: a carry left the offset box")
             S, c = 2 * norm, min(n, 2 * norm)  # the digit of v_i = k - norm depends on k % n < c alone
             digits = [[[r * n ** i for _, r in row] for row in per_v[:c]] for i, per_v in enumerate(splits)]
             # outs[sum_i k_i * c**i] is the one out table of every offset v with v_i = k_i - norm mod n

@@ -98,7 +98,6 @@ def _cmd_verify(args) -> int:
     aut = _read(args.automaton, am.from_json)
     rng = random.Random(args.seed)
     mismatches = 0
-    checked = 0
     first = None
     for sid, (mi, v) in enumerate(aut.labels):
         f = AffineMap(aut.matrices[mi], v)
@@ -106,13 +105,13 @@ def _cmd_verify(args) -> int:
         for _ in range(args.samples):
             k = rng.randint(1, args.depth)
             u = DigitWord(tuple(rng.choice(aut.letters) for _ in range(k)), aut.n, aut.d)
-            checked += 1
             image, expected = w.act(u), affine_apply_prefix(f, u)
             if image != expected:
                 mismatches += 1
                 if first is None:
                     first = {"state": w.format(), "input": u.format(),
                              "automaton": image.format(), "oracle": expected.format()}
+    checked = len(aut.labels) * args.samples
     obj = {"mismatches": mismatches, "checked": checked, "seed": args.seed}
     if first:
         obj["first_mismatch"] = first

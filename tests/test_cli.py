@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 
@@ -330,6 +331,79 @@ def test_every_echo_keeps_stderr_short(tmp_path, capsys, monkeypatch, files, arg
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.encode()) < limit and re.search(r"(.)\1{40}", captured.err) is None
+
+
+SANOV_D2 = [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]
+CONJ_D2 = ("m[0]:(0,0) m[1]:(0,0) m[0]:(0,0) m[1]:(0,0) m[0]:(0,0) m[1]:(0,0) t[1] "
+           "m[1]:(0,0)^-1 m[0]:(0,0)^-1 m[1]:(0,0)^-1 m[0]:(0,0)^-1 m[1]:(0,0)^-1 m[0]:(0,0)^-1")  # (m0 m1)^3 t[1] (..)^-1
+SANOV_D4 = [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]]]
+
+
+def float_out(o):
+    s = o["states"]
+    assert s[3]["out"] == s[0]["out"]  # an earlier state has the equal int table; the float is refused all the same
+    s[3]["out"] = [1.0 if y == 1 else y for y in s[3]["out"]]
+
+
+def two_faults(o):
+    s = o["states"]
+    s[0]["next"] = s[0]["next"][:2]
+    del s[3]["out"]
+
+
+@pytest.mark.parametrize("files, argv, code, out, err, written", [
+    ({"a.json": DOC}, ["wp", "--automaton", "a.json", "--word", "t[1] t[1]^-1", "--json"],
+     0, '{"result": "IDENTITY", "visited": 1}\n', "", None),
+    ({"a.json": edited(lambda o: o["states"][0].update(note="true"))},
+     ["wp", "--automaton", "a.json", "--word", "t[1] t[1]^-1", "--json"],
+     0, '{"result": "IDENTITY", "visited": 1}\n', "", None),
+    ({"a.json": DOC}, ["act", "--automaton", "a.json", "--word", "t[1]", "--input", "2 2 2 2 2 2 2 2 0 1"],
+     0, "0 0 0 0 0 0 0 0 1 1\n", "", None),
+    ({"s.json": json.loads(to_json(build_union(SANOV_D2, 2)))},
+     ["wp", "--automaton", "s.json", "--word", CONJ_D2 + " t[1]^-233 t[2]^-70", "--json"],
+     0, '{"result": "NONTRIVIAL", "visited": 674}\n', "", None),
+    ({"m.json": SANOV_D4}, ["build", "--matrices", "m.json", "--n", "2", "-o", "s.json"],
+     0, "states=2592, bound=2^d*sum||Mi||^d=2592\n", "",
+     ("s.json", "4dc1eb3adc5ee94fec36c80a9ff6e99593c676bad666879dcef597debd84683a")),
+    ({"a.json": DOC}, ["wp", "--automaton", "a.json", "--word", f"m[{'9' * 4000}]:(0)"],
+     2, "", f"error: no component {'9' * 40}... in this automaton\n", None),
+    ({"a.json": {}}, WP, 2, "", "error: a.json: missing key 'n'\n", None),
+    ({"a.json": edited(lambda o: o["states"][0]["next"].__setitem__(1, True))}, WP,
+     2, "", "error: a.json: states[0].next[1] = True out of range [0, 4)\n", None),
+    ({"a.json": edited(lambda o: o["states"][0]["next"].__setitem__(1, 4))}, WP,
+     2, "", "error: a.json: state 0 letter 1: next entry 4 is not in range(4)\n", None),
+    ({"a.json": edited(float_out)}, WP, 2, "", "error: a.json: state 3: out is not a permutation of range(3)\n", None),
+    ({"a.json": edited(lambda o: o["states"][1].update(v=o["states"][0]["v"]))}, WP,
+     2, "", "error: a.json: state 1 repeats the label of state 0\n", None),
+    ({"a.json": edited(two_faults)}, WP, 2, "", "error: a.json: states[3] missing key 'out'\n", None),
+    ({"a.json": edited(lambda o: o["states"][1].update(m="x" * 100000))}, WP,
+     2, "", f"error: a.json: state 1: matrix index '{'x' * 39}... is not in range(1)\n", None),
+    ({"a.json": edited(lambda o: o["states"][1].update(m=float("nan")))}, WP,
+     2, "", "error: a.json: state 1: matrix index NaN is not in range(1)\n", None),
+    ({"m.json": [[[2]]]}, [*BUILD[:-1], BIG],
+     2, "", f"adicaut build: error: argument --n: invalid int value: '{'1' + '0' * 38}...\n", None),
+], ids=["wp-json", "extra-key-ignored", "act-carry", "wp-sanov-d2-nontrivial", "build-sanov-d4", "component-nines",
+        "empty-object", "bool-next", "next-past-range", "float-out", "duplicate-label", "two-faults-in-document-order",
+        "long-m", "nan-m", "long-n"])
+def test_each_command_exits_with_its_code_and_output(tmp_path, capsys, monkeypatch, files, argv, code, out, err,
+                                                     written):
+    # each behaviour is checked once, here; tests/packaging_smoke.sh keeps only what installing adds
+    monkeypatch.chdir(tmp_path)  # relative names keep the path out of the messages
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    try:
+        got = main(argv)
+    except SystemExit as e:  # argparse's own exit prints its usage lines, wrapped to the terminal's width, first
+        got = e.code
+    stdout, stderr = capsys.readouterr()
+    if stderr.startswith("usage: adicaut "):
+        stderr = stderr.splitlines(keepends=True)[-1]
+    assert (got, stdout, stderr) == (code, out, err)
+    if written:  # the file a build wrote: the SHA-256 of the document, then a newline
+        name, digest = written
+        data = (tmp_path / name).read_bytes()
+        assert data.endswith(b"\n") and hashlib.sha256(data[:-1]).hexdigest() == digest
 
 
 def test_wp_identity(tmp_path, capsys):

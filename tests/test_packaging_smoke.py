@@ -5,6 +5,7 @@ left out: `adicaut` and `python` shims on PATH run the source tree's
 package under this interpreter instead of an installed copy."""
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -42,3 +43,13 @@ def test_packaging_smoke_step_replays(tmp_path):
     result = subprocess.run([bash, "--noprofile", "--norc", str(SCRIPT)],
                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, f"stdout:\n{result.stdout}\nstderr:\n{result.stderr}"
+
+
+def test_the_script_calls_every_command_and_each_failing_exit_code():
+    # every other CLI check lives in tests/test_cli.py; this keeps a later edit from dropping entry-point coverage
+    text = SCRIPT.read_text(encoding="utf-8")
+    calls = re.findall(r"\badicaut (\w+)", re.sub(r"(?m)^#.*", "", text))
+    assert set(calls) == {"build", "act", "wp", "relations", "verify"} and len(calls) <= 12
+    for code in (2, 3, 4):
+        assert f'test "$code" = {code}\n' in text
+    assert len(re.findall(r"(?m)^LC_ALL=C PYTHONUTF8=0 adicaut build .*\ncmp ", text)) == 2  # each compared at once
