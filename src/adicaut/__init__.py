@@ -48,10 +48,8 @@ from .treeaction import (
     Decision,
     GroupWord,
     WordError,
-    conjugacy_search_bounded,
     decide,
     parse_word,
-    reduced_words,
     translation_word,
 )
 from .constructions import (

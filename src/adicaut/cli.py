@@ -82,8 +82,9 @@ def _cmd_relations(args) -> int:
     budget = bounded_int(args.budget, "--budget", 1)
     mats = _read(args.matrices, am.read_matrices)
     aut = am.build_union(mats, args.n, alphabet_cap=args.alphabet_cap)
-    pres = presentation_for(aut.matrices)  # the d(d-1)/2 commutators, then d column relators per matrix
-    report = relator_check(aut, replace(pres, relators=pres.relators[aut.d * (aut.d - 1) // 2:]), budget)
+    pres = presentation_for(aut.matrices)
+    columns = tuple(r for r in pres.relators if r[0][0] in pres.stable_generators)  # t_k a_j t_k^-1 ..., by (k, j)
+    report = relator_check(aut, replace(pres, relators=columns), budget)
     for i, r in enumerate(report.results):
         (mi, axis), result = divmod(i, aut.d), r.outcome.upper()
         _emit(args, f"M[{mi}] j={axis + 1} {result} visited={r.visited}",

@@ -320,40 +320,6 @@ def translation_word(aut: Automaton, matrix_index: int, axis: int) -> GroupWord:
     return _word(aut, (a, ~b))  # distinct states, so already reduced
 
 
-def conjugacy_search_bounded(w1: GroupWord, w2: GroupWord, max_length: int,
-                             budget: int = DEFAULT_NODE_BUDGET):
-    """Breadth-first search for a conjugator c with c * w1 * c^-1 = w2 among
-    freely reduced words of at most max_length factors over all states.
-
-    Returns the first conjugator certified by `decide`, or None when no
-    candidate within the bounds checks out.  This is a bounded
-    semi-decision procedure: None only means the search was inconclusive and
-    never certifies that the two words are non-conjugate.  Candidates whose
-    check exhausts the node budget are skipped.  Words over different
-    automata raise WordError before any closure runs."""
-    aut, inv_w2 = w1.aut, ~w2
-    for codes in reduced_words(len(aut.labels), max_length):
-        c = _word(aut, codes)  # reduced and in range by construction
-        if decide(c * w1 * ~c * inv_w2, budget).result == "identity":
-            return c
-    return None
-
-
-def reduced_words(rank: int, max_length: int):
-    """All freely reduced words of at most `max_length` factors over `rank`
-    generators and their inverses, as tuples of signed codes (`i` and `~i`),
-    shortest first.  Both bounds are ints of at least 0."""
-    bounded_int(rank, "rank", 0)
-    bounded_int(max_length, "max_length", 0)
-    gens = [c for i in range(rank) for c in (i, ~i)]
-    for length in range(max_length + 1):
-        # one lazy generator per factor: a level is never held whole
-        words = iter([()])
-        for _ in range(length):
-            words = (w + (g,) for w in words for g in gens if not (w and w[-1] == ~g))
-        yield from words
-
-
 def _state(aut: Automaton, matrix_index: int, offset, token: str = "") -> int:
     """The id of the state labeled (matrix_index, offset).  A missing label raises
     WordError naming the component outside the automaton (or not an int), else the

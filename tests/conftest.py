@@ -28,6 +28,19 @@ def random_group_word(rng, aut, max_len, min_len=0):
     return GroupWord(aut, [random_code(rng, range(len(aut.labels))) for _ in range(k)])
 
 
+def reduced_words(rank, max_length):
+    """All freely reduced words of at most `max_length` factors over `rank`
+    generators and their inverses, as tuples of signed codes (`i` and `~i`),
+    shortest first."""
+    gens = [c for i in range(rank) for c in (i, ~i)]
+    for length in range(max_length + 1):
+        # one lazy generator per factor: a level is never held whole
+        words = iter([()])
+        for _ in range(length):
+            words = (w + (g,) for w in words for g in gens if not (w and w[-1] == ~g))
+        yield from words
+
+
 def affine_map(w):
     """The composed affine map of a word over a unimodular union, its leftmost
     factor applied last; an inverse factor is (M^-1, -M^-1 v)."""

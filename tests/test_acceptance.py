@@ -27,7 +27,6 @@ from adicaut import (
     from_json,
     identity,
     presentation_for,
-    reduced_words,
     relator_check,
     row_sum_norm,
     sanov_pair,
@@ -39,7 +38,7 @@ from adicaut import (
     word_matrix,
 )
 from adicaut.automaton import json_pieces
-from conftest import random_digit_word, random_group_word, random_matrix
+from conftest import random_digit_word, random_group_word, random_matrix, reduced_words
 
 
 @contextmanager

@@ -18,7 +18,6 @@ from adicaut import (
     inverse_unimodular,
     mat_mul,
     presentation_for,
-    reduced_words,
     relator_check,
     row_sum_norm,
     sanov_pair,
@@ -27,7 +26,7 @@ from adicaut import (
     word_matrix,
 )
 
-from conftest import column_sides
+from conftest import column_sides, reduced_words
 
 
 def test_block_extend_sanov_to_d6():

@@ -1,8 +1,8 @@
 """The CI "Packaging smoke" step installs the package and runs
 tests/packaging_smoke.sh; Tier-1 runs that same script, so a change to the
 command line that would break it fails here first.  The install line is
-left out: `adicaut` and `python` shims on PATH run the source tree's
-package under this interpreter instead of an installed copy."""
+left out: an `adicaut` shim on PATH runs the source tree's package under
+this interpreter instead of an installed copy."""
 
 import os
 import re
@@ -35,10 +35,10 @@ def test_packaging_smoke_step_replays(tmp_path):
     assert "set -eo pipefail\n" in SCRIPT.read_text(encoding="utf-8")
     shims = tmp_path / "bin"
     shims.mkdir()
-    for name, argv in (("adicaut", [sys.executable, "-m", "adicaut.cli"]), ("python", [sys.executable])):
-        shim = shims / name
-        shim.write_text(f'#!/bin/sh\nexport PYTHONPATH={shlex.quote(str(ROOT / "src"))}\nexec {shlex.join(argv)} "$@"\n')
-        shim.chmod(0o755)
+    shim = shims / "adicaut"
+    shim.write_text(f'#!/bin/sh\nexport PYTHONPATH={shlex.quote(str(ROOT / "src"))}\n'
+                    f'exec {shlex.join([sys.executable, "-m", "adicaut.cli"])} "$@"\n')
+    shim.chmod(0o755)
     env = {**os.environ, "PATH": f"{shims}{os.pathsep}{os.environ.get('PATH', '')}", "RUNNER_TEMP": str(tmp_path)}
     result = subprocess.run([bash, "--noprofile", "--norc", str(SCRIPT)],
                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
