@@ -41,7 +41,6 @@ from operator import add, eq, itemgetter, le, mul, sub
 from .linalg import (
     all_letters,
     bounded_int,
-    coprime_to,
     det,
     echo,
     mat_vec,
@@ -224,9 +223,9 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
     """Disjoint union of the transducers for each matrix, in the given order.
     Identical matrices yield identical but separate components.
 
-    Each matrix must have nonzero determinant coprime to n (otherwise the
-    output tables would not permute the alphabet).  The alphabet size n**d is
-    capped to keep accidental huge builds from exhausting memory.  The states
+    Each matrix's determinant must be coprime to n, hence nonzero (otherwise
+    the output tables would not permute the alphabet).  The alphabet size
+    n**d is capped to keep accidental huge builds from exhausting memory.  The states
     whose offsets agree mod n share one out tuple; the collector is paused."""
     try:
         mats = matrix_family(Ms)
@@ -239,11 +238,8 @@ def build_union(Ms, n: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP) -> Automat
         raise AlphabetCapError(f"alphabet size {echo(n)}**{d} = {echo(n ** d)} exceeds the cap {echo(alphabet_cap)}; "
                                "raise the cap explicitly if this size is intended")
     for i, M in enumerate(mats):
-        if not coprime_to(M, n):  # det and gcd only word the error
-            if (D := det(M)) == 0:
-                raise BuildError(f"matrix {i} has determinant 0")
-            raise BuildError(f"determinant {echo(D)} of matrix {i} is not coprime to base {echo(n)} "
-                             f"(gcd={echo(math.gcd(abs(D), n))})")
+        if (g := math.gcd(D := det(M), n)) != 1:  # a zero determinant has gcd n
+            raise BuildError(f"determinant {echo(D)} of matrix {i} is not coprime to base {echo(n)} (gcd={echo(g)})")
 
     letters = all_letters(n, d)
     bound = state_count_bound(mats)
@@ -436,9 +432,9 @@ def read_matrices(text: str) -> tuple:
 @_gc_paused()
 def from_json(text: str) -> Automaton:
     """Parse and validate the schema written by to_json; round-trips exactly.
-    One walk names the first fault JSON adds, in document order (an entry that
-    is no object or lacks a key, a field that is no list, true or false if the
-    text holds either); the Automaton, fed the tables lazily, names any other."""
+    One walk names the first JSON fault, in document order: no object, a
+    missing key, a v, out or next that is no list, then a true or false in
+    them or in m.  The Automaton, fed the tables lazily, names any other."""
     obj = _loads(text)
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -456,31 +452,24 @@ def from_json(text: str) -> Automaton:
     if d * (n.bit_length() - 1) > len(text).bit_length():
         raise FormatError(f"an alphabet of n**d letters (d = {echo(d)}) cannot fit in a {len(text)}-character document")
 
-    states, alphabet = obj["states"], n ** d
     bools, fields, labels = "true" in text or "false" in text, itemgetter("m", "v", "out", "next"), []
-    for si, entry in enumerate(states):  # every JSON fault before any of the constructor's
+    for si, entry in enumerate(obj["states"]):  # every JSON fault before any of the constructor's
         try:
             m, v, out, nxt = fields(entry)
         except (TypeError, KeyError) as e:  # an entry that is no object, or one without a key
             raise FormatError(f"states[{si}] missing key {e.args[0]!r}" if isinstance(e, KeyError)
                               else f"states[{si}] must be an object") from None
-        if bools and type(m) is bool:  # JSON's true and false, which the constructor would take as ints
-            raise FormatError(f"states[{si}].m = {echo(m)} is not a matrix index")
-        if not isinstance(v, list) or bools and bool in map(type, v):
-            raise FormatError(f"states[{si}].v must be a list of {d} integers")
-        if not isinstance(out, list):
-            raise FormatError(f"states[{si}].out must be a list of {alphabet} entries")
-        if bools and bool in map(type, out):
-            x = [*map(type, out)].index(bool)
-            raise FormatError(f"states[{si}].out[{x}] = {echo(out[x])} out of range [0, {alphabet})")
-        if not isinstance(nxt, list):
-            raise FormatError(f"states[{si}].next must be a list of {alphabet} entries")
-        if bools and bool in map(type, nxt):
-            x = [*map(type, nxt)].index(bool)
-            raise FormatError(f"states[{si}].next[{x}] = {echo(nxt[x])} out of range [0, {len(states)})")
+        if not (isinstance(v, list) and isinstance(out, list) and isinstance(nxt, list)):
+            name = "v" if not isinstance(v, list) else "out" if not isinstance(out, list) else "next"
+            raise FormatError(f"states[{si}].{name} must be a list")
+        if bools and bool in map(type, chain((m,), v, out, nxt)):  # JSON true and false, which act as ints
+            at, b = ("m", m) if type(m) is bool else next(
+                (f"{k}[{x}]", b) for k, f in (("v", v), ("out", out), ("next", nxt))
+                for x, b in enumerate(f) if type(b) is bool)
+            raise FormatError(f"states[{si}].{at} = {b} is not an int")
         labels.append((m, tuple(v)))
     try:  # the tables lazily: the constructor pools each fresh out tuple as it arrives, and no list holds them all
-        return Automaton(n, d, mats, labels, ((tuple(e["out"]), tuple(e["next"])) for e in states))
+        return Automaton(n, d, mats, labels, ((tuple(e["out"]), tuple(e["next"])) for e in obj["states"]))
     except ValueError as e:
         raise FormatError(str(e)) from None
 

@@ -1,8 +1,9 @@
 """Layering guard: no module of the package imports a sibling's `_private`
 name or uses a `_private` attribute (read, write or delete) through any name
 but `self` and `cls` (a module alias such as `am._x`, or an object such as
-`aut._state_ids`), and
-every name the benchmark imports from the package still exists."""
+`aut._state_ids`), every name the benchmark imports from the package still
+exists, and no test module defines one top-level function or class name
+twice (Python keeps the last, so the first would silently stop running)."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ from pathlib import Path
 import adicaut
 
 PACKAGE = Path(adicaut.__file__).parent
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 SIBLINGS = {p.stem for p in PACKAGE.glob("*.py")}
 
 
@@ -74,3 +76,23 @@ def test_every_name_the_benchmark_imports_exists():
                         missing.append(f"{path.name}: {node.module}.{a.name}")
     assert {"adicaut.BudgetExceededError", "adicaut.verify_relation", "adicaut.cli.main"} <= set(imported)
     assert missing == []
+
+
+def redefined(path):
+    "Each top-level function or class name the module defines again, with the line of the later definition."
+    seen, found = set(), []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in seen:
+                found.append(f"line {node.lineno}: {node.name}")
+            seen.add(node.name)
+    return found
+
+
+def test_no_test_module_defines_a_name_twice(tmp_path):
+    p = tmp_path / "test_mod.py"
+    p.write_text("def test_a():\n    pass\n\n\nclass Helper:\n    def test_a(self):\n        pass\n\n\n"
+                 "async def test_a():\n    pass\n\n\nclass Helper:\n    pass\n")
+    assert redefined(p) == ["line 10: test_a", "line 14: Helper"]
+    report = {q.name: v for q in sorted(TESTS.glob("*.py")) if (v := redefined(q))}
+    assert len([*TESTS.glob("test_*.py")]) >= 14 and report == {}
