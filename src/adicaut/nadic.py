@@ -47,8 +47,7 @@ class DigitWord:
         bounded_int(self.base, "base", 2)
         bounded_int(self.dim, "dimension", 1)
         letters = tuple(map(tuple, self.letters))
-        # one letter object is checked once: the images `act` builds reuse the automaton's letter tuples
-        for x in dict(zip(map(id, letters), letters)).values():
+        for x in letters:
             if len(x) != self.dim:
                 raise ValueError(f"letter {echo(x)} does not have dimension {echo(self.dim)}")
             for c in x:

@@ -34,13 +34,14 @@ instead and pushes each block's reduced section onto the stack whole, code by
 code only where it cancels into the top; free reduction is confluent, so the
 sections are the same.
 
-`act` reads letters through `letter_index`, the letter table's lookup
-(KeyError if absent).  `parse_word` costs one match and one label lookup per
-token, concatenates the powers and freely reduces the whole word once; the
-axis translations `t[j]@i` it reads come from `translation_word`, and so do
-the relators `constructions` decides.  Both resolve a missing label through
-one lookup, which names the component or state; error messages show a
-token, label coordinate or number through `echo`.
+`act` looks up one letter per input letter (`letter_index`, KeyError if
+absent) and reads the letter table back once per output letter, so it does
+not check the image's letters again.  `parse_word` costs one match and one
+label lookup per token, concatenates the powers and freely reduces the whole
+word once; the axis translations `t[j]@i` it reads come from
+`translation_word`, and so do the relators `constructions` decides.  Both
+resolve a missing label through one lookup, which names the component or
+state; error messages show a token, label coordinate or number through `echo`.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ class GroupWord:
         pair's sections cancel again, so the image is the same.  A stretch that
         shrank the section sends the walk back to single letters, so the cost is
         at most twice the sum of the reduced section lengths.  An empty section
-        leaves the rest of the digit word as it is."""
+        leaves the rest of the digit word as it is.  One lookup per input letter,
+        one table read per image letter; the image's letters are not checked again."""
         aut = self.aut
         if u.base != aut.n or u.dim != aut.d:
             raise WordError(f"word over base {aut.n} dim {aut.d} cannot act on a digit word of base {echo(u.base)} dim {echo(u.dim)}")
@@ -191,7 +193,9 @@ class GroupWord:
                 section = _cancel(tuple(ends))
             m = 2 * m if len(section) == len(word) else 1
             i, word = end, section
-        return DigitWord(tuple(map(aut.letters.__getitem__, seq)), u.base, u.dim)
+        image = object.__new__(DigitWord)  # u's base and dim, letters from aut.letters: DigitWord's check cannot fail
+        image.__dict__.update(letters=tuple(map(aut.letters.__getitem__, seq)), base=u.base, dim=u.dim)
+        return image
 
     def root_and_sections(self):
         """The permutation this word induces on first letters, and the reduced

@@ -393,6 +393,17 @@ def test_well_definedness_walks_a_row_whose_table_is_not_pooled():
     assert str(well_definedness_check(aut)) == "well-defined: 24 transitions checked"
     aut.rows[6] = (out[1], out[0], out[2]), nxt
     assert well_definedness_check(aut).failures == reference_failures(aut, 6) != []
+    # an unpooled table must never recompose by accident in the packed stream: with every next state
+    # m[0]:(0) itself, n*offset(next) = 0 = v, so a 0 in place of the unpooled table's nan would pass it
+    aut = build_union([[[2]], [[2]]], 3)
+    sid = aut.state_id(0, (0,))
+    out = aut.rows[sid][0]
+    aut.rows[sid] = (out[1], out[0], out[2]), (sid,) * 3
+    rep = well_definedness_check(aut)
+    assert not rep.ok and rep.failures == reference_failures(aut, sid) == [
+        CheckFailure(2, 0, "recomposed (2,), expected v+Mx = (0,)"),
+        CheckFailure(2, 1, "recomposed (0,), expected v+Mx = (2,)"),
+        CheckFailure(2, 2, "recomposed (1,), expected v+Mx = (4,)")]
 
 
 def test_to_json_digests_pinned():
@@ -499,6 +510,15 @@ def test_json_round_trip(doubling3, shear2):
     for aut in (doubling3, shear2, build_union([identity(1), identity(1)], 2)):
         again = from_json(to_json(aut))
         assert again == aut
+
+
+def test_the_letter_table_is_all_letters_as_exact_tuples(doubling3, shear2):
+    # act's images hold these tuples without checking them again, so each must be a tuple of ints
+    bare = Automaton(2, 1, [((1,),)], [(0, (0,)), (0, (-1,))], [((0, 1), (0, 0)), ((1, 0), (1, 0))])
+    union = build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3)
+    for aut in (doubling3, shear2, union, from_json(to_json(union)), from_json(to_json(shear2)), bare):
+        assert type(aut.letters) is tuple and aut.letters == tuple(all_letters(aut.n, aut.d))
+        assert all(type(x) is tuple and all(type(c) is int for c in x) for x in aut.letters)
 
 
 def test_json_records_components():

@@ -735,6 +735,16 @@ def reference_act(aut, factors, u):
     return DigitWord(tuple(aut.letters[i] for i in seq), u.base, u.dim)
 
 
+def assert_image(w, u, image):
+    """`image`, which `w.act(u)` returned unchecked, is the word the checked constructor builds: a
+    tuple of the automaton's own letter tuples, of u's base and dimension, that ~w maps back to u."""
+    aut = w.aut
+    checked = DigitWord(image.letters, aut.n, aut.d)
+    assert image == checked and hash(image) == hash(checked) and type(image.letters) is tuple
+    assert all(aut.letters[aut.letter_index(x)] is x for x in image.letters)
+    assert (~w).act(image) == u
+
+
 def test_act_agrees_with_per_letter_reference(doubling3, shear2):
     from adicaut import block_extend, identity, sanov_pair
     auts = [doubling3, shear2, build_union([[[1, 2], [0, 1]], [[1, 0], [2, 1]]], 3),
@@ -744,8 +754,11 @@ def test_act_agrees_with_per_letter_reference(doubling3, shear2):
         for _ in range(40):
             w = random_group_word(rng, aut, 12, min_len=1)
             u = random_digit_word(rng, aut.n, aut.d, 16, min_len=1)
-            assert w.act(u) == reference_act(aut, pairs(w), u)
-            assert (~w).act(w.act(u)) == u
+            image = w.act(u)
+            assert image == reference_act(aut, pairs(w), u)
+            assert_image(w, u, image)
+        empty = DigitWord((), aut.n, aut.d)
+        assert_image(w, empty, w.act(empty))
 
 
 def test_act_with_shrinking_sections():
@@ -765,12 +778,16 @@ def test_act_with_shrinking_sections():
                 image = w.act(u)
                 assert image == reference_act(aut, pairs(w), u)
                 assert image == affine_apply_prefix(affine_map(w), u)
-                assert w.act(DigitWord((), aut.n, aut.d)) == DigitWord((), aut.n, aut.d)
+                assert_image(w, u, image)
+                empty = DigitWord((), aut.n, aut.d)
+                assert w.act(empty) == empty
+                assert_image(w, empty, w.act(empty))
             if k > 0:
                 # on the zero word the section is the identity after about log_n k letters
                 u = DigitWord((zero,) * 64, aut.n, aut.d)
                 image = t.act(u)
                 assert image == reference_act(aut, pairs(t), u)
+                assert_image(t, u, image)
                 assert decode(image) == tuple(k if i == axis - 1 else 0 for i in range(aut.d))
                 assert image.letters[16:] == u.letters[16:]
         for run in (1, 3, 7, 8, 100):
@@ -785,6 +802,7 @@ def test_act_with_shrinking_sections():
                 image = w.act(u)
                 assert image == reference_act(aut, pairs(w), u)
                 assert image == affine_apply_prefix(affine_map(w), u)
+                assert_image(w, u, image)
 
 
 def test_a_state_without_an_inverse_cannot_be_built():
